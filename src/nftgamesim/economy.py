@@ -129,27 +129,18 @@ class SupplyCounters:
 def collectible_pool_value(holdings_all: list[Holdings], board: PriceBoard) -> float:
     """Capital deployed in the collectibles pool.
 
-    Computed two ways and cross-checked: a flat sum over the set of owned
-    tokens, and a per-user double sum. Both accumulate in ascending token-id
-    order so the results are bit-identical; a mismatch means the ownership
-    partition is broken (some token held by two users).
+    One sum over all owned tokens in ascending token-id order. A token held
+    by two users means the ownership partition is broken and raises
+    ValueError; a token with no price raises MissingPriceError.
     """
-    all_ids = sorted({tid for h in holdings_all for tid in h.collectibles})
-    flat = 0.0
-    for tid in all_ids:
-        flat += board.price_of(tid)
-
-    by_user = sorted((tid, h.owner) for h in holdings_all for tid in h.collectibles)
-    mcap = 0.0
-    for tid, _owner in by_user:
-        mcap += board.price_of(tid)
-
-    if len(by_user) != len(all_ids) or flat != mcap:
-        raise ValueError(
-            "ownership is not a partition: flat pool value "
-            f"{flat} != per-user market cap {mcap}"
-        )
-    return flat
+    value = 0.0
+    previous = None
+    for tid in sorted(tid for h in holdings_all for tid in h.collectibles):
+        if tid == previous:
+            raise ValueError(f"ownership is not a partition: collectible {tid} is held twice")
+        value += board.price_of(tid)
+        previous = tid
+    return value
 
 
 def fungible_pool_values(counters: SupplyCounters, board: PriceBoard) -> tuple[float, float]:

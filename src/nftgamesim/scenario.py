@@ -6,6 +6,7 @@ silently fall back to a default and change a supposedly reproducible run.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .activities import (
@@ -42,14 +43,21 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ScenarioError(f"unknown key: {path}.{key}")
 
 
+def _is_finite_number(value) -> bool:
+    # json.loads accepts NaN and ±Infinity; Python ints are always finite.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
 def _number(obj: dict, key: str, path: str, default=None):
     if key not in obj:
         if default is None:
             raise ScenarioError(f"missing key: {path}.{key}")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key} must be a number")
+    if not _is_finite_number(value):
+        raise ScenarioError(f"{path}.{key} must be a finite number")
     return value
 
 
@@ -85,10 +93,8 @@ def _parse_rules(obj: dict) -> GameRules:
     for key in ("activity_cost_schedule", "market_cost_schedule"):
         if key in obj:
             sched = obj[key]
-            if not isinstance(sched, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in sched
-            ):
-                raise ScenarioError(f"rules.{key} must be a list of numbers")
+            if not isinstance(sched, list) or not all(_is_finite_number(v) for v in sched):
+                raise ScenarioError(f"rules.{key} must be a list of finite numbers")
             kwargs[key] = tuple(float(v) for v in sched)
     if "burn_mode" in obj:
         kwargs["burn_mode"] = obj["burn_mode"]
@@ -235,10 +241,8 @@ def _parse_run(obj: dict) -> dict:
     }
     if "trait_premiums" in obj:
         premiums = obj["trait_premiums"]
-        if not isinstance(premiums, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in premiums
-        ):
-            raise ScenarioError("run.trait_premiums must be a list of numbers")
+        if not isinstance(premiums, list) or not all(_is_finite_number(v) for v in premiums):
+            raise ScenarioError("run.trait_premiums must be a list of finite numbers")
         out["trait_premiums"] = tuple(float(v) for v in premiums)
     board = _require_mapping(obj.get("board", {}), "run.board")
     _check_keys(

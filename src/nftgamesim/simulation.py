@@ -324,21 +324,30 @@ class GameSimulation:
         return out
 
     def _find_breeding_set(self, agent_id: int, step: int) -> list[int] | None:
+        """First affordable, validly paired set in lexicographic order of
+        the eligible parents, or None.
+
+        The cost depends only on the lead parent's breed count, so a lead
+        the agent cannot afford is skipped before any pairing check.
+        """
         eligible = self._eligible_parents(agent_id, step)
-        if len(eligible) < self.rules.breed_arity:
+        arity = self.rules.breed_arity
+        if len(eligible) < arity:
             return None
         h = self.holdings[agent_id]
-        for combo in itertools.combinations(eligible, self.rules.breed_arity):
-            try:
-                breeding.check_pairing(list(combo))
-            except breeding.RestrictionViolated:
+        activity_costs = self.rules.activity_cost_schedule
+        market_costs = self.rules.market_cost_schedule
+        for i, lead in enumerate(eligible):
+            k = lead.breed_count
+            if h.activity_balance < activity_costs[k] or h.market_balance < market_costs[k]:
                 continue
-            cost = BreedCost.at_index(self.rules, combo[0].breed_count, self.board)
-            if h.activity_balance < cost.activity_amount:
-                continue
-            if h.market_balance < cost.market_amount:
-                continue
-            return [c.id for c in combo]
+            for rest in itertools.combinations(eligible[i + 1 :], arity - 1):
+                combo = [lead, *rest]
+                try:
+                    breeding.check_pairing(combo)
+                except breeding.RestrictionViolated:
+                    continue
+                return [c.id for c in combo]
         return None
 
     def _can_adventure(self, agent_id: int) -> bool:
@@ -353,8 +362,8 @@ class GameSimulation:
         spec = self.config.lottery
         return spec is not None and self.holdings[agent_id].market_balance >= spec.stake
 
-    def _afford_any(self, agent_id: int, step: int) -> bool:
-        if self._find_breeding_set(agent_id, step) is not None:
+    def _afford_any(self, agent_id: int, parents: list[int] | None) -> bool:
+        if parents is not None:
             return True
         return (
             self._can_adventure(agent_id)
@@ -371,7 +380,8 @@ class GameSimulation:
 
     def agent_wealth(self, agent_id: int) -> float:
         h = self.holdings[agent_id]
-        tokens = math.fsum(self.board.price_of(tid) for tid in sorted(h.collectibles))
+        # fsum is exactly rounded, so the set's iteration order does not matter.
+        tokens = math.fsum(self.board.price_of(tid) for tid in h.collectibles)
         return (
             tokens
             + h.activity_balance * self.board.activity_price
@@ -477,7 +487,7 @@ class GameSimulation:
 
     # -- strategy ------------------------------------------------------
 
-    def _choose_action(self, spec: AgentSpec, step: int) -> str:
+    def _choose_action(self, spec: AgentSpec, step: int, parents: list[int] | None) -> str:
         if spec.strategy == "passive":
             return "pass"
         if spec.strategy == "thrill_seeker":
@@ -491,16 +501,16 @@ class GameSimulation:
             if not seq:
                 return "pass"
             action = seq[(step - 1) % len(seq)]
-            if action == "breed" and self._find_breeding_set(spec.id, step) is None:
+            if action == "breed" and parents is None:
                 return "pass"
             if action == "battle" and not self._can_battle(spec.id):
                 return "pass"
             if action == "adventure" and not self._can_adventure(spec.id):
                 return "pass"
             return action
-        return self._growth_choice(spec.id, step)
+        return self._growth_choice(spec.id, parents)
 
-    def _growth_choice(self, agent_id: int, step: int) -> str:
+    def _growth_choice(self, agent_id: int, parents: list[int] | None) -> str:
         """Highest expected log-wealth change at current-board averages;
         ties resolved in the order breed < battle < adventure < pass."""
         wealth = self.agent_wealth(agent_id)
@@ -509,7 +519,6 @@ class GameSimulation:
         h = self.holdings[agent_id]
         candidates: list[tuple[float, int, str]] = []
 
-        parents = self._find_breeding_set(agent_id, step)
         if parents is not None:
             lead = self.population[parents[0]]
             cost = BreedCost.at_index(self.rules, lead.breed_count, self.board)
@@ -543,9 +552,10 @@ class GameSimulation:
 
     # -- stepping ------------------------------------------------------
 
-    def _execute(self, agent_id: int, action: str, step: int) -> Event:
+    def _execute(
+        self, agent_id: int, action: str, step: int, parents: list[int] | None
+    ) -> Event:
         if action == "breed":
-            parents = self._find_breeding_set(agent_id, step)
             return self._do_breed(agent_id, step, parents)
         if action == "battle":
             return self._do_battle(agent_id, step)
@@ -557,10 +567,13 @@ class GameSimulation:
 
     def step(self, step: int) -> None:
         for spec in self._agents:
-            if self.ruined_at[spec.id] is None and not self._afford_any(spec.id, step):
+            # Nothing changes state before _execute, so one search serves the
+            # ruin test, the strategy and the breed itself.
+            parents = self._find_breeding_set(spec.id, step)
+            if self.ruined_at[spec.id] is None and not self._afford_any(spec.id, parents):
                 self.ruined_at[spec.id] = step
-            action = self._choose_action(spec, step)
-            event = self._execute(spec.id, action, step)
+            action = self._choose_action(spec, step, parents)
+            event = self._execute(spec.id, action, step, parents)
             self.action_counts[spec.id][event.action] += 1
             self.events.append(event)
         self._update_prices()
@@ -574,11 +587,16 @@ class GameSimulation:
             + self.rules.market_cost_schedule[0] * self.board.market_price
         )
         d = self.rules.breed_arity
-        for tid in sorted(self.board.collectible_prices):
-            self.board.collectible_prices[tid] = breeding.forward_price_step(
-                self.board.collectible_prices[tid], d, cost
-            )
-        self.board.floor_price = breeding.forward_price_step(self.board.floor_price, d, cost)
+        # Each price's next value depends on that price alone, so equal
+        # prices share one step.
+        prices = self.board.collectible_prices
+        stepped = {
+            price: breeding.forward_price_step(price, d, cost)
+            for price in {*prices.values(), self.board.floor_price}
+        }
+        for tid, price in prices.items():
+            prices[tid] = stepped[price]
+        self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:
         holdings = list(self.holdings.values())

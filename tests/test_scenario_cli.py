@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -221,6 +222,45 @@ class TestSimulateCommand:
         code, _ = self.run_simulate(tmp_path, data)
         assert code == 2
         assert "run.warp_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            pytest.param(lambda d: d["run"].update(steps=math.inf), "run.steps", id="steps"),
+            pytest.param(
+                lambda d: d["agents"][1].update(market_balance=math.inf),
+                "agents[1].market_balance",
+                id="market_balance",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["lottery"].update(stake=math.nan),
+                "specs.lottery.stake",
+                id="lottery_stake",
+            ),
+            pytest.param(
+                lambda d: d["run"]["board"].update(floor_price=-math.inf),
+                "run.board.floor_price",
+                id="floor_price",
+            ),
+            pytest.param(
+                lambda d: d["rules"]["activity_cost_schedule"].__setitem__(0, math.nan),
+                "rules.activity_cost_schedule",
+                id="cost_schedule",
+            ),
+            pytest.param(
+                lambda d: d["run"].update(trait_premiums=[0, 0, math.inf, 0, 0, 0]),
+                "run.trait_premiums",
+                id="trait_premiums",
+            ),
+        ],
+    )
+    def test_non_finite_number_exits_2_with_key_name(self, tmp_path, capsys, mutate, key):
+        data = scenario_dict()
+        mutate(data)
+        code, out = self.run_simulate(tmp_path, data)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariant_violation_exits_3(self, tmp_path, capsys, monkeypatch):
         def explode(config):

@@ -1,4 +1,6 @@
+import itertools
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -6,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
-from nftgamesim.breeding import GameRules, iterate_forward_price, max_population
-from nftgamesim.economy import PriceBoard
+from nftgamesim.breeding import (
+    BreedCost,
+    GameRules,
+    RestrictionViolated,
+    check_pairing,
+    iterate_forward_price,
+    max_population,
+)
+from nftgamesim.economy import Collectible, PriceBoard
 from nftgamesim.simulation import (
     AgentSpec,
     CollateralSpec,
@@ -311,6 +320,91 @@ class TestStrategies:
         assert actions[0] == "lottery"
         assert set(actions[1:]) == {"pass"}
         assert result.ruined_at[1] == 2
+
+
+def reference_breeding_set(sim: GameSimulation, agent_id: int, step: int) -> list[int] | None:
+    """The search as first written: pairing check first, then the cost."""
+    eligible = sim._eligible_parents(agent_id, step)
+    if len(eligible) < sim.rules.breed_arity:
+        return None
+    h = sim.holdings[agent_id]
+    for combo in itertools.combinations(eligible, sim.rules.breed_arity):
+        try:
+            check_pairing(list(combo))
+        except RestrictionViolated:
+            continue
+        cost = BreedCost.at_index(sim.rules, combo[0].breed_count, sim.board)
+        if h.activity_balance < cost.activity_amount:
+            continue
+        if h.market_balance < cost.market_amount:
+            continue
+        return [c.id for c in combo]
+    return None
+
+
+AMOUNTS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 4.0])
+
+
+class TestBreedingSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_random_holdings(self, data):
+        limit = data.draw(st.integers(1, 4), label="breed_limit")
+        costs = st.lists(AMOUNTS, min_size=limit, max_size=limit)
+        rules = base_rules(
+            breed_arity=data.draw(st.integers(1, 3), label="arity"),
+            breed_limit=limit,
+            maturity_delay=data.draw(st.integers(0, 3), label="maturity_delay"),
+            activity_cost_schedule=data.draw(costs, label="activity_costs"),
+            market_cost_schedule=data.draw(costs, label="market_costs"),
+        )
+        sim = GameSimulation(SimConfig(rules=rules, agents=(AgentSpec(id=1),), steps=1))
+        # Lineages point at earlier tokens, owned or not. Parents come from
+        # the first `founders` tokens only, so with few founders most pairs
+        # are siblings and many combinations fail the pairing check.
+        size = data.draw(st.integers(0, 16), label="population")
+        founders = data.draw(st.integers(1, 16), label="founders")
+        for tid in range(size):
+            parents = None
+            if tid and data.draw(st.booleans()):
+                parent_ids = st.integers(0, min(tid, founders) - 1)
+                parents = tuple(
+                    data.draw(
+                        st.lists(parent_ids, min_size=1, max_size=3, unique=True),
+                        label=f"parents[{tid}]",
+                    )
+                )
+            sim.population[tid] = Collectible(
+                id=tid,
+                traits=(0,) * rules.trait_count,
+                parents=parents,
+                breed_count=data.draw(st.integers(0, limit), label=f"breed_count[{tid}]"),
+                birth_step=data.draw(st.integers(-3, 5), label=f"birth_step[{tid}]"),
+            )
+        h = sim.holdings[1]
+        h.collectibles = {
+            tid for tid in range(size) if data.draw(st.booleans(), label=f"owns[{tid}]")
+        }
+        h.activity_balance = data.draw(AMOUNTS, label="activity_balance")
+        h.market_balance = data.draw(AMOUNTS, label="market_balance")
+        step = data.draw(st.integers(0, 6), label="step")
+        assert sim._find_breeding_set(1, step) == reference_breeding_set(sim, 1, step)
+
+    def test_at_most_one_search_per_agent_turn(self):
+        config = mixed_config(steps=30, price_update="forward_drift")
+        sim = GameSimulation(config)
+        searches = Counter()
+        search = sim._find_breeding_set
+
+        def counting(agent_id, step):
+            searches[agent_id, step] += 1
+            return search(agent_id, step)
+
+        sim._find_breeding_set = counting
+        for step in range(1, config.steps + 1):
+            sim.step(step)
+        assert sim.action_counts[1]["breed"] > 0
+        assert max(searches.values()) == 1
 
 
 class TestCollateralLoop:
