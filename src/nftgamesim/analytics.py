@@ -5,14 +5,18 @@ ratios for risk-adjusted comparison, growth-optimal fractions for sizing,
 and expected utility for populations with heterogeneous risk appetite.
 The multi-asset allocation uses the Moore-Penrose inverse so singular
 covariance structures (replicated or redundant assets) stay well defined.
+Only ReturnModel, pseudo_inverse and optimal_allocation use numpy, and
+they import it when called, so importing this module does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SVD_REL_CUTOFF = 1e-12
 STRICT_GAIN_TOL = 1e-12
@@ -60,6 +64,8 @@ class ReturnModel:
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        import numpy as np
+
         vol = np.asarray(self.vol_matrix, dtype=float)
         if vol.ndim != 2 or vol.shape[1] != len(self.mean_vector):
             raise ValueError(
@@ -126,6 +132,8 @@ def pseudo_inverse(matrix, rel_cutoff: float = SVD_REL_CUTOFF) -> np.ndarray:
     so the result extends the ordinary inverse to rank-deficient and
     non-square matrices while satisfying all four Penrose conditions.
     """
+    import numpy as np
+
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("pseudo_inverse expects a 2-d matrix")
@@ -143,6 +151,8 @@ def pseudo_inverse(matrix, rel_cutoff: float = SVD_REL_CUTOFF) -> np.ndarray:
 def optimal_allocation(model: ReturnModel) -> np.ndarray:
     """Growth-optimal weights: excess drifts times the pseudoinverse of the
     asset Gram matrix. Reduces to optimal_fraction_1d for one asset."""
+    import numpy as np
+
     mu = np.asarray(model.mean_vector, dtype=float)
     vol = np.asarray(model.vol_matrix, dtype=float)
     gram = vol.T @ vol

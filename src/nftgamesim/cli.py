@@ -29,10 +29,9 @@ from .breeding import classify_breeding_arbitrage, lattice_value
 from .scenario import ScenarioError, load_scenario
 from .simulation import (
     CollateralSpec,
-    SimConfig,
+    GameSimulation,
     SimulationInvariantError,
     collateral_loop,
-    run_simulation,
 )
 
 
@@ -70,16 +69,38 @@ def _matrix(text: str) -> list[list[float]]:
 # -- simulate ------------------------------------------------------------
 
 
-def _write_outputs(out_dir: Path, config: SimConfig, result) -> None:
-    agent_ids = sorted(a.id for a in config.agents)
-    strategies = {a.id: a.strategy for a in config.agents}
+def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
+    """Write events.jsonl and snapshots.csv as the run goes; return the summary.
 
-    with open(out_dir / "snapshots.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
+    Only the first and the latest snapshot are kept, so memory does not grow
+    with the step count.
+    """
+    config = sim.config
+    agent_ids = sorted(a.id for a in config.agents)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    first = last = None
+    with open(out_dir / "snapshots.csv", "w", newline="") as snap_fh, open(
+        out_dir / "events.jsonl", "w"
+    ) as event_fh:
+        writer = csv.writer(snap_fh)
         header = ["step", "phi", "psi", "omega", "pi", "collectible_count"]
         header += [f"agent{k}_wealth" for k in agent_ids]
         writer.writerow(header)
-        for snap in result.snapshots:
+        for events, snap in sim.stream():
+            for ev in events:
+                event_fh.write(
+                    encode(
+                        {
+                            "step": ev.step,
+                            "agent": ev.agent,
+                            "action": ev.action,
+                            "inputs": ev.inputs,
+                            "outputs": ev.outputs,
+                            "rng_draws": ev.rng_draws,
+                        }
+                    )
+                )
+                event_fh.write("\n")
             row = [
                 snap.step,
                 snap.collectible_pool,
@@ -90,26 +111,12 @@ def _write_outputs(out_dir: Path, config: SimConfig, result) -> None:
             ]
             row += [snap.agent_wealth[k] for k in agent_ids]
             writer.writerow(row)
+            if first is None:
+                first = snap
+            last = snap
 
-    with open(out_dir / "events.jsonl", "w") as fh:
-        for ev in result.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "step": ev.step,
-                        "agent": ev.agent,
-                        "action": ev.action,
-                        "inputs": ev.inputs,
-                        "outputs": ev.outputs,
-                        "rng_draws": ev.rng_draws,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-            fh.write("\n")
-
-    first, last = result.snapshots[0], result.snapshots[-1]
-    summary = {
+    strategies = {a.id: a.strategy for a in config.agents}
+    return {
         "schema_version": 1,
         "seed": config.seed,
         "steps": config.steps,
@@ -127,16 +134,13 @@ def _write_outputs(out_dir: Path, config: SimConfig, result) -> None:
                 "initial_wealth": first.agent_wealth[k],
                 "final_wealth": last.agent_wealth[k],
                 "total_earnings": last.agent_wealth[k] - first.agent_wealth[k],
-                "ruined": result.ruined_at[k] is not None,
-                "ruined_at": result.ruined_at[k],
-                "actions": result.action_counts[k],
+                "ruined": sim.ruined_at[k] is not None,
+                "ruined_at": sim.ruined_at[k],
+                "actions": sim.action_counts[k],
             }
             for k in agent_ids
         ],
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_simulate(args) -> int:
@@ -150,15 +154,26 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out_dir = Path(args.out)
+    outputs = [out_dir / name for name in ("events.jsonl", "snapshots.csv", "summary.json")]
     try:
-        result = run_simulation(config)
+        sim = GameSimulation(config)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            summary = _write_outputs(out_dir, sim)
+        except BaseException:
+            # A failed run leaves no outputs, not even a stale summary.json
+            # describing files that were just overwritten.
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            raise
     except SimulationInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_outputs(out_dir, config, result)
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
     print(f"wrote snapshots.csv, events.jsonl, summary.json to {out_dir}")
     return 0
 

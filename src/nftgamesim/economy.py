@@ -8,6 +8,7 @@ every asset has one price.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 TokenId = int
@@ -69,9 +70,10 @@ class Holdings:
         self.check_balances()
 
     def check_balances(self) -> None:
-        if self.activity_balance < 0 or self.market_balance < 0:
+        # NaN fails every comparison, so one chain also rejects it.
+        if not (0 <= self.activity_balance < math.inf and 0 <= self.market_balance < math.inf):
             raise ValueError(
-                f"user {self.owner}: balances must be non-negative "
+                f"user {self.owner}: balances must be finite and non-negative "
                 f"(activity={self.activity_balance}, market={self.market_balance})"
             )
 
@@ -93,13 +95,13 @@ class PriceBoard:
         self.validate()
 
     def validate(self) -> None:
-        if self.activity_price <= 0 or self.market_price <= 0:
-            raise ValueError("fungible token prices must be positive")
-        if self.floor_price <= 0:
-            raise ValueError("floor price must be positive")
+        if not (0 < self.activity_price < math.inf and 0 < self.market_price < math.inf):
+            raise ValueError("fungible token prices must be finite and positive")
+        if not 0 < self.floor_price < math.inf:
+            raise ValueError("floor price must be finite and positive")
         for tid, p in self.collectible_prices.items():
-            if p <= 0:
-                raise ValueError(f"collectible {tid} has non-positive price {p}")
+            if not 0 < p < math.inf:
+                raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
         if self.collectible_prices:
             lowest = min(self.collectible_prices.values())
             if self.floor_price > lowest + 1e-12:
@@ -122,8 +124,14 @@ class SupplyCounters:
     market_supply: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.activity_supply < 0 or self.market_supply < 0:
-            raise ValueError("supplies must be non-negative")
+        self.validate()
+
+    def validate(self) -> None:
+        if not (0 <= self.activity_supply < math.inf and 0 <= self.market_supply < math.inf):
+            raise ValueError(
+                "supplies must be finite and non-negative "
+                f"(activity={self.activity_supply}, market={self.market_supply})"
+            )
 
 
 def collectible_pool_value(holdings_all: list[Holdings], board: PriceBoard) -> float:
@@ -152,10 +160,19 @@ def fungible_pool_values(counters: SupplyCounters, board: PriceBoard) -> tuple[f
 
 
 def total_value(collectible_pool: float, activity_pool: float, market_pool: float) -> float:
-    """Total theoretical value of all game assets (sum of the three pools)."""
-    if collectible_pool < 0 or activity_pool < 0 or market_pool < 0:
-        raise ValueError("pool values must be non-negative")
-    return collectible_pool + activity_pool + market_pool
+    """Total theoretical value of all game assets (sum of the three pools).
+
+    Finite prices times finite supplies can still overflow, so the pools and
+    their total must be finite as well as non-negative.
+    """
+    total = collectible_pool + activity_pool + market_pool
+    # A NaN or an infinity in any pool leaves the total NaN or infinite.
+    if collectible_pool < 0 or activity_pool < 0 or market_pool < 0 or not total < math.inf:
+        raise ValueError(
+            "pool values must be finite and non-negative "
+            f"(phi={collectible_pool}, psi={activity_pool}, omega={market_pool})"
+        )
+    return total
 
 
 def check_ownership_partition(

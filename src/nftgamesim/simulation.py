@@ -1,8 +1,10 @@
 """Seed-deterministic, time-stepped game simulation and leverage toys.
 
 One run owns a single counting generator; agents act in ascending id order
-within each step and every state transition is appended to an event log,
-so identical (config, seed) pairs reproduce byte-identical histories.
+within each step and every state transition is recorded as an event, so
+identical (config, seed) pairs reproduce byte-identical histories.
+GameSimulation.stream hands each step's events and snapshot to its caller
+as the run goes, so a caller that writes them out keeps nothing.
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -14,6 +16,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import breeding
@@ -237,7 +240,7 @@ def derive_subseed(master_seed: int, trial: int) -> int:
 
 
 class GameSimulation:
-    """Mutable run state; use run_simulation() unless stepping manually."""
+    """Mutable run state; use run_simulation() or stream() unless stepping manually."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -252,6 +255,8 @@ class GameSimulation:
             floor_price=config.board.floor_price,
         )
         self.counters = SupplyCounters()
+        # Genesis events, then the current step's: stream() hands the list
+        # on and starts a new one after each step, ruin_probability empties it.
         self.events: list[Event] = []
         self.ruined_at: dict[int, int | None] = {a.id: None for a in config.agents}
         self.action_counts: dict[int, dict[str, int]] = {
@@ -599,26 +604,60 @@ class GameSimulation:
         self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:
+        """Audit the state after a step. Balances, supplies and prices must
+        be finite, so no NaN or infinity reaches the outputs.
+
+        This is the whole audit of a run that takes no snapshot (see
+        ruin_probability), so it also proves what a snapshot relies on:
+        every minted collectible, and nothing else, has a price.
+        """
         holdings = list(self.holdings.values())
         try:
             check_ownership_partition(holdings, self.population)
-            check_supply_conservation(holdings, self.counters)
-            self.board.validate()
             for h in holdings:
                 h.check_balances()
+            self.counters.validate()
+            check_supply_conservation(holdings, self.counters)
+            self.board.validate()
+            prices = self.board.collectible_prices
+            if prices.keys() != self.population.keys():
+                unpriced = sorted(self.population.keys() - prices.keys())
+                unminted = sorted(prices.keys() - self.population.keys())
+                raise ValueError(
+                    f"priced collectibles differ from minted ones: no price for {unpriced[:5]}, "
+                    f"price for unminted {unminted[:5]}"
+                )
         except ValueError as exc:
             raise SimulationInvariantError(step, str(exc)) from exc
+
+    def stream(self) -> Iterator[tuple[list[Event], EconomySnapshot]]:
+        """Run every configured step, yielding (events, snapshot) after each.
+
+        The first pair is the genesis events with the step-0 snapshot. A
+        yielded event list is never touched again, and the run keeps no
+        reference to it, so memory stays flat however many steps run.
+        """
+        for step in range(self.config.steps + 1):
+            if step:
+                self.step(step)
+            yield self.events, self.snapshot(step)
+            self.events = []
 
     def snapshot(self, step: int) -> EconomySnapshot:
         holdings = list(self.holdings.values())
         phi = collectible_pool_value(holdings, self.board)
         psi, omega = fungible_pool_values(self.counters, self.board)
+        try:
+            # A finite total bounds every agent's wealth, so that is finite too.
+            total = total_value(phi, psi, omega)
+        except ValueError as exc:
+            raise SimulationInvariantError(step, str(exc)) from exc
         return EconomySnapshot(
             step=step,
             collectible_pool=phi,
             activity_pool=psi,
             market_pool=omega,
-            total=total_value(phi, psi, omega),
+            total=total,
             collectible_count=len(self.population),
             agent_wealth={a.id: self.agent_wealth(a.id) for a in self._agents},
         )
@@ -627,12 +666,13 @@ class GameSimulation:
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the configured scenario; equal (config, seed) yields identical results."""
     sim = GameSimulation(config)
-    snapshots = [sim.snapshot(0)]
-    for step in range(1, config.steps + 1):
-        sim.step(step)
-        snapshots.append(sim.snapshot(step))
+    events: list[Event] = []
+    snapshots: list[EconomySnapshot] = []
+    for step_events, snapshot in sim.stream():
+        events.extend(step_events)
+        snapshots.append(snapshot)
     return SimResult(
-        events=sim.events,
+        events=events,
         snapshots=snapshots,
         ruined_at=sim.ruined_at,
         action_counts=sim.action_counts,
@@ -682,9 +722,13 @@ def ruin_probability(config: SimConfig, agent: int, trials: int) -> RuinEstimate
         raise ValueError(f"no agent with id {agent}")
     ruined = 0
     for trial in range(trials):
-        sub = replace(config, seed=derive_subseed(config.seed, trial))
-        result = run_simulation(sub)
-        if result.ruined_at[agent] is not None:
+        # Only ruined_at is read, so no snapshot is taken and each step's
+        # events are dropped; the per-step audit still runs in full.
+        sim = GameSimulation(replace(config, seed=derive_subseed(config.seed, trial)))
+        for step in range(1, config.steps + 1):
+            sim.events.clear()
+            sim.step(step)
+        if sim.ruined_at[agent] is not None:
             ruined += 1
     estimate = ruined / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)

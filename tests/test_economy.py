@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -121,6 +122,11 @@ class TestTotalValue:
         with pytest.raises(ValueError):
             total_value(-1.0, 0.0, 0.0)
 
+    def test_rejects_non_finite_and_overflowing_totals(self):
+        for pools in [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (1e308, 1e308, 0.0)]:
+            with pytest.raises(ValueError, match="finite"):
+                total_value(*pools)
+
 
 class TestInvariants:
     def test_board_rejects_floor_above_lowest_price(self):
@@ -136,6 +142,19 @@ class TestInvariants:
     def test_holdings_reject_negative_balances(self):
         with pytest.raises(ValueError):
             Holdings(owner=1, activity_balance=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_audits_reject_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Holdings(owner=1, market_balance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SupplyCounters(activity_supply=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PriceBoard(market_price=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PriceBoard(floor_price=bad)
+        with pytest.raises(ValueError, match="collectible 3"):
+            PriceBoard(collectible_prices={0: 1.0, 3: bad}, floor_price=1.0)
 
     def test_partition_check_names_token_and_users(self):
         pop = {0: Collectible(id=0, traits=(1,))}

@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from nftgamesim.cli import main
 from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
-from nftgamesim.simulation import SimulationInvariantError
+from nftgamesim.simulation import GameSimulation, SimulationInvariantError
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 
 
 def scenario_dict() -> dict:
@@ -263,13 +266,59 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_invariant_violation_exits_3(self, tmp_path, capsys, monkeypatch):
-        def explode(config):
-            raise SimulationInvariantError(4, "synthetic failure")
+        real_step = GameSimulation.step
 
-        monkeypatch.setattr("nftgamesim.cli.run_simulation", explode)
-        code, _ = self.run_simulate(tmp_path, scenario_dict())
+        def explode_at_4(sim, step):
+            if step == 4:
+                raise SimulationInvariantError(4, "synthetic failure")
+            real_step(sim, step)
+
+        monkeypatch.setattr(GameSimulation, "step", explode_at_4)
+        code, out = self.run_simulate(tmp_path, scenario_dict())
         assert code == 3
         assert "step 4" in capsys.readouterr().err
+        assert not (out / "events.jsonl").exists()
+
+    def test_failed_run_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
+        # A ValueError mid-run exits 2; the files written so far are removed,
+        # along with the summary.json of an earlier run in the same directory.
+        _, out = self.run_simulate(tmp_path, scenario_dict())
+        real_step = GameSimulation.step
+
+        def fail_at_3(sim, step):
+            if step == 3:
+                raise ValueError("synthetic domain error")
+            real_step(sim, step)
+
+        monkeypatch.setattr(GameSimulation, "step", fail_at_3)
+        code, out = self.run_simulate(tmp_path, scenario_dict())
+        assert code == 2
+        assert "synthetic domain error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_overflowing_adventure_exits_3_at_step_2(self, tmp_path, capsys):
+        # Growth maximizers adventure at step 1 (balance 8e301) and step 2,
+        # where the balance overflows to Infinity and the audit must stop
+        # the run before anything non-finite is written.
+        data = json.loads(BASELINE.read_text())
+        data["specs"]["adventure"]["reward_multiplier"] = 1e300
+        code, out = self.run_simulate(tmp_path, data)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "invariant violation at step 2" in err
+        assert "finite" in err
+        for name in ("events.jsonl", "snapshots.csv", "summary.json"):
+            assert not (out / name).exists()
+
+    def test_overflowing_pool_value_exits_3_at_step_0(self, tmp_path, capsys):
+        # Every balance and price is finite, but supply times price is not.
+        data = json.loads(BASELINE.read_text())
+        data["run"]["board"]["activity_price"] = 1e307
+        code, out = self.run_simulate(tmp_path, data)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "invariant violation at step 0: pool values must be finite" in err
+        assert not (out / "snapshots.csv").exists()
 
     def test_passive_scenario_rows_identical(self, tmp_path):
         data = scenario_dict()

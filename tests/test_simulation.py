@@ -1,7 +1,7 @@
 import itertools
 import json
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +202,38 @@ class TestRunSimulation:
         sim.holdings[4].collectibles.add(stolen)
         with pytest.raises(SimulationInvariantError, match=f"collectible {stolen}"):
             sim._check_invariants(step=1)
+
+    def test_missing_price_caught_by_audit(self):
+        config = mixed_config(steps=3)
+        sim = GameSimulation(config)
+        # Agent 1 breeds on a fixed schedule and never values its tokens, so
+        # only the audit can notice the lost price.
+        del sim.board.collectible_prices[min(sim.holdings[1].collectibles)]
+        with pytest.raises(SimulationInvariantError, match="step 1: priced collectibles"):
+            sim.step(1)
+
+    def test_price_for_unminted_collectible_caught_by_audit(self):
+        sim = GameSimulation(mixed_config(steps=3))
+        sim.board.collectible_prices[999] = 1.0
+        with pytest.raises(SimulationInvariantError, match=r"unminted \[999\]"):
+            sim.step(1)
+
+    def test_negative_supply_caught_by_audit(self):
+        sim = GameSimulation(mixed_config(steps=3))
+        sim.counters.market_supply = -1.0
+        with pytest.raises(SimulationInvariantError, match="step 1: supplies"):
+            sim.step(1)
+
+    def test_stream_hands_over_each_step_once(self):
+        config = mixed_config(steps=8)
+        sim = GameSimulation(config)
+        # The yielded lists are kept without copying: the run must not reuse them.
+        handed = list(sim.stream())
+        assert [snap.step for _, snap in handed] == list(range(config.steps + 1))
+        assert sim.events == []
+        result = run_simulation(config)
+        assert serialize(e for events, _ in handed for e in events) == serialize(result.events)
+        assert [snap for _, snap in handed] == result.snapshots
 
     def test_event_draw_counts_cover_all_draws(self):
         config = mixed_config(steps=10)
@@ -515,6 +547,32 @@ class TestRuinProbability:
         assert exact == 0.375
         estimate = ruin_probability(config, 1, trials=2000)
         assert abs(estimate.probability - exact) <= 3 * max(estimate.stderr, 1e-6)
+
+    @pytest.mark.parametrize("seed", [3, 41, 2026])
+    def test_matches_count_over_full_runs(self, seed):
+        # Reference: full runs, snapshots and all, with the documented sub-seeds.
+        config = SimConfig(
+            rules=base_rules(),
+            agents=(
+                AgentSpec(id=1, strategy="thrill_seeker", market_balance=2.0),
+                AgentSpec(id=2, strategy="thrill_seeker", market_balance=3.0),
+            ),
+            steps=6,
+            seed=seed,
+            board=PriceBoard(activity_price=0.5, market_price=2.0, floor_price=1.0),
+            lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
+        )
+        trials = 30
+        ruined_at = [
+            run_simulation(replace(config, seed=derive_subseed(seed, t))).ruined_at
+            for t in range(trials)
+        ]
+        for agent in (1, 2):
+            ruined = sum(1 for r in ruined_at if r[agent] is not None)
+            assert 0 < ruined < trials
+            estimate = ruin_probability(config, agent, trials=trials)
+            assert estimate.probability == ruined / trials
+            assert estimate.trials == trials
 
     def test_unknown_agent_rejected(self):
         with pytest.raises(ValueError, match="no agent"):
