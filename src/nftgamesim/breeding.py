@@ -164,6 +164,11 @@ def breed(
     ``rng`` needs ``random()`` and ``randrange(n)``. Two draws are consumed
     per trait (mutation test, then value) regardless of mutation_prob, so
     replay streams stay aligned.
+
+    The child id is one more than the population's last key, which is its
+    largest as long as ids are added in ascending order (genesis and every
+    breed do so). If that id is already taken, ValueError is raised before
+    anything changes; an id is never reused.
     """
     if len(parent_ids) != rules.breed_arity:
         raise RestrictionViolated(
@@ -193,6 +198,11 @@ def breed(
             f"user {owner.owner} cannot cover breed cost "
             f"(needs {cost.activity_amount} activity + {cost.market_amount} market)"
         )
+    child_id = next(reversed(population)) + 1
+    if child_id in population:
+        raise ValueError(
+            f"child id {child_id} is already minted: population ids were not added in ascending order"
+        )
 
     traits = []
     for i in range(rules.trait_count):
@@ -203,7 +213,7 @@ def breed(
             traits.append(parents[rng.randrange(len(parents))].traits[i])
 
     child = Collectible(
-        id=max(population) + 1,
+        id=child_id,
         traits=tuple(traits),
         parents=tuple(parent_ids),
         breed_count=0,

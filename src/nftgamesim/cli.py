@@ -1,8 +1,10 @@
 """Command-line front end: scenario configs in, reproducible tables out.
 
 Exit codes: 0 success, 2 invalid configuration or flags, 3 runtime
-invariant violation. Every command honors --seed and defaults it to 0;
-wall-clock entropy is never used.
+invariant violation. simulate honors --seed, which overrides the
+scenario's run.seed; wall-clock entropy is never used. The analyze and demo
+commands draw no random numbers: they accept --seed so existing scripts keep
+working, but it has no effect there.
 """
 from __future__ import annotations
 
@@ -374,6 +376,9 @@ def cmd_demo(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+UNUSED_SEED_HELP = "accepted for compatibility; has no effect (no random numbers are drawn)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nftgamesim",
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sharpe.add_argument("--excess", type=_finite, required=True)
     sharpe.add_argument("--vol", type=_finite, required=True)
     sharpe.add_argument("--horizon", type=_finite, default=1.0)
-    sharpe.add_argument("--seed", type=_u64, default=0)
+    sharpe.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     sharpe.set_defaults(func=cmd_analyze_sharpe)
 
     allocate = ana_sub.add_parser("allocate", help="growth-optimal multi-asset weights")
@@ -404,21 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument(
         "--vol", type=_matrix, required=True, help="factor loadings, rows ';' separated"
     )
-    allocate.add_argument("--seed", type=_u64, default=0)
+    allocate.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     allocate.set_defaults(func=cmd_analyze_allocate)
 
     envelope = ana_sub.add_parser("envelope", help="two-envelopes expected gains")
     envelope.add_argument("--up", type=_finite, required=True)
     envelope.add_argument("--down", type=_finite, required=True)
     envelope.add_argument("--prob", type=_finite, default=0.5)
-    envelope.add_argument("--seed", type=_u64, default=0)
+    envelope.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     envelope.set_defaults(func=cmd_analyze_envelope)
 
     propitious = ana_sub.add_parser(
         "propitious", help="does the pooled lottery raise everyone's utility?"
     )
     propitious.add_argument("--seeker-exponent", type=_finite, default=8.0)
-    propitious.add_argument("--seed", type=_u64, default=0)
+    propitious.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     propitious.set_defaults(func=cmd_analyze_propitious)
 
     lattice = ana_sub.add_parser("lattice", help="collectible value from remaining breed charges")
@@ -426,19 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     lattice.add_argument("--floor", type=_finite, required=True)
     lattice.add_argument("--child-value", type=_finite, required=True)
     lattice.add_argument("--costs", type=_vector, required=True)
-    lattice.add_argument("--seed", type=_u64, default=0)
+    lattice.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     lattice.set_defaults(func=cmd_analyze_lattice)
 
     arbitrage = ana_sub.add_parser("arbitrage", help="classify the breeding trade")
     arbitrage.add_argument("--capital", type=_finite, required=True)
     arbitrage.add_argument("--growth", type=_finite, required=True)
     arbitrage.add_argument("--cost", type=_finite, required=True)
-    arbitrage.add_argument("--seed", type=_u64, default=0)
+    arbitrage.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     arbitrage.set_defaults(func=cmd_analyze_arbitrage)
 
     demo = sub.add_parser("demo", help="run a canonical worked scenario")
     demo.add_argument("name", choices=sorted(DEMOS))
-    demo.add_argument("--seed", type=_u64, default=0)
+    demo.add_argument("--seed", type=_u64, default=0, help=UNUSED_SEED_HELP)
     demo.set_defaults(func=cmd_demo)
 
     return parser

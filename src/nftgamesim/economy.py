@@ -8,7 +8,9 @@ every asset has one price.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 TokenId = int
@@ -99,11 +101,15 @@ class PriceBoard:
             raise ValueError("fungible token prices must be finite and positive")
         if not 0 < self.floor_price < math.inf:
             raise ValueError("floor price must be finite and positive")
-        for tid, p in self.collectible_prices.items():
-            if not 0 < p < math.inf:
-                raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
-        if self.collectible_prices:
-            lowest = min(self.collectible_prices.values())
+        # Tokens share few distinct prices, so test those; the per-token
+        # scan runs only to name the first bad id.
+        distinct = set(self.collectible_prices.values())
+        if not all(0 < p < math.inf for p in distinct):
+            for tid, p in self.collectible_prices.items():
+                if not 0 < p < math.inf:
+                    raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
+        if distinct:
+            lowest = min(distinct)
             if self.floor_price > lowest + 1e-12:
                 raise ValueError(
                     f"floor price {self.floor_price} exceeds lowest listed price {lowest}"
@@ -134,13 +140,32 @@ class SupplyCounters:
             )
 
 
+def _disjoint_union(holdings_all: list[Holdings]) -> set[TokenId] | None:
+    """Every held token, or None if some token is held twice."""
+    held = [h.collectibles for h in holdings_all]
+    owned = set().union(*held)
+    return owned if sum(map(len, held)) == len(owned) else None
+
+
 def collectible_pool_value(holdings_all: list[Holdings], board: PriceBoard) -> float:
     """Capital deployed in the collectibles pool.
 
-    One sum over all owned tokens in ascending token-id order. A token held
-    by two users means the ownership partition is broken and raises
-    ValueError; a token with no price raises MissingPriceError.
+    One naive left-to-right sum over all owned tokens in ascending token-id
+    order (not builtin ``sum``, which compensates float rounding from Python
+    3.12 on). A token held by two users means the ownership partition is
+    broken and raises ValueError; a token with no price raises
+    MissingPriceError.
     """
+    owned = _disjoint_union(holdings_all)
+    if owned is not None:
+        try:
+            return functools.reduce(
+                operator.add, map(board.collectible_prices.__getitem__, sorted(owned)), 0.0
+            )
+        except KeyError:
+            pass
+    # A token held twice or without a price: the per-token pass names the
+    # first one in id order.
     value = 0.0
     previous = None
     for tid in sorted(tid for h in holdings_all for tid in h.collectibles):
@@ -182,6 +207,10 @@ def check_ownership_partition(
 
     Raises ValueError naming the first offending token.
     """
+    # Disjoint holdings whose union is the population form a partition; the
+    # per-token pass runs only to name the offending token.
+    if population.keys() == _disjoint_union(holdings_all):
+        return
     seen: dict[TokenId, int] = {}
     for h in holdings_all:
         for tid in h.collectibles:

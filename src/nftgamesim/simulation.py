@@ -33,6 +33,7 @@ from .economy import (
     TREASURY,
     Collectible,
     Holdings,
+    MissingPriceError,
     PriceBoard,
     SupplyCounters,
     check_ownership_partition,
@@ -264,6 +265,9 @@ class GameSimulation:
             for a in config.agents
         }
         self._agents = sorted(config.agents, key=lambda a: a.id)
+        # A balance below every entry of a cost schedule affords no breed.
+        self._min_activity_cost = min(self.rules.activity_cost_schedule)
+        self._min_market_cost = min(self.rules.market_cost_schedule)
         self._genesis()
 
     # -- setup ---------------------------------------------------------
@@ -333,13 +337,17 @@ class GameSimulation:
         the eligible parents, or None.
 
         The cost depends only on the lead parent's breed count, so a lead
-        the agent cannot afford is skipped before any pairing check.
+        the agent cannot afford is skipped before any pairing check, and an
+        agent priced out of every lead is refused before the parents are
+        gathered.
         """
+        h = self.holdings[agent_id]
+        if h.activity_balance < self._min_activity_cost or h.market_balance < self._min_market_cost:
+            return None
         eligible = self._eligible_parents(agent_id, step)
         arity = self.rules.breed_arity
         if len(eligible) < arity:
             return None
-        h = self.holdings[agent_id]
         activity_costs = self.rules.activity_cost_schedule
         market_costs = self.rules.market_cost_schedule
         for i, lead in enumerate(eligible):
@@ -386,7 +394,10 @@ class GameSimulation:
     def agent_wealth(self, agent_id: int) -> float:
         h = self.holdings[agent_id]
         # fsum is exactly rounded, so the set's iteration order does not matter.
-        tokens = math.fsum(self.board.price_of(tid) for tid in h.collectibles)
+        try:
+            tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
+        except KeyError as exc:
+            raise MissingPriceError(exc.args[0]) from None
         return (
             tokens
             + h.activity_balance * self.board.activity_price
@@ -599,8 +610,11 @@ class GameSimulation:
             price: breeding.forward_price_step(price, d, cost)
             for price in {*prices.values(), self.board.floor_price}
         }
-        for tid, price in prices.items():
-            prices[tid] = stepped[price]
+        # At the fixed point p* = cost every price maps to itself, so there
+        # is nothing to rewrite.
+        if any(new != old for old, new in stepped.items()):
+            for tid, price in prices.items():
+                prices[tid] = stepped[price]
         self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:

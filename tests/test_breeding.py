@@ -352,3 +352,40 @@ class TestValueHelpers:
     def test_expected_value_sits_above_floor_bound_when_child_beats_floor(self):
         cost = BreedCost(0.0, 0.0, 0.0)
         assert breeding_expected_value([2.0, 3.0], 1.5, cost) >= floor_price_bound([2.0, 3.0], 1.0)
+
+
+class NoScanPopulation(dict):
+    """A population that refuses to be iterated: breed must not scan it."""
+
+    def __iter__(self):
+        raise AssertionError("breed iterated the population")
+
+    def keys(self):
+        raise AssertionError("breed listed the population's keys")
+
+
+class TestChildId:
+    def test_breed_never_scans_the_population(self):
+        rules = make_rules()
+        pop, owner, board = genesis_pair(rules)
+        pop[7] = Collectible(7, (0, 0, 0, 0), None, 0, -1)
+        pop = NoScanPopulation(pop)
+        child, _ = breed([0, 1], owner, pop, rules, board, random.Random(0), current_step=0)
+        assert child.id == 8
+        assert dict.__getitem__(pop, 8) is child
+        second, _ = breed([1, 0], owner, pop, rules, board, random.Random(0), current_step=0)
+        assert second.id == 9
+
+    def test_taken_child_id_is_refused_before_any_change(self):
+        # Ids added out of order: the last key is 1, and 2 is already minted.
+        rules = make_rules(activity_cost_schedule=[3, 0, 0, 0, 0, 0, 0])
+        pop, owner, board = genesis_pair(rules)
+        pop = {2: Collectible(2, (0, 0, 0, 0), None, 0, -1), **pop}
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="child id 2 is already minted"):
+            breed([0, 1], owner, pop, rules, board, rng, current_step=0)
+        assert list(pop) == [2, 0, 1]
+        assert pop[0].breed_count == 0 and pop[1].breed_count == 0
+        assert owner.activity_balance == 100.0 and owner.collectibles == {0, 1}
+        assert rng.getstate() == state

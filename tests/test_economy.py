@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.economy import (
@@ -172,3 +172,130 @@ class TestInvariants:
         check_supply_conservation(hs, SupplyCounters(activity_supply=3.0, market_supply=2.0))
         with pytest.raises(ValueError, match="activity supply"):
             check_supply_conservation(hs, SupplyCounters(activity_supply=4.0, market_supply=2.0))
+
+
+# -- differential tests against the per-token implementations ----------------
+# These are the checks as they stood before the set-based and C-level fast
+# paths; the new ones must agree with them on every input.
+
+
+def reference_partition(holdings_all, population) -> None:
+    seen: dict[int, int] = {}
+    for h in holdings_all:
+        for tid in h.collectibles:
+            if tid in seen:
+                raise ValueError(
+                    f"collectible {tid} held by both user {seen[tid]} and user {h.owner}"
+                )
+            if tid not in population:
+                raise ValueError(f"user {h.owner} holds unminted collectible {tid}")
+            seen[tid] = h.owner
+    if len(seen) != len(population):
+        orphans = sorted(set(population) - set(seen))
+        raise ValueError(f"minted collectibles with no owner: {orphans[:5]}")
+
+
+def reference_validate(board: PriceBoard) -> None:
+    if not (0 < board.activity_price < math.inf and 0 < board.market_price < math.inf):
+        raise ValueError("fungible token prices must be finite and positive")
+    if not 0 < board.floor_price < math.inf:
+        raise ValueError("floor price must be finite and positive")
+    for tid, p in board.collectible_prices.items():
+        if not 0 < p < math.inf:
+            raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
+    if board.collectible_prices:
+        lowest = min(board.collectible_prices.values())
+        if board.floor_price > lowest + 1e-12:
+            raise ValueError(f"floor price {board.floor_price} exceeds lowest listed price {lowest}")
+
+
+def reference_pool_value(holdings_all, board: PriceBoard) -> float:
+    value = 0.0
+    previous = None
+    for tid in sorted(tid for h in holdings_all for tid in h.collectibles):
+        if tid == previous:
+            raise ValueError(f"ownership is not a partition: collectible {tid} is held twice")
+        value += board.price_of(tid)
+        previous = tid
+    return value
+
+
+def outcome(fn, *args):
+    """("ok", value) or (exception type, message); floats compared by bits."""
+    try:
+        value = fn(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return "ok", None if value is None else float.hex(value)
+
+
+SPECIAL_PRICES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-16, 1.0, 2.5, 1e308]
+PRICES = st.one_of(
+    st.sampled_from(SPECIAL_PRICES),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+IDS = st.integers(0, 11)
+
+
+@st.composite
+def economies(draw):
+    """Holdings, a population and a board that may break any audit: tokens
+    held twice, orphans, unminted ids, missing prices, empty holdings and
+    non-finite, zero, negative-zero or negative prices."""
+    holdings = [
+        Holdings(owner=owner, collectibles=draw(st.sets(IDS, max_size=6)))
+        for owner in range(draw(st.integers(0, 4)))
+    ]
+    population = {tid: Collectible(id=tid, traits=(0,)) for tid in sorted(draw(st.sets(IDS)))}
+    # A few distinct prices shared by many tokens, as in a running economy.
+    palette = draw(st.lists(PRICES, min_size=1, max_size=4))
+    prices = {tid: draw(st.sampled_from(palette)) for tid in draw(st.sets(IDS))}
+    board = PriceBoard()
+    board.collectible_prices = prices
+    board.floor_price = draw(st.one_of(st.sampled_from(palette), PRICES))
+    board.activity_price = draw(st.sampled_from([1.0, 0.5, 0.0, math.nan]))
+    return holdings, population, board
+
+
+class TestFastChecksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(economy=economies())
+    def test_partition(self, economy):
+        holdings, population, _ = economy
+        assert outcome(check_ownership_partition, holdings, population) == outcome(
+            reference_partition, holdings, population
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(economy=economies())
+    def test_validate(self, economy):
+        _, _, board = economy
+        assert outcome(board.validate) == outcome(reference_validate, board)
+
+    @settings(max_examples=300, deadline=None)
+    @given(economy=economies())
+    def test_pool_value(self, economy):
+        holdings, _, board = economy
+        assert outcome(collectible_pool_value, holdings, board) == outcome(
+            reference_pool_value, holdings, board
+        )
+
+    def test_valid_economy_takes_the_fast_paths(self):
+        holdings = [Holdings(owner=1, collectibles={0, 2}), Holdings(owner=2, collectibles={1})]
+        population = {tid: Collectible(id=tid, traits=(0,)) for tid in range(3)}
+        board = PriceBoard(collectible_prices={0: 1.5, 1: 2.0, 2: 1.5}, floor_price=1.0)
+        assert outcome(check_ownership_partition, holdings, population) == ("ok", None)
+        assert outcome(board.validate) == ("ok", None)
+        assert collectible_pool_value(holdings, board) == reference_pool_value(holdings, board)
+
+    def test_pool_value_is_a_naive_sum_in_id_order(self):
+        # Rounded left to right, each 1e-16 is lost against 1.0; an exactly
+        # rounded (math.fsum) or compensated (builtin sum on Python 3.12+)
+        # total keeps them. The goldens pin the naive sum.
+        prices = [1.0] + [1e-16] * 10
+        board = PriceBoard(collectible_prices=dict(enumerate(prices)), floor_price=1e-16)
+        holdings = [Holdings(owner=1, collectibles=set(range(len(prices))))]
+        assert math.fsum(prices) != 1.0
+        assert collectible_pool_value(holdings, board) == 1.0
+        assert collectible_pool_value(holdings, board) == reference_pool_value(holdings, board)

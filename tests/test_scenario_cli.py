@@ -411,3 +411,27 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "monopoly"])
         assert exc.value.code == 2
+
+
+class TestUnusedSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "propitious", "--seeker-exponent", "8"],
+            ["analyze", "envelope", "--up", "2", "--down", "0.5"],
+            ["demo", "minority"],
+            ["demo", "collateral-cycle"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_seed_is_accepted_and_changes_nothing(self, capsys, argv):
+        outputs = []
+        for seed in (None, "0", "7", str(2**64 - 1)):
+            assert main(argv if seed is None else [*argv, "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
+
+    def test_help_says_seed_has_no_effect(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["demo", "minority", "--help"])
+        assert "no effect" in " ".join(capsys.readouterr().out.split())

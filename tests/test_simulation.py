@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nftgamesim import breeding
 from nftgamesim.activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from nftgamesim.breeding import (
     BreedCost,
@@ -437,6 +438,79 @@ class TestBreedingSearch:
             sim.step(step)
         assert sim.action_counts[1]["breed"] > 0
         assert max(searches.values()) == 1
+
+    @pytest.mark.parametrize(
+        "activity, market, searched",
+        [(1.9, 10.0, False), (10.0, 0.5, False), (2.0, 1.0, True)],
+        ids=["below-activity-cost", "below-market-cost", "affords-cheapest"],
+    )
+    def test_priced_out_agent_skips_the_search(self, activity, market, searched):
+        rules = base_rules(
+            activity_cost_schedule=[3, 2, 4, 4, 4, 4, 4],
+            market_cost_schedule=[1, 1, 1, 2, 2, 2, 2],
+        )
+        sim = GameSimulation(SimConfig(rules=rules, agents=(AgentSpec(id=1, collectibles=4),), steps=1))
+        sim.population[0].breed_count = 1
+        h = sim.holdings[1]
+        h.activity_balance, h.market_balance = activity, market
+        calls = []
+        eligible = sim._eligible_parents
+
+        def counting(agent_id, step):
+            calls.append((agent_id, step))
+            return eligible(agent_id, step)
+
+        sim._eligible_parents = counting
+        found = sim._find_breeding_set(1, 1)
+        assert calls == ([(1, 1)] if searched else [])
+        assert found == ([0, 1] if searched else None)
+
+
+class CountingPrices(dict):
+    """A price table that counts its writes."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+class TestPriceUpdate:
+    # Cost 3.0 per breed at unit prices: p* = 3.0 maps to itself exactly.
+    def fixed_point_sim(self) -> GameSimulation:
+        config = SimConfig(
+            rules=base_rules(activity_cost_schedule=[3, 0, 0, 0, 0, 0, 0]),
+            agents=(AgentSpec(id=1, strategy="passive", collectibles=5),),
+            steps=2,
+            board=PriceBoard(floor_price=3.0),
+            price_update="forward_drift",
+        )
+        assert breeding.forward_price_step(3.0, config.rules.breed_arity, 3.0) == 3.0
+        return GameSimulation(config)
+
+    def test_no_writes_at_the_fixed_point(self):
+        sim = self.fixed_point_sim()
+        sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
+        sim.step(1)
+        assert prices.writes == 0
+        assert prices == dict.fromkeys(range(5), 3.0) and sim.board.floor_price == 3.0
+
+    @pytest.mark.parametrize("moved", ["token", "floor"])
+    def test_any_moving_price_rewrites_every_token(self, moved):
+        sim = self.fixed_point_sim()
+        if moved == "token":
+            sim.board.collectible_prices[2] = 6.0
+        else:
+            sim.board.floor_price = 1.5
+        sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
+        sim.step(1)
+        assert prices.writes == 5
+        expected = dict.fromkeys(range(5), 3.0)
+        if moved == "token":
+            expected[2] = breeding.forward_price_step(6.0, 2, 3.0)
+            assert expected[2] != 6.0
+        assert prices == expected
 
 
 class TestCollateralLoop:
