@@ -320,7 +320,9 @@ def classify_breeding_arbitrage(
 
     Only A*C = B prevents arbitrage. A*C > B is exploitable by going long
     breeding; A*C < B only indirectly, by going short, since breeding cannot
-    be reversed. Equality is judged at relative tolerance 1e-9.
+    be reversed. Equality is judged at tolerance 1e-9 relative to the larger
+    of A*C and B, with no absolute floor, so scaling capital and cost by
+    one factor leaves the verdict unchanged.
     """
     if collectible_capital <= 0:
         raise ValueError("collectible capital must be positive")
@@ -328,7 +330,7 @@ def classify_breeding_arbitrage(
         raise ValueError("external cost must be non-negative")
     gain = collectible_capital * growth_fraction
     magnitude = gain - external_cost
-    if abs(magnitude) <= ARBITRAGE_REL_TOL * max(abs(gain), abs(external_cost), 1.0):
+    if abs(magnitude) <= ARBITRAGE_REL_TOL * max(abs(gain), abs(external_cost)):
         return ArbitrageVerdict(ArbitrageKind.NO_ARBITRAGE, magnitude)
     if magnitude > 0:
         return ArbitrageVerdict(ArbitrageKind.LONG_BREEDING, magnitude)

@@ -89,20 +89,18 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
         header += [f"agent{k}_wealth" for k in agent_ids]
         writer.writerow(header)
         for events, snap in sim.stream():
-            for ev in events:
-                event_fh.write(
-                    encode(
-                        {
-                            "step": ev.step,
-                            "agent": ev.agent,
-                            "action": ev.action,
-                            "inputs": ev.inputs,
-                            "outputs": ev.outputs,
-                            "rng_draws": ev.rng_draws,
-                        }
-                    )
+            # step, agent and rng_draws are plain ints and every action name
+            # is an ASCII identifier, so the envelope is formatted directly,
+            # byte for byte as json writes it; the payloads go through json.
+            event_fh.write(
+                "".join(
+                    f'{{"step":{ev.step},"agent":{ev.agent},"action":"{ev.action}",'
+                    f'"inputs":{encode(ev.inputs) if ev.inputs else "{}"},'
+                    f'"outputs":{encode(ev.outputs) if ev.outputs else "{}"},'
+                    f'"rng_draws":{ev.rng_draws}}}\n'
+                    for ev in events
                 )
-                event_fh.write("\n")
+            )
             row = [
                 snap.step,
                 snap.collectible_pool,
@@ -160,7 +158,15 @@ def cmd_simulate(args) -> int:
     outputs = [out_dir / name for name in ("events.jsonl", "snapshots.csv", "summary.json")]
     try:
         sim = GameSimulation(config)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            # For example a regular file at --out or at one of its parents.
+            print(
+                f"error: cannot create output directory {out_dir}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return 2
         try:
             summary = _write_outputs(out_dir, sim)
         except BaseException:

@@ -268,6 +268,14 @@ class GameSimulation:
         # A balance below every entry of a cost schedule affords no breed.
         self._min_activity_cost = min(self.rules.activity_cost_schedule)
         self._min_market_cost = min(self.rules.market_cost_schedule)
+        # Each fixed-mix agent repeats its cycle, one entry per step.
+        self._cycles = {
+            a.id: ("breed",) * a.mix.breed
+            + ("battle",) * a.mix.battle
+            + ("adventure",) * a.mix.adventure
+            for a in self._agents
+            if a.strategy == "fixed_mix"
+        }
         self._genesis()
 
     # -- setup ---------------------------------------------------------
@@ -336,6 +344,11 @@ class GameSimulation:
         """First affordable, validly paired set in lexicographic order of
         the eligible parents, or None.
 
+        step runs this at most once per agent turn, and only when the
+        result is read: by the strategy (see _reads_search), or by the ruin
+        test when no adventure, battle or lottery is affordable. It changes
+        no state and draws nothing, so skipping it changes no outcome.
+
         The cost depends only on the lead parent's breed count, so a lead
         the agent cannot afford is skipped before any pairing check, and an
         agent priced out of every lead is refused before the parents are
@@ -375,14 +388,20 @@ class GameSimulation:
         spec = self.config.lottery
         return spec is not None and self.holdings[agent_id].market_balance >= spec.stake
 
-    def _afford_any(self, agent_id: int, parents: list[int] | None) -> bool:
-        if parents is not None:
-            return True
-        return (
-            self._can_adventure(agent_id)
+    def _afford_any(
+        self, agent_id: int, step: int, parents: list[int] | None, searched: bool
+    ) -> bool:
+        """Whether the agent can afford any activity. ``parents`` is this
+        turn's search result if ``searched``; otherwise the search runs here,
+        and only when no cheaper activity test has settled the answer."""
+        if (
+            parents is not None
+            or self._can_adventure(agent_id)
             or self._can_battle(agent_id)
             or self._can_lottery(agent_id)
-        )
+        ):
+            return True
+        return not searched and self._find_breeding_set(agent_id, step) is not None
 
     def _list_price(self, traits: tuple[int, ...]) -> float:
         if self.config.trait_premiums is None:
@@ -503,20 +522,23 @@ class GameSimulation:
 
     # -- strategy ------------------------------------------------------
 
+    def _cycle_action(self, spec: AgentSpec, step: int) -> str:
+        cycle = self._cycles[spec.id]
+        return cycle[(step - 1) % len(cycle)] if cycle else "pass"
+
+    def _reads_search(self, spec: AgentSpec, step: int) -> bool:
+        """Whether this turn's choice of action depends on the breeding search."""
+        if spec.strategy == "growth_maximizer":
+            return True
+        return spec.strategy == "fixed_mix" and self._cycle_action(spec, step) == "breed"
+
     def _choose_action(self, spec: AgentSpec, step: int, parents: list[int] | None) -> str:
         if spec.strategy == "passive":
             return "pass"
         if spec.strategy == "thrill_seeker":
             return "lottery" if self._can_lottery(spec.id) else "pass"
         if spec.strategy == "fixed_mix":
-            seq = (
-                ["breed"] * spec.mix.breed
-                + ["battle"] * spec.mix.battle
-                + ["adventure"] * spec.mix.adventure
-            )
-            if not seq:
-                return "pass"
-            action = seq[(step - 1) % len(seq)]
+            action = self._cycle_action(spec, step)
             if action == "breed" and parents is None:
                 return "pass"
             if action == "battle" and not self._can_battle(spec.id):
@@ -584,9 +606,14 @@ class GameSimulation:
     def step(self, step: int) -> None:
         for spec in self._agents:
             # Nothing changes state before _execute, so one search serves the
-            # ruin test, the strategy and the breed itself.
-            parents = self._find_breeding_set(spec.id, step)
-            if self.ruined_at[spec.id] is None and not self._afford_any(spec.id, parents):
+            # ruin test, the strategy and the breed itself. It runs only if
+            # the strategy reads it, or if the ruin test falls through to it
+            # (see _afford_any); otherwise parents stays None, unread.
+            searched = self._reads_search(spec, step)
+            parents = self._find_breeding_set(spec.id, step) if searched else None
+            if self.ruined_at[spec.id] is None and not self._afford_any(
+                spec.id, step, parents, searched
+            ):
                 self.ruined_at[spec.id] = step
             action = self._choose_action(spec, step, parents)
             event = self._execute(spec.id, action, step, parents)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.breeding import (
@@ -295,10 +295,19 @@ class TestArbitrageClassifier:
         cost=st.floats(min_value=0.0, max_value=1e4),
         scale=st.floats(min_value=0.01, max_value=100.0),
     )
+    @example(capital=0.99999, growth=1e-4, cost=1e-4, scale=0.5)
     def test_scale_invariance(self, capital, growth, cost, scale):
         base = classify_breeding_arbitrage(capital, growth, cost)
         scaled = classify_breeding_arbitrage(capital * scale, growth, cost * scale)
         assert base.kind is scaled.kind
+
+    def test_tolerance_has_no_absolute_floor(self):
+        # A*C - B = -1e-9 is a shortfall of about 1e-5 relative to B = 1e-4;
+        # an absolute floor of 1e-9 would call it balanced at half the scale.
+        for scale in (1.0, 0.5):
+            verdict = classify_breeding_arbitrage(0.99999 * scale, 1e-4, 1e-4 * scale)
+            assert verdict.kind is ArbitrageKind.SHORT_BREEDING
+            assert verdict.magnitude == pytest.approx(-1e-9 * scale, rel=1e-6)
 
     def test_verdict_sign_matches_magnitude(self):
         for a, c, b in [(10, 0.5, 1), (10, 0.01, 1), (2, 0.5, 1)]:
