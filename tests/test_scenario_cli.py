@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from nftgamesim.cli import main
+from nftgamesim.cli import _write_outputs, main
 from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
-from nftgamesim.simulation import GameSimulation, SimulationInvariantError
+from nftgamesim.simulation import Event, GameSimulation, SimulationInvariantError
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 
@@ -320,6 +321,19 @@ class TestSimulateCommand:
         assert "invariant violation at step 0: pool values must be finite" in err
         assert not (out / "snapshots.csv").exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_out_blocked_by_a_file_exits_2_with_path(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker / "out" if under else blocker
+        config_path = write_scenario(tmp_path, scenario_dict())
+        code = main(["simulate", "--config", config_path, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(out) in err
+        assert blocker.read_text() == "not a directory"
+
     def test_passive_scenario_rows_identical(self, tmp_path):
         data = scenario_dict()
         data["agents"] = [{"id": 1, "strategy": "passive", "market_balance": 10.0}]
@@ -328,6 +342,71 @@ class TestSimulateCommand:
         lines = (out / "snapshots.csv").read_text().splitlines()
         body = [line.split(",", 1)[1] for line in lines[1:]]
         assert len(set(body)) == 1
+
+
+class RecordingSimulation(GameSimulation):
+    """Keeps every event it hands to the writer; ``extra`` events are
+    handed out after the genesis events."""
+
+    def __init__(self, config, extra=()):
+        super().__init__(config)
+        self.extra = list(extra)
+        self.handed_out = []
+
+    def stream(self):
+        for events, snapshot in super().stream():
+            events.extend(self.extra)
+            self.extra = []
+            self.handed_out.extend(events)
+            yield events, snapshot
+
+
+def json_lines(events) -> str:
+    return "".join(json.dumps(asdict(ev), separators=(",", ":")) + "\n" for ev in events)
+
+
+class TestEventLines:
+    """events.jsonl formats the envelope itself; each line must still be
+    exactly what json.dumps writes for the event."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "treasury", "premiums"])
+    def test_every_line_matches_json_dumps(self, tmp_path, variant):
+        data = json.loads(BASELINE.read_text())
+        if variant == "treasury":
+            data["rules"]["burn_mode"] = "treasury"
+        if variant == "premiums":
+            data["run"]["trait_premiums"] = [0, 0.01, 0.03, 0.07, 0.15, 0.31]
+        sim = RecordingSimulation(parse_scenario(data))
+        _write_outputs(tmp_path, sim)
+        assert (tmp_path / "events.jsonl").read_text() == json_lines(sim.handed_out)
+        kinds = {(ev.action, ev.outputs.get("result")) for ev in sim.handed_out}
+        assert kinds == {
+            ("genesis", None),
+            ("breed", None),
+            ("battle", None),
+            ("adventure", None),
+            ("lottery", "win"),
+            ("lottery", "loss"),
+            ("pass", None),
+        }
+
+    def test_payload_needing_escapes_matches_json_dumps(self, tmp_path):
+        synthetic = Event(
+            step=0,
+            agent=1,
+            action="pass",
+            inputs={"quoted": 'a "b" \\ c\nd\te', "name": "caf\u00e9 \u2713 \U0001f40d"},
+            outputs={"zero": -0.0, "small": 1e-07, "large": 1e22, "nested": [{"k\u00fc": -0.0}]},
+            rng_draws=0,
+        )
+        sim = RecordingSimulation(parse_scenario(scenario_dict()), extra=[synthetic])
+        _write_outputs(tmp_path, sim)
+        lines = (tmp_path / "events.jsonl").read_text().splitlines(keepends=True)
+        assert "".join(lines) == json_lines(sim.handed_out)
+        line = lines[sim.handed_out.index(synthetic)]
+        assert line.isascii()
+        for text in ("-0.0", "1e-07", "1e+22", r"\u00e9", r'\"b\"'):
+            assert text in line
 
 
 class TestAnalyzeCommand:

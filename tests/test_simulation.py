@@ -18,6 +18,7 @@ from nftgamesim.breeding import (
     max_population,
 )
 from nftgamesim.economy import Collectible, PriceBoard
+from nftgamesim.scenario import parse_scenario
 from nftgamesim.simulation import (
     AgentSpec,
     CollateralSpec,
@@ -29,6 +30,7 @@ from nftgamesim.simulation import (
     ruin_probability,
     run_simulation,
 )
+from test_golden import BASELINE, CASES
 
 
 def serialize(events) -> list[str]:
@@ -464,6 +466,129 @@ class TestBreedingSearch:
         found = sim._find_breeding_set(1, 1)
         assert calls == ([(1, 1)] if searched else [])
         assert found == ([0, 1] if searched else None)
+
+
+class SearchEveryTurn(GameSimulation):
+    """The step loop as it was before the search ran on demand: one search
+    on every agent turn, read by the ruin test, the strategy and the breed."""
+
+    def step(self, step: int) -> None:
+        for spec in self._agents:
+            parents = self._find_breeding_set(spec.id, step)
+            affords = (
+                parents is not None
+                or self._can_adventure(spec.id)
+                or self._can_battle(spec.id)
+                or self._can_lottery(spec.id)
+            )
+            if self.ruined_at[spec.id] is None and not affords:
+                self.ruined_at[spec.id] = step
+            action = self._choose_action(spec, step, parents)
+            event = self._execute(spec.id, action, step, parents)
+            self.action_counts[spec.id][event.action] += 1
+            self.events.append(event)
+        self._update_prices()
+        self._check_invariants(step)
+
+
+def breed_only(data: dict) -> None:
+    # Breeding is the only activity left, so every ruin test that the
+    # strategy does not answer falls through to the search.
+    for name in ("adventure", "battle", "lottery"):
+        del data["specs"][name]
+
+
+def baseline_config(edit, seed: int, steps: int) -> SimConfig:
+    data = json.loads(BASELINE.read_text())
+    if edit is not None:
+        edit(data)
+    return replace(parse_scenario(data), seed=seed, steps=steps)
+
+
+def record_searches(sim: GameSimulation) -> list[tuple[int, int]]:
+    """Log (agent, step) for every breeding search the simulation runs."""
+    searched = []
+    search = sim._find_breeding_set
+
+    def recording(agent_id, step):
+        searched.append((agent_id, step))
+        return search(agent_id, step)
+
+    sim._find_breeding_set = recording
+    return searched
+
+
+def run_steps(cls, config: SimConfig) -> GameSimulation:
+    sim = cls(config)
+    for step in range(1, config.steps + 1):
+        sim.step(step)
+    return sim
+
+
+class TestSearchOnDemand:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES] + [(breed_only, 3, 300)],
+        ids=[case[0] for case in CASES] + ["breed-only-3-300"],
+    )
+    def test_matches_a_search_on_every_turn(self, edit, seed, steps):
+        config = baseline_config(edit, seed, steps)
+        on_demand = run_steps(GameSimulation, config)
+        every_turn = run_steps(SearchEveryTurn, config)
+        assert [asdict(e) for e in on_demand.events] == [asdict(e) for e in every_turn.events]
+        assert on_demand.ruined_at == every_turn.ruined_at
+        assert on_demand.action_counts == every_turn.action_counts
+
+    def test_breed_only_ruin_steps_come_from_the_search(self):
+        # Agents 2 and 3 pass on every turn their cycle does not breed; only
+        # the search tells the ruin test they can still afford to breed.
+        sim = run_steps(GameSimulation, baseline_config(breed_only, 3, 300))
+        assert [sim.ruined_at[k] for k in (1, 2, 3)] == [93, 136, 176]
+
+    def test_turns_that_do_not_read_it_never_search(self):
+        funded = dict(collectibles=4, activity_balance=50.0, market_balance=50.0)
+        agents = (
+            AgentSpec(id=1, strategy="passive", **funded),
+            AgentSpec(id=2, strategy="thrill_seeker", **funded),
+            AgentSpec(id=3, strategy="fixed_mix", mix=StrategyMix(breed=1, battle=1, adventure=1),
+                      **funded),
+            AgentSpec(id=4, strategy="growth_maximizer", **funded),
+        )
+        config = replace(mixed_config(steps=12), agents=agents)
+        sim = GameSimulation(config)
+        searched = record_searches(sim)
+        for step in range(1, config.steps + 1):
+            sim.step(step)
+        # Everyone holds a collectible, so every agent affords an adventure
+        # and no ruin test falls through to the search. Agent 3's cycle
+        # breeds on steps 1, 4, 7 and 10; agent 4 reads the search always.
+        assert searched == [
+            (agent, step)
+            for step in range(1, 13)
+            for agent in (3, 4)
+            if agent == 4 or step % 3 == 1
+        ]
+        assert {a: sim.action_counts[3][a] for a in ("breed", "battle", "adventure")} == {
+            "breed": 4, "battle": 4, "adventure": 4
+        }
+        assert all(at is None for at in sim.ruined_at.values())
+
+    def test_ruin_test_falls_through_to_the_search_until_ruined(self):
+        rules = base_rules(activity_cost_schedule=[1] * 7, market_cost_schedule=[0.5] * 7)
+        agents = (
+            # Affords a breed it never makes: searched on every turn, never ruined.
+            AgentSpec(id=1, strategy="passive", collectibles=2, activity_balance=5.0,
+                      market_balance=5.0),
+            # Affords nothing: searched once, ruined at step 1, never searched again.
+            AgentSpec(id=2, strategy="passive", collectibles=2, activity_balance=0.5),
+        )
+        config = SimConfig(rules=rules, agents=agents, steps=5)
+        sim = GameSimulation(config)
+        searched = record_searches(sim)
+        for step in range(1, config.steps + 1):
+            sim.step(step)
+        assert searched == [(1, 1), (2, 1), (1, 2), (1, 3), (1, 4), (1, 5)]
+        assert sim.ruined_at == {1: None, 2: 1}
 
 
 class CountingPrices(dict):
