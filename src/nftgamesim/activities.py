@@ -14,7 +14,6 @@ from enum import Enum
 from .economy import PriceBoard
 
 SELF_FUNDING_ABS_TOL = 1e-12
-CONSERVATION_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,26 +134,27 @@ class SponsorClass(str, Enum):
 
 
 def adventure_payout(
-    collectible_values: list[float], market_balance: float, spec: AdventureSpec
+    collectible_values: list[float], activity_balance: float, spec: AdventureSpec
 ) -> float:
     """Average portfolio value after an adventure at constant prices.
 
-    The deployed collectibles are kept and the committed balance is scaled
-    by the reward multiplier.
+    The deployed collectibles are kept and the committed activity balance
+    is scaled by the reward multiplier, as the engine's adventure does.
     """
     if len(collectible_values) != spec.collectibles_required:
         raise ValueError(
             f"adventure needs {spec.collectibles_required} collectibles, "
             f"got {len(collectible_values)}"
         )
-    return math.fsum(collectible_values) + spec.reward_multiplier * market_balance
+    return math.fsum(collectible_values) + spec.reward_multiplier * activity_balance
 
 
-def battle_payout(team_values: list[float], market_balance: float, spec: BattleSpec) -> float:
-    """Average portfolio value after a battle: team kept, balance scaled by n''."""
+def battle_payout(team_values: list[float], activity_balance: float, spec: BattleSpec) -> float:
+    """Average portfolio value after a battle: team kept, activity balance
+    scaled by n'' as the engine's battle does."""
     if len(team_values) != spec.team_size:
         raise ValueError(f"battle needs a team of {spec.team_size}, got {len(team_values)}")
-    return math.fsum(team_values) + spec.survival_fraction * market_balance
+    return math.fsum(team_values) + spec.survival_fraction * activity_balance
 
 
 def total_earnings(mix: StrategyMix, alpha: float, beta: float, gamma: float) -> float:

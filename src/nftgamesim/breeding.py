@@ -371,11 +371,6 @@ def iterate_forward_price(p0: float, d: int, step_cost_numeraire: float, steps: 
     return path
 
 
-def forward_price_limit(step_cost_numeraire: float) -> float:
-    """Fixed point of the forward-price recursion (the per-breed cost itself)."""
-    return step_cost_numeraire
-
-
 def floor_price_bound(parent_values: list[float], floor_price: float) -> float:
     """Most conservative post-breeding portfolio value: parents plus one floor-priced child."""
     if floor_price <= 0:

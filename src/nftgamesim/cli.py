@@ -1,7 +1,7 @@
 """Command-line front end: scenario configs in, reproducible tables out.
 
-Exit codes: 0 success, 2 invalid configuration or flags, 3 runtime
-invariant violation. simulate honors --seed, which overrides the
+Exit codes: 0 success, 2 invalid configuration or flags or an output that
+cannot be written, 3 runtime invariant violation. simulate honors --seed, which overrides the
 scenario's run.seed; wall-clock entropy is never used. The analyze and demo
 commands draw no random numbers: they accept --seed so existing scripts keep
 working, but it has no effect there.
@@ -9,6 +9,7 @@ working, but it has no effect there.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -169,19 +170,27 @@ def cmd_simulate(args) -> int:
             return 2
         try:
             summary = _write_outputs(out_dir, sim)
+            with open(out_dir / "summary.json", "w") as fh:
+                json.dump(summary, fh, indent=2, allow_nan=False)
+                fh.write("\n")
         except BaseException:
             # A failed run leaves no outputs, not even a stale summary.json
-            # describing files that were just overwritten.
+            # describing files that were just overwritten. Whatever blocks
+            # an output name (a directory, say) is not ours to remove.
             for path in outputs:
-                path.unlink(missing_ok=True)
+                with contextlib.suppress(OSError):
+                    if path.is_file():
+                        path.unlink()
             raise
     except SimulationInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # open() names the file; a failed write or close names none.
+        path = out_dir if exc.filename is None else exc.filename
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
     print(f"wrote snapshots.csv, events.jsonl, summary.json to {out_dir}")
     return 0
 
@@ -190,7 +199,8 @@ def cmd_simulate(args) -> int:
 
 
 def _emit(payload: dict) -> int:
-    print(json.dumps(payload))
+    # Strict JSON: an overflowed result raises ValueError, which exits 2.
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 

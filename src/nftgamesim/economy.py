@@ -53,9 +53,6 @@ class Collectible:
         if any(t < 0 for t in self.traits):
             raise ValueError("traits must be non-negative")
 
-    def is_genesis(self) -> bool:
-        return self.parents is None
-
 
 @dataclass
 class Holdings:
@@ -230,19 +227,23 @@ def check_supply_conservation(
     holdings_all: list[Holdings],
     counters: SupplyCounters,
     rel_tol: float = 1e-9,
+    scale: tuple[float, float] = (1.0, 1.0),
 ) -> None:
     """Supply counters must match the per-user balance sums.
 
     Float tolerance covers accumulation-order drift between the running
-    counters and the grouped per-user sums.
+    counters and the grouped per-user sums. A counter drifts relative to the
+    balances it has moved, not to what is left, so the tolerance is relative
+    to the larger of the sum and ``scale``: per token, the largest supply
+    audited before (at least 1).
     """
     act = sum(h.activity_balance for h in holdings_all)
     mkt = sum(h.market_balance for h in holdings_all)
-    if abs(act - counters.activity_supply) > rel_tol * max(1.0, abs(act)):
+    if abs(act - counters.activity_supply) > rel_tol * max(scale[0], abs(act)):
         raise ValueError(
             f"activity supply {counters.activity_supply} != user balance sum {act}"
         )
-    if abs(mkt - counters.market_supply) > rel_tol * max(1.0, abs(mkt)):
+    if abs(mkt - counters.market_supply) > rel_tol * max(scale[1], abs(mkt)):
         raise ValueError(
             f"market supply {counters.market_supply} != user balance sum {mkt}"
         )

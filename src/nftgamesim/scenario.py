@@ -9,22 +9,12 @@ import json
 import math
 from pathlib import Path
 
-from .activities import (
-    AdventureSpec,
-    BattleSpec,
-    FixedStep,
-    GeometricRandom,
-    LotterySpec,
-    MinorityGameSpec,
-    PoolCap,
-    StrategyMix,
-)
-from .analytics import UtilitySpec
+from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from .breeding import GameRules
 from .economy import PriceBoard
 from .simulation import AgentSpec, SimConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ScenarioError(ValueError):
@@ -113,24 +103,12 @@ def _parse_mix(obj: dict, path: str) -> StrategyMix:
     )
 
 
-def _parse_utility(obj: dict, path: str) -> UtilitySpec:
-    _check_keys(obj, {"kind", "exponent"}, path)
-    kind = obj.get("kind", "log")
-    exponent = None
-    if "exponent" in obj:
-        exponent = float(_number(obj, "exponent", path))
-    try:
-        return UtilitySpec(kind=kind, exponent=exponent)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
 def _parse_agent(obj: dict, index: int) -> AgentSpec:
     path = f"agents[{index}]"
     obj = _require_mapping(obj, path)
     _check_keys(
         obj,
-        {"id", "strategy", "mix", "utility", "collectibles", "activity_balance", "market_balance"},
+        {"id", "strategy", "mix", "collectibles", "activity_balance", "market_balance"},
         path,
     )
     kwargs = {
@@ -142,33 +120,14 @@ def _parse_agent(obj: dict, index: int) -> AgentSpec:
     }
     if "mix" in obj:
         kwargs["mix"] = _parse_mix(_require_mapping(obj["mix"], f"{path}.mix"), f"{path}.mix")
-    if "utility" in obj:
-        kwargs["utility"] = _parse_utility(
-            _require_mapping(obj["utility"], f"{path}.utility"), f"{path}.utility"
-        )
     try:
         return AgentSpec(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _parse_stopping_rule(obj: dict, path: str):
-    _check_keys(obj, {"kind", "steps", "stop_prob", "threshold"}, path)
-    kind = obj.get("kind")
-    try:
-        if kind == "fixed_step":
-            return FixedStep(steps=_integer(obj, "steps", path))
-        if kind == "geometric":
-            return GeometricRandom(stop_prob=float(_number(obj, "stop_prob", path)))
-        if kind == "pool_cap":
-            return PoolCap(threshold=float(_number(obj, "threshold", path)))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.kind must be fixed_step, geometric, or pool_cap")
-
-
 def _parse_specs(obj: dict) -> dict:
-    _check_keys(obj, {"adventure", "battle", "lottery", "minority"}, "specs")
+    _check_keys(obj, {"adventure", "battle", "lottery"}, "specs")
     out: dict = {}
     try:
         if "adventure" in obj:
@@ -206,25 +165,6 @@ def _parse_specs(obj: dict) -> dict:
                     _number(sec, "win_market_tokens", "specs.lottery", default=0.0)
                 ),
             )
-        if "minority" in obj:
-            sec = _require_mapping(obj["minority"], "specs.minority")
-            _check_keys(
-                sec, {"rake_fraction", "sponsor_subsidy", "stopping_rule"}, "specs.minority"
-            )
-            kwargs = {
-                "rake_fraction": float(
-                    _number(sec, "rake_fraction", "specs.minority", default=1.0)
-                ),
-                "sponsor_subsidy": float(
-                    _number(sec, "sponsor_subsidy", "specs.minority", default=0.0)
-                ),
-            }
-            if "stopping_rule" in sec:
-                kwargs["stopping_rule"] = _parse_stopping_rule(
-                    _require_mapping(sec["stopping_rule"], "specs.minority.stopping_rule"),
-                    "specs.minority.stopping_rule",
-                )
-            out["minority"] = MinorityGameSpec(**kwargs)
     except ScenarioError:
         raise
     except ValueError as exc:

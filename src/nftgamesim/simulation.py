@@ -20,14 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import breeding
-from .activities import (
-    AdventureSpec,
-    BattleSpec,
-    LotterySpec,
-    MinorityGameSpec,
-    StrategyMix,
-)
-from .analytics import UtilitySpec
+from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from .breeding import BreedCost, GameRules
 from .economy import (
     TREASURY,
@@ -80,16 +73,15 @@ class CountingRng:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One player: identity, strategy, utility, and initial endowment.
+    """One player: identity, strategy, and initial endowment.
 
     ``collectibles`` genesis tokens are minted for the agent at start-up.
-    ``mix`` is required for the fixed_mix strategy and ignored otherwise.
+    ``mix`` is required for the fixed_mix strategy and refused otherwise.
     """
 
     id: int
     strategy: str = "passive"
     mix: StrategyMix | None = None
-    utility: UtilitySpec = UtilitySpec("log")
     collectibles: int = 0
     activity_balance: float = 0.0
     market_balance: float = 0.0
@@ -101,6 +93,8 @@ class AgentSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "fixed_mix" and self.mix is None:
             raise ValueError("fixed_mix strategy needs a StrategyMix")
+        if self.strategy != "fixed_mix" and self.mix is not None:
+            raise ValueError(f"mix is only read by the fixed_mix strategy, not {self.strategy!r}")
         if self.collectibles < 0:
             raise ValueError("genesis collectible count must be non-negative")
         if self.activity_balance < 0 or self.market_balance < 0:
@@ -128,7 +122,6 @@ class SimConfig:
     adventure: AdventureSpec | None = None
     battle: BattleSpec | None = None
     lottery: LotterySpec | None = None
-    minority: MinorityGameSpec | None = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -256,6 +249,8 @@ class GameSimulation:
             floor_price=config.board.floor_price,
         )
         self.counters = SupplyCounters()
+        # Largest audited (activity, market) supply; see check_supply_conservation.
+        self._supply_scale = (1.0, 1.0)
         # Genesis events, then the current step's: stream() hands the list
         # on and starts a new one after each step, ruin_probability empties it.
         self.events: list[Event] = []
@@ -658,7 +653,7 @@ class GameSimulation:
             for h in holdings:
                 h.check_balances()
             self.counters.validate()
-            check_supply_conservation(holdings, self.counters)
+            check_supply_conservation(holdings, self.counters, scale=self._supply_scale)
             self.board.validate()
             prices = self.board.collectible_prices
             if prices.keys() != self.population.keys():
@@ -670,6 +665,10 @@ class GameSimulation:
                 )
         except ValueError as exc:
             raise SimulationInvariantError(step, str(exc)) from exc
+        self._supply_scale = (
+            max(self._supply_scale[0], self.counters.activity_supply),
+            max(self._supply_scale[1], self.counters.market_supply),
+        )
 
     def stream(self) -> Iterator[tuple[list[Event], EconomySnapshot]]:
         """Run every configured step, yielding (events, snapshot) after each.

@@ -23,8 +23,9 @@ from nftgamesim.activities import (
     minority_should_stop,
     total_earnings,
 )
+from nftgamesim.breeding import GameRules
 from nftgamesim.economy import PriceBoard
-from nftgamesim.simulation import CountingRng
+from nftgamesim.simulation import AgentSpec, CountingRng, GameSimulation, SimConfig
 
 BOARD = PriceBoard(activity_price=0.5, market_price=1.0)
 
@@ -69,6 +70,53 @@ class TestBattle:
         spec = BattleSpec(team_size=3, survival_fraction=0.8)
         with pytest.raises(ValueError, match="team of 3"):
             battle_payout([1.0], 10.0, spec)
+
+
+def engine_balance_after(action: str, spec, deployed: int, before: float) -> float:
+    """activity_balance after one engine step of a fixed_mix agent that
+    plays ``action`` with ``deployed`` collectibles and ``before`` game tokens."""
+    agent = AgentSpec(
+        id=1,
+        strategy="fixed_mix",
+        mix=StrategyMix(**{action: 1}),
+        collectibles=deployed,
+        activity_balance=before,
+    )
+    sim = GameSimulation(SimConfig(rules=GameRules(), agents=(agent,), steps=1, **{action: spec}))
+    sim.step(1)
+    event = sim.events[-1]
+    assert event.action == action
+    return event.outputs["activity_balance"]
+
+
+BALANCES = st.floats(min_value=0.0, max_value=1e12)
+
+
+class TestEngineAgreement:
+    """With no collectible value, the analytic payoff is exactly the balance
+    the engine writes after the same activity."""
+
+    @given(
+        multiplier=st.floats(min_value=1.0, max_value=1e3),
+        required=st.integers(min_value=1, max_value=4),
+        before=BALANCES,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adventure(self, multiplier, required, before):
+        spec = AdventureSpec(reward_multiplier=multiplier, collectibles_required=required)
+        expected = adventure_payout([0.0] * required, before, spec)
+        assert engine_balance_after("adventure", spec, required, before) == expected
+
+    @given(
+        fraction=st.floats(min_value=0.0, max_value=1e3),
+        team=st.integers(min_value=2, max_value=5),
+        before=BALANCES,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_battle(self, fraction, team, before):
+        spec = BattleSpec(team_size=team, survival_fraction=fraction)
+        expected = battle_payout([0.0] * team, before, spec)
+        assert engine_balance_after("battle", spec, team, before) == expected
 
 
 class TestTotalEarnings:

@@ -173,6 +173,20 @@ class TestInvariants:
         with pytest.raises(ValueError, match="activity supply"):
             check_supply_conservation(hs, SupplyCounters(activity_supply=4.0, market_supply=2.0))
 
+    def test_supply_conservation_tolerance_follows_the_scale(self):
+        # A drift of 1e-6 on a supply of 3 is within 1e-9 of an earlier 1e4.
+        hs = [Holdings(owner=1, activity_balance=3.0, market_balance=2.0)]
+        drifted = SupplyCounters(activity_supply=3.0 + 1e-6, market_supply=2.0)
+        with pytest.raises(ValueError, match="activity supply"):
+            check_supply_conservation(hs, drifted)
+        check_supply_conservation(hs, drifted, scale=(1e4, 1.0))
+        with pytest.raises(ValueError, match="activity supply"):
+            check_supply_conservation(hs, drifted, scale=(1e2, 1.0))
+        with pytest.raises(ValueError, match="market supply"):
+            check_supply_conservation(
+                hs, SupplyCounters(activity_supply=3.0, market_supply=2.0 + 1e-6), scale=(1e4, 1.0)
+            )
+
 
 # -- differential tests against the per-token implementations ----------------
 # These are the checks as they stood before the set-based and C-level fast

@@ -9,12 +9,13 @@ from nftgamesim.cli import _write_outputs, main
 from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
 from nftgamesim.simulation import Event, GameSimulation, SimulationInvariantError
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BASELINE = SCENARIOS / "baseline.json"
 
 
 def scenario_dict() -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "rules": {
             "breed_arity": 2,
             "breed_limit": 7,
@@ -38,11 +39,6 @@ def scenario_dict() -> dict:
             "adventure": {"reward_multiplier": 1.1, "collectibles_required": 1},
             "battle": {"team_size": 3, "survival_fraction": 0.9},
             "lottery": {"loss_prob": 0.5, "stake": 1.0, "win_market_tokens": 1.0},
-            "minority": {
-                "rake_fraction": 0.9,
-                "sponsor_subsidy": 1.0,
-                "stopping_rule": {"kind": "pool_cap", "threshold": 10.0},
-            },
         },
         "run": {
             "steps": 12,
@@ -76,7 +72,6 @@ class TestScenarioParsing:
         assert len(config.agents) == 3
         assert config.agents[0].mix.adventure == 1
         assert config.lottery.stake == 1.0
-        assert config.minority.stopping_rule.threshold == 10.0
 
     @pytest.mark.parametrize(
         "mutate, expected",
@@ -88,10 +83,9 @@ class TestScenarioParsing:
             (lambda d: d["specs"]["lottery"].update(jackpot=9), "specs.lottery.jackpot"),
             (lambda d: d["run"].update(velocity=3), "run.velocity"),
             (lambda d: d["run"]["board"].update(gold_price=1), "run.board.gold_price"),
-            (
-                lambda d: d["specs"]["minority"]["stopping_rule"].update(bananas=1),
-                "specs.minority.stopping_rule.bananas",
-            ),
+            # Version 1 accepted these two; the engine never read them.
+            (lambda d: d["agents"][0].update(utility={"kind": "log"}), "agents[0].utility"),
+            (lambda d: d["specs"].update(minority={"rake_fraction": 0.9}), "specs.minority"),
         ],
     )
     def test_unknown_keys_rejected_by_name(self, mutate, expected):
@@ -105,8 +99,17 @@ class TestScenarioParsing:
         data["schema_version"] = 99
         with pytest.raises(ScenarioError, match="schema_version"):
             parse_scenario(data)
+        data["schema_version"] = 1
+        with pytest.raises(ScenarioError, match="schema_version must be 2, got 1"):
+            parse_scenario(data)
         del data["schema_version"]
         with pytest.raises(ScenarioError, match="schema_version"):
+            parse_scenario(data)
+
+    def test_mix_refused_unless_fixed_mix(self):
+        data = scenario_dict()
+        data["agents"][1]["mix"] = {"battle": 1}
+        with pytest.raises(ScenarioError, match=r"agents\[1\]: mix .*fixed_mix"):
             parse_scenario(data)
 
     def test_missing_run_section(self):
@@ -265,6 +268,48 @@ class TestSimulateCommand:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            pytest.param(lambda d: d.update(schema_version=1), "schema_version", id="v1"),
+            pytest.param(
+                lambda d: d["agents"][0].update(utility={"kind": "log"}),
+                "agents[0].utility",
+                id="utility",
+            ),
+            pytest.param(
+                lambda d: d["specs"].update(minority={}), "specs.minority", id="minority"
+            ),
+        ],
+    )
+    def test_version_1_document_exits_2_with_key_name(self, tmp_path, capsys, mutate, key):
+        data = scenario_dict()
+        mutate(data)
+        code, out = self.run_simulate(tmp_path, data)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+    def test_example_scenarios_run(self, tmp_path, path):
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--steps", "5", "--out", str(out)])
+        assert code == 0
+        assert len((out / "snapshots.csv").read_text().splitlines()) == 1 + 1 + 5
+
+    @pytest.mark.parametrize("blocked", ["events.jsonl", "snapshots.csv", "summary.json"])
+    def test_unwritable_output_exits_2_and_leaves_nothing(self, tmp_path, capsys, blocked):
+        # An earlier run's outputs are there too; a directory sits at one name.
+        _, out = self.run_simulate(tmp_path, scenario_dict())
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        code, _ = self.run_simulate(tmp_path, scenario_dict())
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out / blocked}: ")
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).is_dir()
 
     def test_invariant_violation_exits_3(self, tmp_path, capsys, monkeypatch):
         real_step = GameSimulation.step
@@ -458,6 +503,24 @@ class TestAnalyzeCommand:
         assert got["average_mode"] is True
         got2 = self.get_json(capsys, ["analyze", "propitious", "--seeker-exponent", "2"])
         assert got2["per_player"][-1] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sharpe", "--excess", "1e308", "--vol", "1e-300"],
+            ["envelope", "--up", "1e-320", "--down", "1"],
+            [
+                "lattice", "--breeds-remaining", "1",
+                "--floor", "1e308", "--child-value", "1e308", "--costs", "0",
+            ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflowing_result_exits_2_with_nothing_on_stdout(self, capsys, argv):
+        assert main(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_non_finite_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

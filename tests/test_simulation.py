@@ -198,6 +198,31 @@ class TestRunSimulation:
         with pytest.raises(SimulationInvariantError, match="step 1"):
             sim.step(1)
 
+    def test_battle_that_destroys_nearly_all_of_a_balance_passes_the_audit(self):
+        # The counter moves by after - before, rounded at the scale of the
+        # 2.8e7 balance; the 0.0276 left is off by more than 1e-9 of itself.
+        config = SimConfig(
+            rules=base_rules(),
+            agents=(AgentSpec(id=1, strategy="fixed_mix", mix=StrategyMix(battle=1),
+                              collectibles=2, activity_balance=27590716.0),),
+            steps=1,
+            battle=BattleSpec(team_size=2, survival_fraction=1e-9),
+        )
+        sim = GameSimulation(config)
+        sim.step(1)
+        assert sim.holdings[1].activity_balance == 1e-9 * 27590716.0
+        assert sim.counters.activity_supply != sim.holdings[1].activity_balance
+
+    def test_lost_delta_after_a_collapse_caught_by_audit(self):
+        sim = GameSimulation(mixed_config(steps=3))
+        sim.step(1)
+        # Every balance empties while the counter keeps a token's worth.
+        for h in sim.holdings.values():
+            h.activity_balance = 0.0
+        sim.counters.activity_supply = 1.0
+        with pytest.raises(SimulationInvariantError, match="step 2: activity supply"):
+            sim._check_invariants(step=2)
+
     def test_double_ownership_caught_by_audit(self):
         config = mixed_config(steps=3)
         sim = GameSimulation(config)
