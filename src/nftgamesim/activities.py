@@ -163,16 +163,23 @@ def total_earnings(mix: StrategyMix, alpha: float, beta: float, gamma: float) ->
     return mix.breed * alpha + mix.battle * beta + mix.adventure * gamma
 
 
-def classify_lottery(spec: LotterySpec, board: PriceBoard) -> tuple[float, SponsorClass]:
-    """Player's expected value per play and what that implies for the sponsor.
+def _lottery_values(spec: LotterySpec, board: PriceBoard) -> tuple[float, float, float]:
+    """Numeraire value of a lost play, of a won play and their mean, as the
+    engine settles a play: a loss burns the stake, a win mints both prizes."""
+    loss = -spec.stake * board.market_price
+    win = spec.win_game_tokens * board.activity_price + spec.win_market_tokens * board.market_price
+    return loss, win, spec.loss_prob * loss + (1.0 - spec.loss_prob) * win
 
-    Winnings paid in game tokens are converted at the market-token price.
+
+def classify_lottery(spec: LotterySpec, board: PriceBoard) -> tuple[float, SponsorClass]:
+    """Player's expected numeraire value per play and what that implies for
+    the sponsor.
+
     The sponsor's classification is the mirror image of the player's edge:
     a negative player EV is organizer profit, zero (within 1e-12) is
     self-funding, positive requires a subsidy.
     """
-    win_value = spec.win_market_tokens + spec.win_game_tokens * board.market_price
-    player_ev = -spec.loss_prob * spec.stake + (1.0 - spec.loss_prob) * win_value
+    player_ev = _lottery_values(spec, board)[2]
     if abs(player_ev) <= SELF_FUNDING_ABS_TOL:
         return player_ev, SponsorClass.SELF_FUNDING
     if player_ev < 0:
@@ -185,10 +192,9 @@ def lottery_sharpe(spec: LotterySpec, board: PriceBoard) -> float:
 
     Lets lotteries be compared and ranked on a common risk-adjusted scale.
     """
-    win_value = spec.win_market_tokens + spec.win_game_tokens * board.market_price
+    loss, win, ev = _lottery_values(spec, board)
     p = spec.loss_prob
-    ev = -p * spec.stake + (1.0 - p) * win_value
-    variance = p * (-spec.stake - ev) ** 2 + (1.0 - p) * (win_value - ev) ** 2
+    variance = p * (loss - ev) ** 2 + (1.0 - p) * (win - ev) ** 2
     if variance <= 0:
         raise ValueError("lottery outcome has zero variance; ratio undefined")
     return ev / math.sqrt(variance)

@@ -15,6 +15,9 @@ from enum import Enum
 from .economy import Collectible, Holdings, PriceBoard, TokenId
 
 ARBITRAGE_REL_TOL = 1e-9
+# Size caps: genesis draws trait_count traits per token, breed_limit sizes the schedules.
+MAX_TRAIT_COUNT = 1024
+MAX_BREED_LIMIT = 1024
 
 
 class BreedingError(Exception):
@@ -63,8 +66,12 @@ class GameRules:
             raise ValueError("breed_arity must be >= 1")
         if self.breed_limit < 1:
             raise ValueError("breed_limit must be >= 1")
+        if self.breed_limit > MAX_BREED_LIMIT:
+            raise ValueError(f"breed_limit must be <= {MAX_BREED_LIMIT}")
         if self.trait_count < 1 or self.trait_alphabet < 1:
             raise ValueError("trait_count and trait_alphabet must be >= 1")
+        if self.trait_count > MAX_TRAIT_COUNT:
+            raise ValueError(f"trait_count must be <= {MAX_TRAIT_COUNT}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must be in [0, 1]")
         if self.maturity_delay < 0:

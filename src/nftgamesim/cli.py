@@ -199,7 +199,12 @@ def cmd_simulate(args) -> int:
 
 
 def _emit(payload: dict) -> int:
-    # Strict JSON: an overflowed result raises ValueError, which exits 2.
+    # Strict JSON: an overflowed result exits 2 naming its field.
+    for key, value in payload.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"{key} is not finite") from None
     print(json.dumps(payload, allow_nan=False))
     return 0
 

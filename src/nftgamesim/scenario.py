@@ -2,14 +2,22 @@
 
 Strict by design: unknown keys are rejected by name so a typo cannot
 silently fall back to a default and change a supposedly reproducible run.
+
+The config dataclasses are the schema: a section accepts the fields of its
+class, requires those with no default and converts each by its type.
+``rules`` is GameRules, ``agents[i]`` AgentSpec, ``specs`` the three spec
+fields of SimConfig, ``run.board`` PriceBoard without collectible_prices
+plus genesis_price, and ``run`` the rest of SimConfig.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from pathlib import Path
 
-from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from .breeding import GameRules
 from .economy import PriceBoard
 from .simulation import AgentSpec, SimConfig
@@ -27,7 +35,7 @@ def _require_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _check_keys(obj: dict, allowed, path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ScenarioError(f"unknown key: {path}.{key}")
@@ -40,165 +48,89 @@ def _is_finite_number(value) -> bool:
     return isinstance(value, int) or math.isfinite(value)
 
 
-def _number(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"missing key: {path}.{key}")
-        return default
-    value = obj[key]
+def _number(value, path: str):
     if not _is_finite_number(value):
-        raise ScenarioError(f"{path}.{key} must be a finite number")
+        raise ScenarioError(f"{path} must be a finite number")
     return value
 
 
-def _integer(obj: dict, key: str, path: str, default=None):
-    value = _number(obj, key, path, default)
+def _integer(value, path: str) -> int:
+    value = _number(value, path)
     if value != int(value):
-        raise ScenarioError(f"{path}.{key} must be an integer")
+        raise ScenarioError(f"{path} must be an integer")
     return int(value)
 
 
-def _parse_rules(obj: dict) -> GameRules:
-    _check_keys(
-        obj,
-        {
-            "breed_arity",
-            "breed_limit",
-            "trait_count",
-            "trait_alphabet",
-            "mutation_prob",
-            "maturity_delay",
-            "activity_cost_schedule",
-            "market_cost_schedule",
-            "burn_mode",
-        },
-        "rules",
-    )
-    kwargs = {}
-    for key in ("breed_arity", "breed_limit", "trait_count", "trait_alphabet", "maturity_delay"):
-        if key in obj:
-            kwargs[key] = _integer(obj, key, "rules")
-    if "mutation_prob" in obj:
-        kwargs["mutation_prob"] = float(_number(obj, "mutation_prob", "rules"))
-    for key in ("activity_cost_schedule", "market_cost_schedule"):
-        if key in obj:
-            sched = obj[key]
-            if not isinstance(sched, list) or not all(_is_finite_number(v) for v in sched):
-                raise ScenarioError(f"rules.{key} must be a list of finite numbers")
-            kwargs[key] = tuple(float(v) for v in sched)
-    if "burn_mode" in obj:
-        kwargs["burn_mode"] = obj["burn_mode"]
-    try:
-        return GameRules(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"rules: {exc}") from exc
+def _floats(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not all(_is_finite_number(v) for v in value):
+        raise ScenarioError(f"{path} must be a list of finite numbers")
+    return tuple(float(v) for v in value)
 
 
-def _parse_mix(obj: dict, path: str) -> StrategyMix:
-    _check_keys(obj, {"breed", "battle", "adventure"}, path)
-    return StrategyMix(
-        breed=_integer(obj, "breed", path, default=0),
-        battle=_integer(obj, "battle", path, default=0),
-        adventure=_integer(obj, "adventure", path, default=0),
-    )
+def _converter(hint):
+    """How a field of this type reads a JSON value: ``(value, path) -> value``."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # ``X | None``: null is no valid value, so read X
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if hint is int:
+        return _integer
+    if hint is float:  # float() keeps 400 -> 400.0 in the event payloads
+        return lambda value, path: float(_number(value, path))
+    if typing.get_origin(hint) is tuple and args == (float, ...):
+        return _floats
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_build, hint)
+    return lambda value, path: value  # strings: __post_init__ checks them
 
 
-def _parse_agent(obj: dict, index: int) -> AgentSpec:
-    path = f"agents[{index}]"
-    obj = _require_mapping(obj, path)
-    _check_keys(
-        obj,
-        {"id", "strategy", "mix", "collectibles", "activity_balance", "market_balance"},
-        path,
-    )
-    kwargs = {
-        "id": _integer(obj, "id", path),
-        "strategy": obj.get("strategy", "passive"),
-        "collectibles": _integer(obj, "collectibles", path, default=0),
-        "activity_balance": float(_number(obj, "activity_balance", path, default=0.0)),
-        "market_balance": float(_number(obj, "market_balance", path, default=0.0)),
+@functools.cache
+def _plan(cls) -> dict[str, tuple]:
+    """Field name -> (converter, required) for every field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (
+            _converter(hints[f.name]),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(cls)
     }
-    if "mix" in obj:
-        kwargs["mix"] = _parse_mix(_require_mapping(obj["mix"], f"{path}.mix"), f"{path}.mix")
+
+
+def _section(plan: dict, obj, path: str) -> dict:
+    """Keyword arguments for the keys ``obj`` sets; absent keys keep their defaults."""
+    obj = _require_mapping(obj, path)
+    _check_keys(obj, plan, path)
+    kwargs = {}
+    for name, (convert, required) in plan.items():
+        if name in obj:
+            kwargs[name] = convert(obj[name], f"{path}.{name}")
+        elif required:
+            raise ScenarioError(f"missing key: {path}.{name}")
+    return kwargs
+
+
+def _construct(cls, kwargs: dict, path: str):
     try:
-        return AgentSpec(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _parse_specs(obj: dict) -> dict:
-    _check_keys(obj, {"adventure", "battle", "lottery"}, "specs")
-    out: dict = {}
-    try:
-        if "adventure" in obj:
-            sec = _require_mapping(obj["adventure"], "specs.adventure")
-            _check_keys(sec, {"reward_multiplier", "collectibles_required"}, "specs.adventure")
-            out["adventure"] = AdventureSpec(
-                reward_multiplier=float(
-                    _number(sec, "reward_multiplier", "specs.adventure", default=1.1)
-                ),
-                collectibles_required=_integer(
-                    sec, "collectibles_required", "specs.adventure", default=1
-                ),
-            )
-        if "battle" in obj:
-            sec = _require_mapping(obj["battle"], "specs.battle")
-            _check_keys(sec, {"team_size", "survival_fraction"}, "specs.battle")
-            out["battle"] = BattleSpec(
-                team_size=_integer(sec, "team_size", "specs.battle", default=3),
-                survival_fraction=float(
-                    _number(sec, "survival_fraction", "specs.battle", default=1.0)
-                ),
-            )
-        if "lottery" in obj:
-            sec = _require_mapping(obj["lottery"], "specs.lottery")
-            _check_keys(
-                sec, {"loss_prob", "stake", "win_game_tokens", "win_market_tokens"}, "specs.lottery"
-            )
-            out["lottery"] = LotterySpec(
-                loss_prob=float(_number(sec, "loss_prob", "specs.lottery")),
-                stake=float(_number(sec, "stake", "specs.lottery")),
-                win_game_tokens=float(
-                    _number(sec, "win_game_tokens", "specs.lottery", default=0.0)
-                ),
-                win_market_tokens=float(
-                    _number(sec, "win_market_tokens", "specs.lottery", default=0.0)
-                ),
-            )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"specs: {exc}") from exc
-    return out
+def _build(cls, obj, path: str):
+    return _construct(cls, _section(_plan(cls), obj, path), path)
 
 
-def _parse_run(obj: dict) -> dict:
-    _check_keys(obj, {"steps", "seed", "price_update", "board", "trait_premiums"}, "run")
-    out = {
-        "steps": _integer(obj, "steps", "run"),
-        "seed": _integer(obj, "seed", "run", default=0),
-        "price_update": obj.get("price_update", "frozen"),
-    }
-    if "trait_premiums" in obj:
-        premiums = obj["trait_premiums"]
-        if not isinstance(premiums, list) or not all(_is_finite_number(v) for v in premiums):
-            raise ScenarioError("run.trait_premiums must be a list of finite numbers")
-        out["trait_premiums"] = tuple(float(v) for v in premiums)
-    board = _require_mapping(obj.get("board", {}), "run.board")
-    _check_keys(
-        board, {"activity_price", "market_price", "floor_price", "genesis_price"}, "run.board"
-    )
-    try:
-        out["board"] = PriceBoard(
-            activity_price=float(_number(board, "activity_price", "run.board", default=1.0)),
-            market_price=float(_number(board, "market_price", "run.board", default=1.0)),
-            floor_price=float(_number(board, "floor_price", "run.board", default=1.0)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"run.board: {exc}") from exc
-    if "genesis_price" in board:
-        out["genesis_price"] = float(_number(board, "genesis_price", "run.board"))
-    return out
+# The two sections that are not one whole dataclass.
+_SIM = _plan(SimConfig)
+_SPECS = {name: _SIM[name] for name in ("adventure", "battle", "lottery")}
+_RUN = {
+    name: entry
+    for name, entry in _SIM.items()
+    if name not in {"rules", "agents", "board", "genesis_price", *_SPECS}
+}
+_BOARD = {name: entry for name, entry in _plan(PriceBoard).items() if name != "collectible_prices"}
+_BOARD["genesis_price"] = _SIM["genesis_price"]
 
 
 def parse_scenario(data: dict) -> SimConfig:
@@ -215,13 +147,18 @@ def parse_scenario(data: dict) -> SimConfig:
     if "run" not in data:
         raise ScenarioError("missing key: scenario.run")
 
-    rules = _parse_rules(_require_mapping(data.get("rules", {}), "rules"))
-    agents = tuple(_parse_agent(a, i) for i, a in enumerate(data["agents"]))
-    specs = _parse_specs(_require_mapping(data.get("specs", {}), "specs"))
-    run = _parse_run(_require_mapping(data["run"], "run"))
+    rules = _build(GameRules, data.get("rules", {}), "rules")
+    agents = tuple(_build(AgentSpec, a, f"agents[{i}]") for i, a in enumerate(data["agents"]))
+    kwargs = _section(_SPECS, data.get("specs", {}), "specs")
+    run = _require_mapping(data["run"], "run")
+    kwargs.update(_section(_RUN, {k: v for k, v in run.items() if k != "board"}, "run"))
+    board = _section(_BOARD, run.get("board", {}), "run.board")
+    if "genesis_price" in board:
+        kwargs["genesis_price"] = board.pop("genesis_price")
+    kwargs["board"] = _construct(PriceBoard, board, "run.board")
 
     try:
-        return SimConfig(rules=rules, agents=agents, **specs, **run)
+        return SimConfig(rules=rules, agents=agents, **kwargs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -39,6 +39,8 @@ from .economy import (
 STRATEGIES = ("passive", "fixed_mix", "growth_maximizer", "thrill_seeker")
 PRICE_UPDATES = ("frozen", "forward_drift")
 MAX_SEED = 2**64
+# Genesis mints every collectible up front, one event each.
+MAX_GENESIS_COLLECTIBLES = 100_000
 
 # Feasibility search looks at this many oldest eligible parents; breeding
 # prefers old collectibles anyway and this keeps a step O(1).
@@ -131,6 +133,8 @@ class SimConfig:
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ValueError("agent ids must be unique")
+        if sum(a.collectibles for a in self.agents) > MAX_GENESIS_COLLECTIBLES:
+            raise ValueError(f"agents[].collectibles must total <= {MAX_GENESIS_COLLECTIBLES}")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.price_update not in PRICE_UPDATES:
@@ -242,11 +246,8 @@ class GameSimulation:
         self.rng = CountingRng(config.seed)
         self.population: dict[int, Collectible] = {}
         self.holdings: dict[int, Holdings] = {TREASURY: Holdings(TREASURY)}
-        self.board = PriceBoard(
-            collectible_prices=dict(config.board.collectible_prices),
-            activity_price=config.board.activity_price,
-            market_price=config.board.market_price,
-            floor_price=config.board.floor_price,
+        self.board = replace(
+            config.board, collectible_prices=dict(config.board.collectible_prices)
         )
         self.counters = SupplyCounters()
         # Largest audited (activity, market) supply; see check_supply_conservation.

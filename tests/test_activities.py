@@ -25,7 +25,13 @@ from nftgamesim.activities import (
 )
 from nftgamesim.breeding import GameRules
 from nftgamesim.economy import PriceBoard
-from nftgamesim.simulation import AgentSpec, CountingRng, GameSimulation, SimConfig
+from nftgamesim.simulation import (
+    AgentSpec,
+    CountingRng,
+    GameSimulation,
+    SimConfig,
+    run_simulation,
+)
 
 BOARD = PriceBoard(activity_price=0.5, market_price=1.0)
 
@@ -161,11 +167,12 @@ class TestLottery:
         assert ev == 2.0
         assert kind is SponsorClass.SUBSIDY_REQUIRED
 
-    def test_game_token_prizes_valued_at_market_price(self):
+    def test_prizes_valued_in_board_numeraire(self):
+        # A loss burns 1 market token (2.0); a win mints 1 game token (0.5).
         board = PriceBoard(activity_price=0.5, market_price=2.0)
         spec = LotterySpec(loss_prob=0.5, stake=1.0, win_game_tokens=1.0)
         ev, _ = classify_lottery(spec, board)
-        assert ev == pytest.approx(-0.5 + 0.5 * 2.0, abs=1e-15)
+        assert ev == pytest.approx(0.5 * -2.0 + 0.5 * 0.5, abs=1e-15)
 
     def test_sharpe_zero_for_fair_coin(self):
         spec = LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0)
@@ -200,6 +207,41 @@ class TestLottery:
         spec = LotterySpec(loss_prob=1.0, stake=1.0, win_market_tokens=5.0)
         with pytest.raises(ValueError, match="variance"):
             lottery_sharpe(spec, BOARD)
+
+    def test_ev_within_wilson_bound_of_engine_plays(self):
+        """The classifier's EV against 4,000 engine plays of the baseline lottery.
+
+        The Wilson 95% interval of the win count, mapped through the numeraire
+        values of one lost and one won play as the engine settles them, must
+        hold the EV (+0.040; valuing game tokens at the market price gave +0.44).
+        """
+        board = PriceBoard(activity_price=0.5, market_price=2.0)
+        spec = LotterySpec(loss_prob=0.52, stake=1.0, win_market_tokens=1.0, win_game_tokens=0.5)
+        seeker = AgentSpec(id=1, strategy="thrill_seeker", market_balance=1e6)
+        config = SimConfig(
+            rules=GameRules(), agents=(seeker,), steps=4000, seed=3, board=board, lottery=spec
+        )
+        result = run_simulation(config)
+        plays = [e.outputs for e in result.events if e.action == "lottery"]
+        n = len(plays)
+        wins = sum(out["result"] == "win" for out in plays)
+        assert n == 4000 and 0 < wins < n
+
+        loss = next(-o["market_burned"] for o in plays if o["result"] == "loss") * 2.0
+        win = next(
+            o["activity_minted"] * 0.5 + o["market_minted"] * 2.0
+            for o in plays
+            if o["result"] == "win"
+        )
+        first, last = result.snapshots[0].agent_wealth[1], result.snapshots[-1].agent_wealth[1]
+        assert (last - first) / n == pytest.approx(loss + wins / n * (win - loss), rel=1e-12)
+
+        z = 1.959963984540054
+        center = (wins + z * z / 2) / (n + z * z)
+        half = z / (n + z * z) * math.sqrt(wins * (n - wins) / n + z * z / 4)
+        low, high = (loss + q * (win - loss) for q in (center - half, center + half))
+        ev, _ = classify_lottery(spec, board)
+        assert low <= ev <= high
 
 
 def stakes(values, prefix):

@@ -1,13 +1,22 @@
 import json
 import math
+import re
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from nftgamesim.breeding import MAX_BREED_LIMIT, MAX_TRAIT_COUNT, GameRules
 from nftgamesim.cli import _write_outputs, main
 from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
-from nftgamesim.simulation import Event, GameSimulation, SimulationInvariantError
+from nftgamesim.simulation import (
+    MAX_GENESIS_COLLECTIBLES,
+    AgentSpec,
+    Event,
+    GameSimulation,
+    SimConfig,
+    SimulationInvariantError,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BASELINE = SCENARIOS / "baseline.json"
@@ -86,6 +95,13 @@ class TestScenarioParsing:
             # Version 1 accepted these two; the engine never read them.
             (lambda d: d["agents"][0].update(utility={"kind": "log"}), "agents[0].utility"),
             (lambda d: d["specs"].update(minority={"rake_fraction": 0.9}), "specs.minority"),
+            # Dataclass fields the scenario sets elsewhere or not at all.
+            (
+                lambda d: d["run"]["board"].update(collectible_prices={"0": 1.0}),
+                "run.board.collectible_prices",
+            ),
+            (lambda d: d["run"].update(genesis_price=1.5), "run.genesis_price"),
+            (lambda d: d["run"].update(rules={}), "run.rules"),
         ],
     )
     def test_unknown_keys_rejected_by_name(self, mutate, expected):
@@ -111,6 +127,38 @@ class TestScenarioParsing:
         data["agents"][1]["mix"] = {"battle": 1}
         with pytest.raises(ScenarioError, match=r"agents\[1\]: mix .*fixed_mix"):
             parse_scenario(data)
+
+    def test_mix_domain_error_names_mix(self):
+        data = scenario_dict()
+        data["agents"][0]["mix"] = {"breed": -1}
+        with pytest.raises(ScenarioError, match=r"agents\[0\]\.mix: activity counts"):
+            parse_scenario(data)
+
+    def test_minimal_document_takes_every_default(self):
+        data = {"schema_version": 2, "agents": [{"id": 1}], "run": {"steps": 1}}
+        expected = SimConfig(rules=GameRules(), agents=(AgentSpec(id=1),), steps=1)
+        assert parse_scenario(data) == expected
+
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            (lambda d: d["agents"][0].pop("id"), "agents[0].id"),
+            (lambda d: d["specs"]["lottery"].pop("loss_prob"), "specs.lottery.loss_prob"),
+            (lambda d: d["specs"]["lottery"].pop("stake"), "specs.lottery.stake"),
+            (lambda d: d["run"].pop("steps"), "run.steps"),
+        ],
+    )
+    def test_missing_required_key_named(self, mutate, key):
+        data = scenario_dict()
+        mutate(data)
+        with pytest.raises(ScenarioError, match=f"missing key: {re.escape(key)}$"):
+            parse_scenario(data)
+
+    def test_integer_for_a_float_field_reads_as_float(self):
+        data = scenario_dict()
+        data["agents"][0]["activity_balance"] = 400
+        balance = parse_scenario(data).agents[0].activity_balance
+        assert type(balance) is float and balance == 400.0
 
     def test_missing_run_section(self):
         data = scenario_dict()
@@ -291,6 +339,27 @@ class TestSimulateCommand:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            pytest.param(lambda d: d["rules"].update(trait_count=1e9), "trait_count", id="traits"),
+            pytest.param(lambda d: d["rules"].update(breed_limit=1e9), "breed_limit", id="limit"),
+            pytest.param(
+                lambda d: d["agents"][0].update(collectibles=1e9),
+                "agents[].collectibles",
+                id="collectibles",
+            ),
+        ],
+    )
+    def test_size_cap_exits_2_with_key_name(self, tmp_path, capsys, mutate, key):
+        # Each cap is checked when the scenario is parsed, before any genesis.
+        data = scenario_dict()
+        mutate(data)
+        code, out = self.run_simulate(tmp_path, data)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
     def test_example_scenarios_run(self, tmp_path, path):
         out = tmp_path / "out"
@@ -387,6 +456,27 @@ class TestSimulateCommand:
         lines = (out / "snapshots.csv").read_text().splitlines()
         body = [line.split(",", 1)[1] for line in lines[1:]]
         assert len(set(body)) == 1
+
+
+class TestSizeCaps:
+    """The caps live in the config classes, so library callers get them too."""
+
+    def test_largest_rules_accepted(self):
+        rules = GameRules(trait_count=MAX_TRAIT_COUNT, breed_limit=MAX_BREED_LIMIT)
+        assert len(rules.activity_cost_schedule) == MAX_BREED_LIMIT
+
+    @pytest.mark.parametrize("field", ["trait_count", "breed_limit"])
+    def test_rules_one_over_refused(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be <= 1024"):
+            GameRules(**{field: 1025})
+
+    def test_genesis_total_capped(self):
+        half = MAX_GENESIS_COLLECTIBLES // 2
+        agents = (AgentSpec(id=1, collectibles=half), AgentSpec(id=2, collectibles=half))
+        SimConfig(rules=GameRules(), agents=agents, steps=1)
+        over = agents + (AgentSpec(id=3, collectibles=1),)
+        with pytest.raises(ValueError, match=r"agents\[\]\.collectibles must total <= 100000"):
+            SimConfig(rules=GameRules(), agents=over, steps=1)
 
 
 class RecordingSimulation(GameSimulation):
@@ -505,22 +595,25 @@ class TestAnalyzeCommand:
         assert got2["per_player"][-1] is False
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, field",
         [
-            ["sharpe", "--excess", "1e308", "--vol", "1e-300"],
-            ["envelope", "--up", "1e-320", "--down", "1"],
-            [
-                "lattice", "--breeds-remaining", "1",
-                "--floor", "1e308", "--child-value", "1e308", "--costs", "0",
-            ],
+            (["sharpe", "--excess", "1e308", "--vol", "1e-300"], "sharpe_ratio"),
+            (["envelope", "--up", "1e-320", "--down", "1"], "gain_player2"),
+            (
+                [
+                    "lattice", "--breeds-remaining", "1",
+                    "--floor", "1e308", "--child-value", "1e308", "--costs", "0",
+                ],
+                "lattice_value",
+            ),
         ],
-        ids=lambda argv: argv[0],
+        ids=["sharpe", "envelope", "lattice"],
     )
-    def test_overflowing_result_exits_2_with_nothing_on_stdout(self, capsys, argv):
+    def test_overflowing_result_exits_2_with_nothing_on_stdout(self, capsys, argv, field):
         assert main(["analyze", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err == f"error: {field} is not finite\n"
 
     def test_non_finite_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
