@@ -169,7 +169,11 @@ def load_scenario(path: str | Path) -> SimConfig:
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {p} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {p} is not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"scenario file {p} nests too deeply to parse") from exc
     return parse_scenario(data)

@@ -5,6 +5,14 @@ within each step and every state transition is recorded as an event, so
 identical (config, seed) pairs reproduce byte-identical histories.
 GameSimulation.stream hands each step's events and snapshot to its caller
 as the run goes, so a caller that writes them out keeps nothing.
+A snapshot values the collectible pool exactly as
+economy.collectible_pool_value does, one naive left-to-right sum in
+ascending id order, but keeps that sum between steps: a mint extends it by
+the newborn's price (the largest id is the last term) and only a price
+rewrite makes the next snapshot sum the population again. Each agent's
+token value, an exactly rounded math.fsum, is kept the same way until that
+agent breeds or prices are rewritten. Kept values equal fresh ones bit for
+bit.
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -12,9 +20,11 @@ sub-seed).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -31,7 +41,6 @@ from .economy import (
     SupplyCounters,
     check_ownership_partition,
     check_supply_conservation,
-    collectible_pool_value,
     fungible_pool_values,
     total_value,
 )
@@ -47,6 +56,9 @@ MAX_GENESIS_COLLECTIBLES = 100_000
 BREED_SEARCH_WINDOW = 12
 
 CONVERGENCE_REL_TOL = 1e-9
+
+# Standard normal 97.5% quantile, the z of a 95% interval.
+Z_95 = 1.959963984540054
 
 
 class SimulationInvariantError(RuntimeError):
@@ -225,9 +237,23 @@ class CollateralOutcome:
 
 @dataclass(frozen=True)
 class RuinEstimate:
+    """Ruin frequency over ``trials`` runs, with its binomial standard error
+    and the 95% Wilson score interval [low, high] (Brown, Cai & DasGupta
+    2001), which stays wide at 0 or ``trials`` ruins where stderr reads 0."""
+
     probability: float
     stderr: float
     trials: int
+    low: float
+    high: float
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval of a binomial proportion, clipped to [0, 1]."""
+    z2 = Z_95 * Z_95
+    center = (successes + z2 / 2) / (trials + z2)
+    half = Z_95 / (trials + z2) * math.sqrt(successes * (trials - successes) / trials + z2 / 4)
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 def derive_subseed(master_seed: int, trial: int) -> int:
@@ -264,14 +290,11 @@ class GameSimulation:
         # A balance below every entry of a cost schedule affords no breed.
         self._min_activity_cost = min(self.rules.activity_cost_schedule)
         self._min_market_cost = min(self.rules.market_cost_schedule)
-        # Each fixed-mix agent repeats its cycle, one entry per step.
-        self._cycles = {
-            a.id: ("breed",) * a.mix.breed
-            + ("battle",) * a.mix.battle
-            + ("adventure",) * a.mix.adventure
-            for a in self._agents
-            if a.strategy == "fixed_mix"
-        }
+        # Valuations kept between snapshots (see the module docstring): the
+        # collectible pool, None until summed or after a price rewrite, and
+        # each agent's token value, absent until valued or after a change.
+        self._pool: float | None = None
+        self._token_value: dict[int, float] = {}
         self._genesis()
 
     # -- setup ---------------------------------------------------------
@@ -408,11 +431,16 @@ class GameSimulation:
 
     def agent_wealth(self, agent_id: int) -> float:
         h = self.holdings[agent_id]
-        # fsum is exactly rounded, so the set's iteration order does not matter.
-        try:
-            tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
-        except KeyError as exc:
-            raise MissingPriceError(exc.args[0]) from None
+        tokens = self._token_value.get(agent_id)
+        if tokens is None:
+            # fsum is exactly rounded, so neither the set's iteration order
+            # nor when the value was taken matters while prices and holdings
+            # stay put.
+            try:
+                tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
+            except KeyError as exc:
+                raise MissingPriceError(exc.args[0]) from None
+            self._token_value[agent_id] = tokens
         return (
             tokens
             + h.activity_balance * self.board.activity_price
@@ -433,7 +461,12 @@ class GameSimulation:
         else:
             self.counters.activity_supply -= cost.activity_amount
             self.counters.market_supply -= cost.market_amount
-        self.board.collectible_prices[child.id] = self._list_price(child.traits)
+        price = self._list_price(child.traits)
+        self.board.collectible_prices[child.id] = price
+        if self._pool is not None:
+            # The child's id is the largest, so its price is the sum's last term.
+            self._pool += price
+        self._token_value.pop(agent_id, None)
         return Event(
             step=step,
             agent=agent_id,
@@ -519,8 +552,16 @@ class GameSimulation:
     # -- strategy ------------------------------------------------------
 
     def _cycle_action(self, spec: AgentSpec, step: int) -> str:
-        cycle = self._cycles[spec.id]
-        return cycle[(step - 1) % len(cycle)] if cycle else "pass"
+        """A fixed-mix agent repeats a cycle of mix.breed breeds, then
+        mix.battle battles, then mix.adventure adventures, one per step."""
+        mix = spec.mix
+        period = mix.breed + mix.battle + mix.adventure
+        if not period:
+            return "pass"
+        i = (step - 1) % period
+        if i < mix.breed:
+            return "breed"
+        return "battle" if i < mix.breed + mix.battle else "adventure"
 
     def _reads_search(self, spec: AgentSpec, step: int) -> bool:
         """Whether this turn's choice of action depends on the breeding search."""
@@ -638,6 +679,8 @@ class GameSimulation:
         if any(new != old for old, new in stepped.items()):
             for tid, price in prices.items():
                 prices[tid] = stepped[price]
+            self._pool = None
+            self._token_value.clear()
         self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:
@@ -685,8 +728,14 @@ class GameSimulation:
             self.events = []
 
     def snapshot(self, step: int) -> EconomySnapshot:
-        holdings = list(self.holdings.values())
-        phi = collectible_pool_value(holdings, self.board)
+        if self._pool is None:
+            # collectible_pool_value's sum without its checks: the audit before
+            # every snapshot proved that the holdings partition the population
+            # and that exactly its ids are priced, and population ids ascend.
+            self._pool = functools.reduce(
+                operator.add, map(self.board.collectible_prices.__getitem__, self.population), 0.0
+            )
+        phi = self._pool
         psi, omega = fungible_pool_values(self.counters, self.board)
         try:
             # A finite total bounds every agent's wealth, so that is finite too.
@@ -751,7 +800,8 @@ def collateral_loop(
 
 def ruin_probability(config: SimConfig, agent: int, trials: int) -> RuinEstimate:
     """Monte Carlo probability that the agent is priced out of every activity
-    before the horizon, with its binomial standard error.
+    before the horizon, with its binomial standard error and 95% Wilson
+    score interval.
 
     Trials run under independent sub-seeds derived from the master seed (see
     derive_subseed), so the estimate is reproducible and the trials may be
@@ -773,4 +823,5 @@ def ruin_probability(config: SimConfig, agent: int, trials: int) -> RuinEstimate
             ruined += 1
     estimate = ruined / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return RuinEstimate(probability=estimate, stderr=stderr, trials=trials)
+    low, high = wilson_interval(ruined, trials)
+    return RuinEstimate(probability=estimate, stderr=stderr, trials=trials, low=low, high=high)

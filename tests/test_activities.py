@@ -31,6 +31,7 @@ from nftgamesim.simulation import (
     GameSimulation,
     SimConfig,
     run_simulation,
+    wilson_interval,
 )
 
 BOARD = PriceBoard(activity_price=0.5, market_price=1.0)
@@ -236,10 +237,7 @@ class TestLottery:
         first, last = result.snapshots[0].agent_wealth[1], result.snapshots[-1].agent_wealth[1]
         assert (last - first) / n == pytest.approx(loss + wins / n * (win - loss), rel=1e-12)
 
-        z = 1.959963984540054
-        center = (wins + z * z / 2) / (n + z * z)
-        half = z / (n + z * z) * math.sqrt(wins * (n - wins) / n + z * z / 4)
-        low, high = (loss + q * (win - loss) for q in (center - half, center + half))
+        low, high = (loss + q * (win - loss) for q in wilson_interval(wins, n))
         ev, _ = classify_lottery(spec, board)
         assert low <= ev <= high
 

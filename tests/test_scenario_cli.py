@@ -271,6 +271,21 @@ class TestSimulateCommand:
         assert code == 2
         assert "ghost.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"schema_version": 2, "\xff": 1}'],
+        ids=["nested-100000-deep", "not-utf-8"],
+    )
+    def test_undecodable_file_exits_2_with_path(self, tmp_path, capsys, content):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_key_exits_2_with_key_name(self, tmp_path, capsys):
         data = scenario_dict()
         data["run"]["warp_factor"] = 9

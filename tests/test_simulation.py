@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -17,9 +19,12 @@ from nftgamesim.breeding import (
     iterate_forward_price,
     max_population,
 )
-from nftgamesim.economy import Collectible, PriceBoard
+from nftgamesim.economy import Collectible, PriceBoard, collectible_pool_value
 from nftgamesim.scenario import parse_scenario
 from nftgamesim.simulation import (
+    PRICE_UPDATES,
+    STRATEGIES,
+    Z_95,
     AgentSpec,
     CollateralSpec,
     GameSimulation,
@@ -285,6 +290,28 @@ class TestStrategies:
         result = run_simulation(config)
         actions = [e.action for e in result.events if e.step > 0]
         assert actions == ["adventure"] * 4
+
+    @settings(max_examples=50, deadline=None)
+    @given(counts=st.tuples(*[st.integers(0, 3)] * 3), step=st.integers(1, 40))
+    def test_fixed_mix_cycle_is_breeds_then_battles_then_adventures(self, counts, step):
+        mix = StrategyMix(*counts)
+        spec = AgentSpec(id=1, strategy="fixed_mix", mix=mix)
+        sim = GameSimulation(SimConfig(rules=base_rules(), agents=(spec,), steps=1))
+        cycle = ["breed"] * mix.breed + ["battle"] * mix.battle + ["adventure"] * mix.adventure
+        expected = cycle[(step - 1) % len(cycle)] if cycle else "pass"
+        assert sim._cycle_action(spec, step) == expected
+
+    def test_large_fixed_mix_allocates_no_cycle(self):
+        # A cycle of ten million breeds is counted, not spelled out.
+        spec = AgentSpec(id=1, strategy="fixed_mix", mix=StrategyMix(breed=10**7))
+        config = SimConfig(rules=base_rules(), agents=(spec,), steps=1)
+        tracemalloc.start()
+        try:
+            GameSimulation(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_growth_maximizer_prefers_profitable_adventure(self):
         config = SimConfig(
@@ -626,6 +653,16 @@ class CountingPrices(dict):
         super().__setitem__(key, value)
 
 
+class CountingReads(dict):
+    """A price table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 class TestPriceUpdate:
     # Cost 3.0 per breed at unit prices: p* = 3.0 maps to itself exactly.
     def fixed_point_sim(self) -> GameSimulation:
@@ -661,6 +698,99 @@ class TestPriceUpdate:
             expected[2] = breeding.forward_price_step(6.0, 2, 3.0)
             assert expected[2] != 6.0
         assert prices == expected
+
+    def test_snapshot_at_rest_reads_no_price(self):
+        sim = self.fixed_point_sim()
+        sim.board.collectible_prices = prices = CountingReads(sim.board.collectible_prices)
+        first = sim.snapshot(0)
+        # The pool sum and the agent's token value each read every price once.
+        assert prices.reads == 10
+        prices.reads = 0
+        sim.step(1)
+        assert sim.snapshot(1) == replace(first, step=1)
+        assert prices.reads == 0
+
+
+def frozen(data: dict) -> None:
+    data["run"]["price_update"] = "frozen"
+
+
+def check_kept_valuations(config: SimConfig) -> None:
+    """Every snapshot's pool and agent wealths equal a from-scratch valuation, bit for bit."""
+    sim = GameSimulation(config)
+    board = sim.board
+    for _, snap in sim.stream():
+        pool = collectible_pool_value(list(sim.holdings.values()), board)
+        assert snap.collectible_pool.hex() == pool.hex()
+        for agent_id, wealth in snap.agent_wealth.items():
+            h = sim.holdings[agent_id]
+            fresh = (
+                math.fsum(board.collectible_prices[t] for t in h.collectibles)
+                + h.activity_balance * board.activity_price
+                + h.market_balance * board.market_price
+            )
+            assert wealth.hex() == fresh.hex()
+
+
+@st.composite
+def small_configs(draw) -> SimConfig:
+    """Small mixed economies; half of them start every price at the float fixed
+    point of the forward-drift step, so no price moves until a premium does."""
+    activity_cost = draw(st.floats(0.1, 3.0))
+    market_cost = draw(st.floats(0.0, 1.0))
+    rules = base_rules(
+        mutation_prob=draw(st.floats(0.0, 1.0)),
+        maturity_delay=draw(st.integers(0, 2)),
+        activity_cost_schedule=[activity_cost] * 7,
+        market_cost_schedule=[market_cost] * 7,
+        burn_mode=draw(st.sampled_from(("void", "treasury"))),
+    )
+    activity_price, market_price = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        floor = cost = activity_cost * activity_price + market_cost * market_price
+        for _ in range(100):  # settles on an exact fixed point within a few dozen steps
+            floor = breeding.forward_price_step(floor, 2, cost)
+        genesis = floor
+    else:
+        floor = draw(st.floats(0.1, 3.0))
+        genesis = floor * draw(st.floats(1.0, 3.0))
+    agents = []
+    for agent_id in range(1, draw(st.integers(1, 4)) + 1):
+        strategy = draw(st.sampled_from(STRATEGIES))
+        mix = StrategyMix(*draw(st.tuples(*[st.integers(0, 2)] * 3))) if strategy == "fixed_mix" else None
+        agents.append(AgentSpec(
+            id=agent_id, strategy=strategy, mix=mix, collectibles=draw(st.integers(0, 6)),
+            activity_balance=draw(st.floats(0.0, 50.0)), market_balance=draw(st.floats(0.0, 20.0)),
+        ))
+    premiums = draw(st.none() | st.lists(st.floats(0.0, 0.5), min_size=6, max_size=6).map(tuple))
+    return SimConfig(
+        rules=rules,
+        agents=tuple(agents),
+        steps=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**32)),
+        board=PriceBoard(activity_price=activity_price, market_price=market_price, floor_price=floor),
+        price_update=draw(st.sampled_from(PRICE_UPDATES)),
+        genesis_price=genesis,
+        trait_premiums=premiums,
+        adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
+        battle=BattleSpec(team_size=2, survival_fraction=0.9),
+        lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
+    )
+
+
+class TestKeptValuations:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES] + [(frozen, 5, 200)],
+        ids=[case[0] for case in CASES] + ["frozen-5-200"],
+    )
+    def test_equal_a_fresh_valuation_on_the_golden_cases(self, edit, seed, steps):
+        check_kept_valuations(baseline_config(edit, seed, steps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs())
+    def test_equal_a_fresh_valuation_on_drawn_economies(self, config):
+        check_kept_valuations(config)
 
 
 class TestCollateralLoop:
@@ -801,6 +931,26 @@ class TestRuinProbability:
     def test_unknown_agent_rejected(self):
         with pytest.raises(ValueError, match="no agent"):
             ruin_probability(self.ruin_config(2.0), agent=9, trials=5)
+
+    @pytest.mark.parametrize("market_balance, ruined", [(5.0, 0), (0.0, 8)])
+    def test_wilson_interval_stays_wide_at_no_or_every_ruin(self, market_balance, ruined):
+        config = SimConfig(
+            rules=base_rules(),
+            agents=(AgentSpec(id=1, strategy="passive", market_balance=market_balance),),
+            steps=3,
+            board=PriceBoard(),
+            lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
+        )
+        estimate = ruin_probability(config, 1, trials=8)
+        assert estimate.probability == ruined / 8
+        assert estimate.stderr == 0.0
+        # At 0 of n the Wilson upper bound is z^2 / (n + z^2); n of n mirrors it.
+        width = Z_95**2 / (8 + Z_95**2)
+        assert width == pytest.approx(0.3244, abs=1e-4)
+        if ruined == 0:
+            assert (estimate.low, estimate.high) == (0.0, pytest.approx(width, rel=1e-12))
+        else:
+            assert (estimate.low, estimate.high) == (pytest.approx(1 - width, rel=1e-12), 1.0)
 
 
 class TestSubSeeds:
