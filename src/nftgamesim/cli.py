@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .activities import MinorityGameSpec, minority_settle
@@ -184,6 +184,9 @@ def cmd_simulate(args) -> int:
             raise
     except SimulationInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.agent is not None:
+            last = "none" if exc.last_event is None else json.dumps(asdict(exc.last_event))
+            print(f"error: agent {exc.agent}, last event: {last}", file=sys.stderr)
         return 3
     except OSError as exc:
         # open() names the file; a failed write or close names none.

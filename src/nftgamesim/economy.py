@@ -107,7 +107,7 @@ class PriceBoard:
                     raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
         if distinct:
             lowest = min(distinct)
-            if self.floor_price > lowest + 1e-12:
+            if self.floor_price > lowest:
                 raise ValueError(
                     f"floor price {self.floor_price} exceeds lowest listed price {lowest}"
                 )

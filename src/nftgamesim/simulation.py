@@ -13,6 +13,16 @@ rewrite makes the next snapshot sum the population again. Each agent's
 token value, an exactly rounded math.fsum, is kept the same way until that
 agent breeds or prices are rewritten. Kept values equal fresh ones bit for
 bit.
+The audit after each step splits by what can change what it reads. Every
+step checks each balance, the supply counters and their conservation, the
+fungible prices and a finite positive floor. The checks that read every
+token (the ownership partition, each collectible's price, the floor against
+the lowest price, a price for exactly the minted ids) run only at step 0,
+after a step that minted or rewrote prices, or when an O(agents) size check
+disagrees. The forward-drift update keeps the set of distinct collectible
+prices (a mint adds to it, a rewrite maps it). So on a step at rest, one
+that mints nothing and rewrites no price, the audit costs O(agents) and the
+price update O(distinct prices).
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -62,11 +72,19 @@ Z_95 = 1.959963984540054
 
 
 class SimulationInvariantError(RuntimeError):
-    """A post-step audit failed; the simulation state is untrustworthy."""
+    """A post-step audit failed; the simulation state is untrustworthy.
 
-    def __init__(self, step: int, message: str):
+    ``agent`` is the owner whose balance check failed, None for a check of
+    the whole pool; ``last_event`` is that agent's last event in the step.
+    """
+
+    def __init__(
+        self, step: int, message: str, agent: int | None = None, last_event: Event | None = None
+    ):
         super().__init__(f"invariant violation at step {step}: {message}")
         self.step = step
+        self.agent = agent
+        self.last_event = last_event
 
 
 class CountingRng:
@@ -250,6 +268,10 @@ class RuinEstimate:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval of a binomial proportion, clipped to [0, 1]."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in [0, trials], got {successes} of {trials}")
     z2 = Z_95 * Z_95
     center = (successes + z2 / 2) / (trials + z2)
     half = Z_95 / (trials + z2) * math.sqrt(successes * (trials - successes) / trials + z2 / 4)
@@ -295,6 +317,12 @@ class GameSimulation:
         # each agent's token value, absent until valued or after a change.
         self._pool: float | None = None
         self._token_value: dict[int, float] = {}
+        # The distinct collectible prices, built by the first forward-drift
+        # update and kept from then on (see _update_prices).
+        self._distinct_prices: set[float] | None = None
+        # Set by a mint or a price rewrite, genesis included: the next audit
+        # runs the checks that read every token (see _check_invariants).
+        self._tokens_changed = True
         self._genesis()
 
     # -- setup ---------------------------------------------------------
@@ -466,7 +494,10 @@ class GameSimulation:
         if self._pool is not None:
             # The child's id is the largest, so its price is the sum's last term.
             self._pool += price
+        if self._distinct_prices is not None:
+            self._distinct_prices.add(price)
         self._token_value.pop(agent_id, None)
+        self._tokens_changed = True
         return Event(
             step=step,
             agent=agent_id,
@@ -668,47 +699,84 @@ class GameSimulation:
         )
         d = self.rules.breed_arity
         # Each price's next value depends on that price alone, so equal
-        # prices share one step.
+        # prices share one step, and only the distinct ones are stepped.
         prices = self.board.collectible_prices
+        if self._distinct_prices is None:
+            self._distinct_prices = set(prices.values())
         stepped = {
             price: breeding.forward_price_step(price, d, cost)
-            for price in {*prices.values(), self.board.floor_price}
+            for price in {*self._distinct_prices, self.board.floor_price}
         }
         # At the fixed point p* = cost every price maps to itself, so there
         # is nothing to rewrite.
         if any(new != old for old, new in stepped.items()):
             for tid, price in prices.items():
                 prices[tid] = stepped[price]
+            self._distinct_prices = {stepped[price] for price in self._distinct_prices}
             self._pool = None
             self._token_value.clear()
+            self._tokens_changed = True
         self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:
         """Audit the state after a step. Balances, supplies and prices must
         be finite, so no NaN or infinity reaches the outputs.
 
+        Every step checks each balance, the supply counters and their
+        conservation, the fungible prices and a finite positive floor: any
+        action can change these. The checks that read every token (the
+        ownership partition, each collectible's price, the floor against the
+        lowest price, a price for exactly the minted ids) can only be
+        changed by a mint or a price rewrite, so they run at step 0, after a
+        step that minted or rewrote prices, and whenever an O(agents) check
+        disagrees: the holdings' sizes do not sum to the population, the
+        price table and the population differ in size, or a fungible price
+        or the floor is not finite and positive.
+
         This is the whole audit of a run that takes no snapshot (see
         ruin_probability), so it also proves what a snapshot relies on:
         every minted collectible, and nothing else, has a price.
         """
         holdings = list(self.holdings.values())
+        board = self.board
+        prices = board.collectible_prices
+        minted = len(self.population)
+        read_tokens = (
+            self._tokens_changed
+            or len(prices) != minted
+            or sum(len(h.collectibles) for h in holdings) != minted
+            or not (
+                0 < board.activity_price < math.inf
+                and 0 < board.market_price < math.inf
+                and 0 < board.floor_price < math.inf
+            )
+        )
         try:
-            check_ownership_partition(holdings, self.population)
+            if read_tokens:
+                check_ownership_partition(holdings, self.population)
             for h in holdings:
-                h.check_balances()
+                try:
+                    h.check_balances()
+                except ValueError as exc:
+                    last = next(
+                        (e for e in reversed(self.events) if e.agent == h.owner and e.step == step),
+                        None,
+                    )
+                    raise SimulationInvariantError(step, str(exc), h.owner, last) from exc
             self.counters.validate()
             check_supply_conservation(holdings, self.counters, scale=self._supply_scale)
-            self.board.validate()
-            prices = self.board.collectible_prices
-            if prices.keys() != self.population.keys():
-                unpriced = sorted(self.population.keys() - prices.keys())
-                unminted = sorted(prices.keys() - self.population.keys())
-                raise ValueError(
-                    f"priced collectibles differ from minted ones: no price for {unpriced[:5]}, "
-                    f"price for unminted {unminted[:5]}"
-                )
+            if read_tokens:
+                board.validate()
+                if prices.keys() != self.population.keys():
+                    unpriced = sorted(self.population.keys() - prices.keys())
+                    unminted = sorted(prices.keys() - self.population.keys())
+                    raise ValueError(
+                        f"priced collectibles differ from minted ones: no price for "
+                        f"{unpriced[:5]}, price for unminted {unminted[:5]}"
+                    )
         except ValueError as exc:
             raise SimulationInvariantError(step, str(exc)) from exc
+        self._tokens_changed = False
         self._supply_scale = (
             max(self._supply_scale[0], self.counters.activity_supply),
             max(self._supply_scale[1], self.counters.market_supply),

@@ -133,6 +133,13 @@ class TestInvariants:
         with pytest.raises(ValueError, match="floor"):
             PriceBoard(collectible_prices={0: 1.0}, floor_price=2.0)
 
+    def test_floor_check_has_no_absolute_slack(self):
+        # A floor 10x the lowest price is refused however small both are,
+        # and a floor equal to it is accepted.
+        with pytest.raises(ValueError, match="floor price 1e-12 exceeds lowest listed price 1e-13"):
+            PriceBoard(collectible_prices={0: 1e-13}, floor_price=1e-12)
+        PriceBoard(collectible_prices={0: 1e-13}, floor_price=1e-13)
+
     def test_board_rejects_nonpositive_prices(self):
         with pytest.raises(ValueError):
             PriceBoard(activity_price=0.0)
@@ -219,7 +226,7 @@ def reference_validate(board: PriceBoard) -> None:
             raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
     if board.collectible_prices:
         lowest = min(board.collectible_prices.values())
-        if board.floor_price > lowest + 1e-12:
+        if board.floor_price > lowest:
             raise ValueError(f"floor price {board.floor_price} exceeds lowest listed price {lowest}")
 
 

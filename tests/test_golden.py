@@ -3,14 +3,20 @@
 The digests below pin what ``simulate`` writes for fixed (scenario, seed,
 steps) cases. A refactor or optimisation must keep them; a change that
 alters behaviour on purpose updates them once and says why in CHANGES.md.
+``ruin_probability``, which steps without snapshots and writes nothing, is
+pinned by its estimate and each trial's ruin step.
 """
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from nftgamesim import simulation
 from nftgamesim.cli import main
+from nftgamesim.scenario import load_scenario
+from nftgamesim.simulation import RuinEstimate
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 
@@ -85,3 +91,26 @@ def test_simulate_outputs_match_golden_digests(
     capsys.readouterr()
     assert _sha256(out / "events.jsonl") == events_digest
     assert _sha256(out / "snapshots.csv") == snapshots_digest
+
+
+def test_ruin_probability_matches_golden_trials(monkeypatch):
+    # Agent 5, the poorer thrill seeker, on the baseline at 200 steps,
+    # master seed 1, 8 trials.
+    trials = []
+
+    class Recorded(simulation.GameSimulation):
+        def __init__(self, config):
+            super().__init__(config)
+            trials.append(self)
+
+    monkeypatch.setattr(simulation, "GameSimulation", Recorded)
+    config = replace(load_scenario(BASELINE), steps=200, seed=1)
+    estimate = simulation.ruin_probability(config, agent=5, trials=8)
+    assert estimate == RuinEstimate(
+        probability=0.25,
+        stderr=0.15309310892394862,
+        trials=8,
+        low=0.071479212752109,
+        high=0.5907245696898311,
+    )
+    assert [sim.ruined_at[5] for sim in trials] == [None, None, None, None, 158, None, None, 196]

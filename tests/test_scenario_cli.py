@@ -437,6 +437,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "invariant violation at step 2" in err
         assert "finite" in err
+        # Agent 6, the first growth maximizer, is the first to overflow.
+        named = err.splitlines()[1]
+        assert named.startswith("error: agent 6, last event: ")
+        last = json.loads(named.removeprefix("error: agent 6, last event: "))
+        assert (last["step"], last["agent"], last["action"]) == (2, 6, "adventure")
+        assert last["outputs"]["activity_balance"] == math.inf
         for name in ("events.jsonl", "snapshots.csv", "summary.json"):
             assert not (out / name).exists()
 

@@ -19,7 +19,14 @@ from nftgamesim.breeding import (
     iterate_forward_price,
     max_population,
 )
-from nftgamesim.economy import Collectible, PriceBoard, collectible_pool_value
+from nftgamesim import simulation
+from nftgamesim.economy import (
+    Collectible,
+    PriceBoard,
+    check_ownership_partition,
+    check_supply_conservation,
+    collectible_pool_value,
+)
 from nftgamesim.scenario import parse_scenario
 from nftgamesim.simulation import (
     PRICE_UPDATES,
@@ -27,6 +34,7 @@ from nftgamesim.simulation import (
     Z_95,
     AgentSpec,
     CollateralSpec,
+    Event,
     GameSimulation,
     SimConfig,
     SimulationInvariantError,
@@ -34,6 +42,7 @@ from nftgamesim.simulation import (
     derive_subseed,
     ruin_probability,
     run_simulation,
+    wilson_interval,
 )
 from test_golden import BASELINE, CASES
 
@@ -793,6 +802,221 @@ class TestKeptValuations:
         check_kept_valuations(config)
 
 
+def reference_audit(sim: GameSimulation) -> None:
+    """The whole audit, every check on every token, from the economy functions."""
+    holdings = list(sim.holdings.values())
+    check_ownership_partition(holdings, sim.population)
+    for h in holdings:
+        h.check_balances()
+    sim.counters.validate()
+    check_supply_conservation(holdings, sim.counters, scale=sim._supply_scale)
+    sim.board.validate()
+    prices = sim.board.collectible_prices
+    assert prices.keys() == sim.population.keys()
+    if sim._distinct_prices is not None:
+        assert sim._distinct_prices == set(prices.values())
+
+
+def check_reference_audit(config: SimConfig) -> int:
+    """Run the reference audit after genesis and after every step; return
+    how many steps were at rest (nothing minted, no price rewritten)."""
+    sim = GameSimulation(config)
+    reference_audit(sim)
+    at_rest = 0
+    for step in range(1, config.steps + 1):
+        before = dict(sim.board.collectible_prices)
+        sim.step(step)
+        reference_audit(sim)
+        at_rest += sim.board.collectible_prices == before
+    return at_rest
+
+
+def at_rest_sim(price_update: str = "forward_drift") -> GameSimulation:
+    """Two passive agents holding tokens 0-2 and 3-4, every price at the
+    forward-drift fixed point 3.0: no step mints or rewrites a price."""
+    config = SimConfig(
+        rules=base_rules(activity_cost_schedule=[3, 0, 0, 0, 0, 0, 0]),
+        agents=(
+            AgentSpec(id=1, strategy="passive", collectibles=3),
+            AgentSpec(id=2, strategy="passive", collectibles=2),
+        ),
+        steps=5,
+        board=PriceBoard(floor_price=3.0),
+        price_update=price_update,
+    )
+    return GameSimulation(config)
+
+
+class WalkCounting(dict):
+    """A price table that counts each call that walks it, by method name."""
+
+    def __init__(self, prices, counts: Counter):
+        super().__init__(prices)
+        self.counts = counts
+
+    def values(self):
+        self.counts["values"] += 1
+        return super().values()
+
+    def items(self):
+        self.counts["items"] += 1
+        return super().items()
+
+    def keys(self):
+        self.counts["keys"] += 1
+        return super().keys()
+
+    def __iter__(self):
+        self.counts["iter"] += 1
+        return super().__iter__()
+
+
+def count_token_checks(monkeypatch, sim: GameSimulation) -> Counter:
+    """Count the audit's per-token checks and every walk over the prices."""
+    counts = Counter()
+    partition, validate = simulation.check_ownership_partition, PriceBoard.validate
+
+    def counting_partition(*args):
+        counts["partition"] += 1
+        return partition(*args)
+
+    def counting_validate(board):
+        counts["validate"] += 1
+        return validate(board)
+
+    monkeypatch.setattr(simulation, "check_ownership_partition", counting_partition)
+    monkeypatch.setattr(PriceBoard, "validate", counting_validate)
+    sim.board.collectible_prices = WalkCounting(sim.board.collectible_prices, counts)
+    return counts
+
+
+class TestAuditSchedule:
+    @pytest.mark.parametrize("price_update", PRICE_UPDATES)
+    def test_a_step_at_rest_reads_no_token(self, monkeypatch, price_update):
+        sim = at_rest_sim(price_update)
+        counts = count_token_checks(monkeypatch, sim)
+        # The first forward-drift update builds the kept set of distinct prices.
+        sim.step(1)
+        assert counts["values"] == (price_update == "forward_drift")
+        counts.clear()
+        for step in range(2, 5):
+            sim.step(step)
+        assert counts == Counter()
+        assert sim.board.collectible_prices == dict.fromkeys(range(5), 3.0)
+
+    def test_a_mint_step_runs_each_token_check_once(self, monkeypatch):
+        sim = GameSimulation(mixed_config(steps=1))
+        counts = count_token_checks(monkeypatch, sim)
+        sim.step(1)
+        assert [e.action for e in sim.events if e.step == 1][0] == "breed"
+        # validate takes the distinct prices once; the id comparison reads keys once.
+        assert (counts["partition"], counts["validate"], counts["values"], counts["keys"]) == (
+            1, 1, 1, 1,
+        )
+
+    def test_a_rewrite_step_runs_each_token_check_once(self, monkeypatch):
+        sim = at_rest_sim()
+        sim.board.collectible_prices[2] = 6.0  # moves toward 3.0, so every price is rewritten
+        counts = count_token_checks(monkeypatch, sim)
+        sim.step(1)
+        assert 3.0 < sim.board.collectible_prices[2] < 6.0
+        # The update reads the values once to build the kept set and walks
+        # the items once to rewrite them; validate reads the values once.
+        assert (counts["partition"], counts["validate"], counts["values"], counts["keys"]) == (
+            1, 1, 2, 1,
+        )
+        assert counts["items"] == 1
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("second holder", r"collectible 0 held by both user 1 and user 2"),
+            ("deleted price", r"priced .*: no price for \[4\], price for unminted \[\]"),
+            ("unminted price", r"priced .*: no price for \[\], price for unminted \[999\]"),
+            ("removed from holder", r"minted collectibles with no owner: \[4\]"),
+        ],
+        ids=["second-holder", "deleted-price", "unminted-price", "removed-from-holder"],
+    )
+    def test_faults_injected_at_rest_are_caught(self, fault, message):
+        sim = at_rest_sim()
+        sim.step(1)
+        if fault == "second holder":
+            sim.holdings[2].collectibles.add(0)
+        elif fault == "deleted price":
+            del sim.board.collectible_prices[4]
+        elif fault == "unminted price":
+            sim.board.collectible_prices[999] = 3.0
+        else:
+            sim.holdings[2].collectibles.discard(4)
+        with pytest.raises(SimulationInvariantError, match=f"step 2: {message}") as caught:
+            sim.step(2)
+        assert caught.value.agent is None and caught.value.last_event is None
+
+    def test_balance_failure_names_the_agent_and_its_last_event(self):
+        sim = GameSimulation(mixed_config(steps=3))
+        sim.step(1)
+        sim.holdings[3].market_balance = math.nan
+        with pytest.raises(SimulationInvariantError, match="step 2: user 3: balances") as caught:
+            sim.step(2)
+        assert caught.value.agent == 3
+        assert caught.value.last_event is sim.events[-2]
+        assert (caught.value.last_event.step, caught.value.last_event.agent) == (2, 3)
+
+    # Steps at rest in each case, so both audit schedules are exercised.
+    @pytest.mark.parametrize(
+        "edit, seed, steps, at_rest",
+        [(*case[1:4], rest) for case, rest in zip(CASES, (0, 234, 54, 0))] + [(frozen, 5, 200, 54)],
+        ids=[case[0] for case in CASES] + ["frozen-5-200"],
+    )
+    def test_reference_audit_passes_after_every_step_of_the_golden_cases(
+        self, edit, seed, steps, at_rest
+    ):
+        assert check_reference_audit(baseline_config(edit, seed, steps)) == at_rest
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs())
+    def test_reference_audit_passes_after_every_step_of_drawn_economies(self, config):
+        check_reference_audit(config)
+
+
+def run_trace(config: SimConfig) -> tuple[list[Event], list]:
+    events, snapshots = [], []
+    for step_events, snapshot in GameSimulation(config).stream():
+        events += step_events
+        snapshots.append(snapshot)
+    return events, snapshots
+
+
+def pools(snap) -> tuple[str, ...]:
+    return tuple(v.hex() for v in (snap.collectible_pool, snap.activity_pool, snap.market_pool, snap.total))
+
+
+class TestMetamorphic:
+    """Relations between runs of drawn economies (Chen et al., ACM CSUR 2018)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(config=small_configs())
+    def test_treasury_burns_change_no_event_and_no_wealth(self, config):
+        void, treasury = (
+            run_trace(replace(config, rules=replace(config.rules, burn_mode=mode)))
+            for mode in ("void", "treasury")
+        )
+        assert serialize(void[0]) == serialize(treasury[0])
+        wealth = [{k: v.hex() for k, v in s.agent_wealth.items()} for s in void[1]]
+        assert wealth == [{k: v.hex() for k, v in s.agent_wealth.items()} for s in treasury[1]]
+
+    @settings(max_examples=30, deadline=None)
+    @given(config=small_configs())
+    def test_an_idle_extra_agent_changes_no_other_event_and_no_pool(self, config):
+        idle = max(a.id for a in config.agents) + 1
+        events, snapshots = run_trace(config)
+        wider_events, wider_snapshots = run_trace(
+            replace(config, agents=(*config.agents, AgentSpec(id=idle)))
+        )
+        assert serialize(e for e in wider_events if e.agent != idle) == serialize(events)
+        assert [pools(s) for s in wider_snapshots] == [pools(s) for s in snapshots]
+
+
 class TestCollateralLoop:
     def test_half_feedback_converges_to_double(self):
         trajectory, outcome = collateral_loop(
@@ -951,6 +1175,14 @@ class TestRuinProbability:
             assert (estimate.low, estimate.high) == (0.0, pytest.approx(width, rel=1e-12))
         else:
             assert (estimate.low, estimate.high) == (pytest.approx(1 - width, rel=1e-12), 1.0)
+
+    @pytest.mark.parametrize(
+        "successes, trials, name",
+        [(0, 0, "trials"), (0, -1, "trials"), (5, 3, "successes"), (-1, 3, "successes")],
+    )
+    def test_wilson_interval_refuses_impossible_counts(self, successes, trials, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            wilson_interval(successes, trials)
 
 
 class TestSubSeeds:
