@@ -17,25 +17,11 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .activities import MinorityGameSpec, minority_settle
-from .analytics import (
-    ReturnModel,
-    UtilitySpec,
-    envelope_expected_gain,
-    heterogeneous_lottery_ev,
-    optimal_allocation,
-    pooled_lottery_game,
-    propitious_check,
-    sharpe_ratio,
-)
-from .breeding import classify_breeding_arbitrage, lattice_value
 from .scenario import ScenarioError, load_scenario
-from .simulation import (
-    CollateralSpec,
-    GameSimulation,
-    SimulationInvariantError,
-    collateral_loop,
-)
+from .simulation import GameSimulation, SimulationInvariantError
+
+# The analyze and demo commands import what they use themselves, so
+# simulate never loads analytics (nor numpy).
 
 
 def _finite(text: str) -> float:
@@ -213,6 +199,8 @@ def _emit(payload: dict) -> int:
 
 
 def cmd_analyze_sharpe(args) -> int:
+    from .analytics import sharpe_ratio
+
     value = sharpe_ratio(args.excess, 0.0, args.vol, args.horizon)
     return _emit(
         {
@@ -223,6 +211,8 @@ def cmd_analyze_sharpe(args) -> int:
 
 
 def cmd_analyze_allocate(args) -> int:
+    from .analytics import ReturnModel, optimal_allocation
+
     model = ReturnModel(
         mean_vector=tuple(args.mu),
         riskless_rate=args.riskless,
@@ -238,6 +228,8 @@ def cmd_analyze_allocate(args) -> int:
 
 
 def cmd_analyze_envelope(args) -> int:
+    from .analytics import envelope_expected_gain
+
     gain1, gain2 = envelope_expected_gain(args.up, args.down, args.prob)
     return _emit(
         {
@@ -249,6 +241,8 @@ def cmd_analyze_envelope(args) -> int:
 
 
 def cmd_analyze_propitious(args) -> int:
+    from .analytics import UtilitySpec, pooled_lottery_game, propitious_check
+
     game = pooled_lottery_game(UtilitySpec("power", exponent=args.seeker_exponent))
     per_player, average_mode = propitious_check(game)
     return _emit(
@@ -261,6 +255,8 @@ def cmd_analyze_propitious(args) -> int:
 
 
 def cmd_analyze_lattice(args) -> int:
+    from .breeding import lattice_value
+
     value = lattice_value(args.breeds_remaining, args.floor, args.child_value, args.costs)
     return _emit(
         {
@@ -276,6 +272,8 @@ def cmd_analyze_lattice(args) -> int:
 
 
 def cmd_analyze_arbitrage(args) -> int:
+    from .breeding import classify_breeding_arbitrage
+
     verdict = classify_breeding_arbitrage(args.capital, args.growth, args.cost)
     return _emit(
         {
@@ -298,6 +296,8 @@ def _print_table(title: str, rows: list[tuple[str, str, str]]) -> None:
 
 
 def demo_two_envelopes() -> int:
+    from .analytics import envelope_expected_gain
+
     gain1, gain2 = envelope_expected_gain(2.0, 0.5, 0.5)
     _print_table(
         "two-envelopes: double-or-half swap, both sides in their own numeraire",
@@ -311,6 +311,13 @@ def demo_two_envelopes() -> int:
 
 
 def demo_babylon_lottery() -> int:
+    from .analytics import (
+        UtilitySpec,
+        heterogeneous_lottery_ev,
+        pooled_lottery_game,
+        propitious_check,
+    )
+
     averse_ev, seeker_ev = heterogeneous_lottery_ev()
     _print_table(
         "babylon-lottery: ten cautious players and one thrill seeker pool one token each",
@@ -333,6 +340,8 @@ def demo_babylon_lottery() -> int:
 
 
 def demo_collateral_cycle() -> int:
+    from .simulation import CollateralSpec, collateral_loop
+
     calm = CollateralSpec(ltv=0.5, impact=1.0, initial_value=100.0)
     _, outcome = collateral_loop(calm)
     _print_table(
@@ -359,6 +368,8 @@ def demo_collateral_cycle() -> int:
 
 
 def demo_minority() -> int:
+    from .activities import MinorityGameSpec, minority_settle
+
     side1 = [("alice", 1.0), ("bob", 2.0)]
     side2 = [("carol", 4.0)]
     payouts, organizer = minority_settle(side1, side2, MinorityGameSpec())

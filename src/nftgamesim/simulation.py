@@ -23,6 +23,17 @@ disagrees. The forward-drift update keeps the set of distinct collectible
 prices (a mint adds to it, a rewrite maps it). So on a step at rest, one
 that mints nothing and rewrites no price, the audit costs O(agents) and the
 price update O(distinct prices).
+A turn does its work once. The breeding search runs at most once per agent
+turn, and only where its result is read: on a fixed-mix breed turn, when
+the ruin test finds nothing cheaper affordable, or when a growth
+maximizer's breed could still win. The search reads each agent's candidate
+list, its collectibles with a breed charge left in ascending id order:
+genesis and each mint append (a new id is the largest), and a parent
+leaves when it uses its last charge, so the search sorts nothing and never
+walks a spent token. Breeds are priced from a table of per-breed numeraire
+costs built once per run, as the engine never writes the fungible prices.
+Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
+random bits redrawn while the value is n or more, so the stream is the same.
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -31,7 +42,6 @@ sub-seed).
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import operator
@@ -41,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 from . import breeding
 from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
-from .breeding import BreedCost, GameRules
+from .breeding import GameRules
 from .economy import (
     TREASURY,
     Collectible,
@@ -60,6 +70,8 @@ PRICE_UPDATES = ("frozen", "forward_drift")
 MAX_SEED = 2**64
 # Genesis mints every collectible up front, one event each.
 MAX_GENESIS_COLLECTIBLES = 100_000
+# A run takes one turn per agent per step, each one event.
+MAX_AGENT_TURNS = 10**8
 
 # Feasibility search looks at this many oldest eligible parents; breeding
 # prefers old collectibles anyway and this keeps a step O(1).
@@ -88,10 +100,16 @@ class SimulationInvariantError(RuntimeError):
 
 
 class CountingRng:
-    """random.Random wrapper that tallies draws for replay audits."""
+    """random.Random wrapper that tallies draws for replay audits.
+
+    ``randrange(n)`` draws by the rule random.Random.randrange(n) uses, so
+    the stream is the same: take ``n.bit_length()`` random bits, and draw
+    again while the value is ``n`` or more. It counts one draw per call.
+    """
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
         self.draws = 0
 
     def random(self) -> float:
@@ -99,8 +117,15 @@ class CountingRng:
         return self._rng.random()
 
     def randrange(self, n: int) -> int:
+        if n < 1:
+            # getrandbits(0) is always 0, so the rejection loop would never end.
+            raise ValueError(f"empty range for randrange({n})")
         self.draws += 1
-        return self._rng.randrange(n)
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return r
 
 
 @dataclass(frozen=True)
@@ -165,6 +190,11 @@ class SimConfig:
             raise ValueError("agent ids must be unique")
         if sum(a.collectibles for a in self.agents) > MAX_GENESIS_COLLECTIBLES:
             raise ValueError(f"agents[].collectibles must total <= {MAX_GENESIS_COLLECTIBLES}")
+        if self.steps * len(self.agents) > MAX_AGENT_TURNS:
+            raise ValueError(
+                f"run.steps times the number of agents must be <= {MAX_AGENT_TURNS}, "
+                f"got {self.steps} steps x {len(self.agents)} agents"
+            )
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.price_update not in PRICE_UPDATES:
@@ -281,6 +311,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def derive_subseed(master_seed: int, trial: int) -> int:
     """Independent per-trial seed: first 8 little-endian bytes of
     SHA-256(master_seed as 8 LE bytes || trial as 8 LE bytes)."""
+    import hashlib  # only Monte Carlo callers pay for loading it
+
     payload = master_seed.to_bytes(8, "little") + trial.to_bytes(8, "little")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
@@ -312,6 +344,18 @@ class GameSimulation:
         # A balance below every entry of a cost schedule affords no breed.
         self._min_activity_cost = min(self.rules.activity_cost_schedule)
         self._min_market_cost = min(self.rules.market_cost_schedule)
+        # Numeraire cost of a breed by the lead parent's breed count, with
+        # BreedCost.at_index's arithmetic. The engine never writes the
+        # fungible prices, so the table holds for the whole run.
+        self._breed_costs = tuple(
+            act * self.board.activity_price + mkt * self.board.market_price
+            for act, mkt in zip(self.rules.activity_cost_schedule, self.rules.market_cost_schedule)
+        )
+        self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
+        # Each agent's collectibles with a breed charge left, in ascending id
+        # order: genesis and every mint append (a new id is the largest), and
+        # a parent leaves when it uses its last charge (see _do_breed).
+        self._candidates: dict[int, dict[int, Collectible]] = {}
         # Valuations kept between snapshots (see the module docstring): the
         # collectible pool, None until summed or after a price rewrite, and
         # each agent's token value, absent until valued or after a change.
@@ -341,6 +385,7 @@ class GameSimulation:
                 market_balance=spec.market_balance,
             )
             self.holdings[spec.id] = h
+            candidates = self._candidates[spec.id] = {}
             self.counters.activity_supply += spec.activity_balance
             self.counters.market_supply += spec.market_balance
             for _ in range(spec.collectibles):
@@ -358,6 +403,7 @@ class GameSimulation:
                 )
                 self.population[token.id] = token
                 h.collectibles.add(token.id)
+                candidates[token.id] = token
                 self.board.collectible_prices[token.id] = genesis_price
                 self.events.append(
                     Event(
@@ -376,11 +422,9 @@ class GameSimulation:
 
     def _eligible_parents(self, agent_id: int, step: int) -> list[Collectible]:
         out = []
-        for tid in sorted(self.holdings[agent_id].collectibles):
-            c = self.population[tid]
-            if c.breed_count >= self.rules.breed_limit:
-                continue
-            if step - c.birth_step < self.rules.maturity_delay:
+        delay = self.rules.maturity_delay
+        for c in self._candidates[agent_id].values():
+            if step - c.birth_step < delay:
                 continue
             out.append(c)
             if len(out) >= BREED_SEARCH_WINDOW:
@@ -392,9 +436,10 @@ class GameSimulation:
         the eligible parents, or None.
 
         step runs this at most once per agent turn, and only when the
-        result is read: by the strategy (see _reads_search), or by the ruin
-        test when no adventure, battle or lottery is affordable. It changes
-        no state and draws nothing, so skipping it changes no outcome.
+        result is read: on a fixed-mix breed turn, by the ruin test when no
+        adventure, battle or lottery is affordable, or by a growth maximizer
+        whose breed could win (see _growth_choice). It changes no state and
+        draws nothing, so skipping it changes no outcome.
 
         The cost depends only on the lead parent's breed count, so a lead
         the agent cannot afford is skipped before any pairing check, and an
@@ -435,21 +480,6 @@ class GameSimulation:
         spec = self.config.lottery
         return spec is not None and self.holdings[agent_id].market_balance >= spec.stake
 
-    def _afford_any(
-        self, agent_id: int, step: int, parents: list[int] | None, searched: bool
-    ) -> bool:
-        """Whether the agent can afford any activity. ``parents`` is this
-        turn's search result if ``searched``; otherwise the search runs here,
-        and only when no cheaper activity test has settled the answer."""
-        if (
-            parents is not None
-            or self._can_adventure(agent_id)
-            or self._can_battle(agent_id)
-            or self._can_lottery(agent_id)
-        ):
-            return True
-        return not searched and self._find_breeding_set(agent_id, step) is not None
-
     def _list_price(self, traits: tuple[int, ...]) -> float:
         if self.config.trait_premiums is None:
             return self.board.floor_price
@@ -489,6 +519,11 @@ class GameSimulation:
         else:
             self.counters.activity_supply -= cost.activity_amount
             self.counters.market_supply -= cost.market_amount
+        candidates = self._candidates[agent_id]
+        for pid in parent_ids:
+            if self.population[pid].breed_count == self.rules.breed_limit:
+                del candidates[pid]
+        candidates[child.id] = child
         price = self._list_price(child.traits)
         self.board.collectible_prices[child.id] = price
         if self._pool is not None:
@@ -594,42 +629,48 @@ class GameSimulation:
             return "breed"
         return "battle" if i < mix.breed + mix.battle else "adventure"
 
-    def _reads_search(self, spec: AgentSpec, step: int) -> bool:
-        """Whether this turn's choice of action depends on the breeding search."""
-        if spec.strategy == "growth_maximizer":
-            return True
-        return spec.strategy == "fixed_mix" and self._cycle_action(spec, step) == "breed"
-
-    def _choose_action(self, spec: AgentSpec, step: int, parents: list[int] | None) -> str:
+    def _choose_action(
+        self,
+        spec: AgentSpec,
+        step: int,
+        cycle: str | None,
+        parents: list[int] | None,
+        searched: bool,
+    ) -> tuple[str, list[int] | None]:
+        """The turn's action and, for a breed, its parents. ``cycle`` is a
+        fixed-mix agent's cycle entry, ``parents`` the turn's search result
+        if ``searched``."""
         if spec.strategy == "passive":
-            return "pass"
+            return "pass", None
         if spec.strategy == "thrill_seeker":
-            return "lottery" if self._can_lottery(spec.id) else "pass"
-        if spec.strategy == "fixed_mix":
-            action = self._cycle_action(spec, step)
-            if action == "breed" and parents is None:
-                return "pass"
-            if action == "battle" and not self._can_battle(spec.id):
-                return "pass"
-            if action == "adventure" and not self._can_adventure(spec.id):
-                return "pass"
-            return action
-        return self._growth_choice(spec.id, parents)
+            return ("lottery" if self._can_lottery(spec.id) else "pass"), None
+        if cycle is not None:
+            if cycle == "breed" and parents is None:
+                return "pass", None
+            if cycle == "battle" and not self._can_battle(spec.id):
+                return "pass", None
+            if cycle == "adventure" and not self._can_adventure(spec.id):
+                return "pass", None
+            return cycle, parents
+        return self._growth_choice(spec.id, step, parents, searched)
 
-    def _growth_choice(self, agent_id: int, parents: list[int] | None) -> str:
+    def _growth_choice(
+        self, agent_id: int, step: int, parents: list[int] | None, searched: bool
+    ) -> tuple[str, list[int] | None]:
         """Highest expected log-wealth change at current-board averages;
-        ties resolved in the order breed < battle < adventure < pass."""
+        ties resolved in the order breed < battle < adventure < pass.
+
+        Battle, adventure and pass are scored first. A breed's change is the
+        floor price less its cost, so unless this turn has searched already,
+        the search runs only if some entry of the cost table could still
+        win. Every distinct cost is tried, so nothing assumes that log1p is
+        monotone; a breed the table rules out could not have been chosen.
+        """
         wealth = self.agent_wealth(agent_id)
         if wealth <= 0:
-            return "pass"
+            return "pass", None
         h = self.holdings[agent_id]
         candidates: list[tuple[float, int, str]] = []
-
-        if parents is not None:
-            lead = self.population[parents[0]]
-            cost = BreedCost.at_index(self.rules, lead.breed_count, self.board)
-            delta = self.board.floor_price - cost.numeraire_total
-            candidates.append((delta, 0, "breed"))
         if self._can_battle(agent_id):
             delta = (
                 (self.config.battle.survival_fraction - 1.0)
@@ -654,7 +695,25 @@ class GameSimulation:
             key = (-log_change, order)
             if best is None or key < best[0]:
                 best = (key, name)
-        return best[1]
+        # Pass changes nothing, so it always scores and best is set. Breed
+        # comes first in the tie order, so its key (-log_change, 0) beats
+        # best's exactly when -log_change <= best's first entry.
+        (to_beat, _), best_name = best
+        floor = self.board.floor_price
+
+        def breed_wins(cost: float) -> bool:
+            delta = floor - cost
+            return wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat
+
+        if not searched:
+            if not any(map(breed_wins, self._distinct_breed_costs)):
+                return best_name, None
+            parents = self._find_breeding_set(agent_id, step)
+        if parents is not None and breed_wins(
+            self._breed_costs[self.population[parents[0]].breed_count]
+        ):
+            return "breed", parents
+        return best_name, None
 
     # -- stepping ------------------------------------------------------
 
@@ -673,19 +732,30 @@ class GameSimulation:
 
     def step(self, step: int) -> None:
         for spec in self._agents:
+            agent_id = spec.id
+            cycle = self._cycle_action(spec, step) if spec.strategy == "fixed_mix" else None
             # Nothing changes state before _execute, so one search serves the
-            # ruin test, the strategy and the breed itself. It runs only if
-            # the strategy reads it, or if the ruin test falls through to it
-            # (see _afford_any); otherwise parents stays None, unread.
-            searched = self._reads_search(spec, step)
-            parents = self._find_breeding_set(spec.id, step) if searched else None
-            if self.ruined_at[spec.id] is None and not self._afford_any(
-                spec.id, step, parents, searched
+            # ruin test, the strategy and the breed itself. It runs at most
+            # once: on a fixed-mix breed turn, when the ruin test finds no
+            # cheaper activity affordable, or when a growth maximizer's breed
+            # could win (see _growth_choice); otherwise parents stays None,
+            # unread.
+            searched = cycle == "breed"
+            parents = self._find_breeding_set(agent_id, step) if searched else None
+            if self.ruined_at[agent_id] is None and not (
+                parents is not None
+                or self._can_adventure(agent_id)
+                or self._can_battle(agent_id)
+                or self._can_lottery(agent_id)
             ):
-                self.ruined_at[spec.id] = step
-            action = self._choose_action(spec, step, parents)
-            event = self._execute(spec.id, action, step, parents)
-            self.action_counts[spec.id][event.action] += 1
+                if not searched:
+                    parents = self._find_breeding_set(agent_id, step)
+                    searched = True
+                if parents is None:
+                    self.ruined_at[agent_id] = step
+            action, parents = self._choose_action(spec, step, cycle, parents, searched)
+            event = self._execute(agent_id, action, step, parents)
+            self.action_counts[agent_id][event.action] += 1
             self.events.append(event)
         self._update_prices()
         self._check_invariants(step)

@@ -10,6 +10,7 @@ from nftgamesim.breeding import MAX_BREED_LIMIT, MAX_TRAIT_COUNT, GameRules
 from nftgamesim.cli import _write_outputs, main
 from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
 from nftgamesim.simulation import (
+    MAX_AGENT_TURNS,
     MAX_GENESIS_COLLECTIBLES,
     AgentSpec,
     Event,
@@ -364,6 +365,7 @@ class TestSimulateCommand:
                 "agents[].collectibles",
                 id="collectibles",
             ),
+            pytest.param(lambda d: d["run"].update(steps=1e12), "run.steps", id="steps"),
         ],
     )
     def test_size_cap_exits_2_with_key_name(self, tmp_path, capsys, mutate, key):
@@ -406,8 +408,34 @@ class TestSimulateCommand:
         monkeypatch.setattr(GameSimulation, "step", explode_at_4)
         code, out = self.run_simulate(tmp_path, scenario_dict())
         assert code == 3
-        assert "step 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "step 4" in err
+        # A pool-wide failure names no agent.
+        assert "error: agent" not in err
         assert not (out / "events.jsonl").exists()
+
+        last = Event(step=4, agent=2, action="pass", inputs={}, outputs={}, rng_draws=0)
+
+        def explode_at_4_naming_agent_2(sim, step):
+            if step == 4:
+                raise SimulationInvariantError(4, "synthetic failure", agent=2, last_event=last)
+            real_step(sim, step)
+
+        monkeypatch.setattr(GameSimulation, "step", explode_at_4_naming_agent_2)
+        code, out = self.run_simulate(tmp_path, scenario_dict())
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "error: invariant violation at step 4: synthetic failure",
+            f"error: agent 2, last event: {json.dumps(asdict(last))}",
+        ]
+        assert not (out / "events.jsonl").exists()
+
+    def test_steps_flag_over_the_turn_cap_exits_2_with_key_name(self, tmp_path, capsys):
+        code, out = self.run_simulate(tmp_path, scenario_dict(), extra=("--steps", str(10**12)))
+        assert code == 2
+        assert "steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_run_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
         # A ValueError mid-run exits 2; the files written so far are removed,
@@ -498,6 +526,18 @@ class TestSizeCaps:
         over = agents + (AgentSpec(id=3, collectibles=1),)
         with pytest.raises(ValueError, match=r"agents\[\]\.collectibles must total <= 100000"):
             SimConfig(rules=GameRules(), agents=over, steps=1)
+
+    def test_agent_turns_capped(self):
+        agents = (AgentSpec(id=1), AgentSpec(id=2))
+        SimConfig(rules=GameRules(), agents=agents, steps=MAX_AGENT_TURNS // 2)
+        with pytest.raises(ValueError, match=r"run\.steps times the number of agents must be <= 100000000"):
+            SimConfig(rules=GameRules(), agents=agents, steps=MAX_AGENT_TURNS // 2 + 1)
+
+    def test_turn_cap_refused_at_parse_time(self):
+        data = scenario_dict()
+        data["run"]["steps"] = 1e12
+        with pytest.raises(ScenarioError, match=r"run\.steps"):
+            parse_scenario(data)
 
 
 class RecordingSimulation(GameSimulation):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
@@ -285,6 +286,33 @@ class TestRunSimulation:
         assert sum(e.rng_draws for e in sim.events) == sim.rng.draws
 
 
+class TestCountingRng:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 6, 7, 1000, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 5]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2026])
+    def test_randrange_matches_random_random(self, n, seed):
+        rng, reference = simulation.CountingRng(seed), random.Random(seed)
+        assert [rng.randrange(n) for _ in range(200)] == [reference.randrange(n) for _ in range(200)]
+        assert rng.draws == 200
+        # The same bits were consumed, so the streams stay aligned after it.
+        assert rng._rng.getstate() == reference.getstate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), sizes=st.lists(st.integers(1, 2**70), max_size=30))
+    def test_mixed_draws_match_random_random(self, seed, sizes):
+        rng, reference = simulation.CountingRng(seed), random.Random(seed)
+        for n in sizes:
+            assert rng.random() == reference.random()
+            assert rng.randrange(n) == reference.randrange(n)
+        assert rng.draws == 2 * len(sizes)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_raises(self, n):
+        with pytest.raises(ValueError, match="empty range"):
+            simulation.CountingRng(0).randrange(n)
+
+
 class TestStrategies:
     def test_fixed_mix_cycles_through_sequence(self):
         config = SimConfig(
@@ -418,9 +446,25 @@ class TestStrategies:
         assert result.ruined_at[1] == 2
 
 
+def reference_eligible_parents(sim: GameSimulation, agent_id: int, step: int) -> list[Collectible]:
+    """The oldest eligible parents as first gathered: sort the whole holding
+    and skip spent and immature tokens."""
+    out = []
+    for tid in sorted(sim.holdings[agent_id].collectibles):
+        c = sim.population[tid]
+        if c.breed_count >= sim.rules.breed_limit:
+            continue
+        if step - c.birth_step < sim.rules.maturity_delay:
+            continue
+        out.append(c)
+        if len(out) >= simulation.BREED_SEARCH_WINDOW:
+            break
+    return out
+
+
 def reference_breeding_set(sim: GameSimulation, agent_id: int, step: int) -> list[int] | None:
     """The search as first written: pairing check first, then the cost."""
-    eligible = sim._eligible_parents(agent_id, step)
+    eligible = reference_eligible_parents(sim, agent_id, step)
     if len(eligible) < sim.rules.breed_arity:
         return None
     h = sim.holdings[agent_id]
@@ -483,6 +527,13 @@ class TestBreedingSearch:
         }
         h.activity_balance = data.draw(AMOUNTS, label="activity_balance")
         h.market_balance = data.draw(AMOUNTS, label="market_balance")
+        # The state was written directly, so the candidate list is rebuilt
+        # from it: the holding's tokens with a charge left, in id order.
+        sim._candidates[1] = {
+            tid: sim.population[tid]
+            for tid in sorted(h.collectibles)
+            if sim.population[tid].breed_count < limit
+        }
         step = data.draw(st.integers(0, 6), label="step")
         assert sim._find_breeding_set(1, step) == reference_breeding_set(sim, 1, step)
 
@@ -529,9 +580,37 @@ class TestBreedingSearch:
         assert found == ([0, 1] if searched else None)
 
 
+class TestCandidates:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_follow_the_holdings_on_the_golden_cases(self, edit, seed, steps):
+        sim = GameSimulation(baseline_config(edit, seed, steps))
+        check_candidates(sim)
+        for step in range(1, steps + 1):
+            sim.step(step)
+            check_candidates(sim)
+
+    def test_a_parent_leaves_with_its_last_charge(self):
+        config = SimConfig(
+            rules=base_rules(breed_limit=1, maturity_delay=0),
+            agents=(AgentSpec(id=1, strategy="fixed_mix", mix=StrategyMix(breed=1), collectibles=4),),
+            steps=1,
+        )
+        sim = GameSimulation(config)
+        sim.step(1)
+        # Tokens 0 and 1 bred their only time; the child 4 is appended.
+        assert list(sim._candidates[1]) == [2, 3, 4]
+        check_candidates(sim)
+
+
 class SearchEveryTurn(GameSimulation):
-    """The step loop as it was before the search ran on demand: one search
-    on every agent turn, read by the ruin test, the strategy and the breed."""
+    """The step loop and the choice as they were before the search ran on
+    demand: one search on every agent turn, read by the ruin test, the
+    strategy and the breed, and a growth maximizer that scores every action
+    at once, pricing its breed with BreedCost.at_index."""
 
     def step(self, step: int) -> None:
         for spec in self._agents:
@@ -544,12 +623,108 @@ class SearchEveryTurn(GameSimulation):
             )
             if self.ruined_at[spec.id] is None and not affords:
                 self.ruined_at[spec.id] = step
-            action = self._choose_action(spec, step, parents)
+            action = self.reference_choice(spec, step, parents)
             event = self._execute(spec.id, action, step, parents)
             self.action_counts[spec.id][event.action] += 1
             self.events.append(event)
         self._update_prices()
         self._check_invariants(step)
+
+    def reference_choice(self, spec: AgentSpec, step: int, parents: list[int] | None) -> str:
+        if spec.strategy == "passive":
+            return "pass"
+        if spec.strategy == "thrill_seeker":
+            return "lottery" if self._can_lottery(spec.id) else "pass"
+        if spec.strategy == "fixed_mix":
+            action = self._cycle_action(spec, step)
+            if action == "breed" and parents is None:
+                return "pass"
+            if action == "battle" and not self._can_battle(spec.id):
+                return "pass"
+            if action == "adventure" and not self._can_adventure(spec.id):
+                return "pass"
+            return action
+        wealth = self.agent_wealth(spec.id)
+        if wealth <= 0:
+            return "pass"
+        h = self.holdings[spec.id]
+        candidates = []
+        if parents is not None:
+            lead = self.population[parents[0]]
+            cost = BreedCost.at_index(self.rules, lead.breed_count, self.board)
+            candidates.append((self.board.floor_price - cost.numeraire_total, 0, "breed"))
+        if self._can_battle(spec.id):
+            fraction = self.config.battle.survival_fraction
+            delta = (fraction - 1.0) * h.activity_balance * self.board.activity_price
+            candidates.append((delta, 1, "battle"))
+        if self._can_adventure(spec.id):
+            multiplier = self.config.adventure.reward_multiplier
+            delta = (multiplier - 1.0) * h.activity_balance * self.board.activity_price
+            candidates.append((delta, 2, "adventure"))
+        candidates.append((0.0, 3, "pass"))
+        best = None
+        for delta, order, name in candidates:
+            if wealth + delta <= 0:
+                continue
+            key = (-math.log1p(delta / wealth), order)
+            if best is None or key < best[0]:
+                best = (key, name)
+        return best[1]
+
+
+def check_candidates(sim: GameSimulation) -> None:
+    """Each agent's breeding candidates are its collectibles with a charge
+    left, in ascending id order, and the population's own objects."""
+    limit = sim.rules.breed_limit
+    for agent_id, candidates in sim._candidates.items():
+        tokens = [sim.population[tid] for tid in sorted(sim.holdings[agent_id].collectibles)]
+        expected = [c for c in tokens if c.breed_count < limit]
+        assert [c.id for c in candidates.values()] == [c.id for c in expected]
+        assert all(c is sim.population[tid] for tid, c in candidates.items())
+
+
+@st.composite
+def breeding_economies(draw) -> SimConfig:
+    """Economies in which a growth maximizer's breed sometimes wins: several
+    distinct per-breed costs, the floor above the cheapest, small activity
+    balances, and runs with and without the adventure and battle specs."""
+    limit = draw(st.integers(1, 5))
+    amounts = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+    act = draw(st.lists(amounts, min_size=limit, max_size=limit))
+    mkt = draw(st.lists(amounts, min_size=limit, max_size=limit))
+    rules = base_rules(
+        breed_limit=limit,
+        mutation_prob=draw(st.sampled_from([0.0, 0.5])),
+        maturity_delay=draw(st.integers(0, 2)),
+        activity_cost_schedule=act,
+        market_cost_schedule=mkt,
+    )
+    activity_price, market_price = draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([0.5, 2.0]))
+    cheapest = min(a * activity_price + m * market_price for a, m in zip(act, mkt))
+    floor = cheapest + draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    agents = []
+    for agent_id in range(1, draw(st.integers(1, 4)) + 1):
+        strategy = draw(st.sampled_from(["growth_maximizer"] * 3 + list(STRATEGIES)))
+        mix = StrategyMix(*draw(st.tuples(*[st.integers(0, 2)] * 3))) if strategy == "fixed_mix" else None
+        agents.append(AgentSpec(
+            id=agent_id, strategy=strategy, mix=mix, collectibles=draw(st.integers(0, 6)),
+            activity_balance=draw(st.sampled_from([0.0, 0.5, 2.0, 5.0, 20.0])),
+            market_balance=draw(st.sampled_from([0.0, 1.0, 5.0, 20.0])),
+        ))
+    adventure = AdventureSpec(reward_multiplier=draw(st.sampled_from([1.0, 1.05, 1.5])), collectibles_required=1)
+    battle = BattleSpec(team_size=2, survival_fraction=draw(st.sampled_from([0.5, 0.9, 1.0])))
+    return SimConfig(
+        rules=rules,
+        agents=tuple(agents),
+        steps=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 2**32)),
+        board=PriceBoard(activity_price=activity_price, market_price=market_price, floor_price=floor),
+        price_update=draw(st.sampled_from(PRICE_UPDATES)),
+        genesis_price=floor * draw(st.sampled_from([1.0, 1.5])),
+        adventure=draw(st.none() | st.just(adventure)),
+        battle=draw(st.none() | st.just(battle)),
+        lottery=draw(st.none() | st.just(LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0))),
+    )
 
 
 def breed_only(data: dict) -> None:
@@ -600,6 +775,70 @@ class TestSearchOnDemand:
         assert on_demand.ruined_at == every_turn.ruined_at
         assert on_demand.action_counts == every_turn.action_counts
 
+    @settings(max_examples=150, deadline=None)
+    @given(config=breeding_economies())
+    def test_growth_choice_matches_a_search_on_every_turn(self, config):
+        on_demand = GameSimulation(config)
+        searched = record_searches(on_demand)
+        every_turn = SearchEveryTurn(config)
+        check_candidates(on_demand)
+        for step in range(1, config.steps + 1):
+            on_demand.step(step)
+            every_turn.step(step)
+            check_candidates(on_demand)
+        assert [asdict(e) for e in on_demand.events] == [asdict(e) for e in every_turn.events]
+        assert on_demand.ruined_at == every_turn.ruined_at
+        assert on_demand.action_counts == every_turn.action_counts
+        assert max(Counter(searched).values(), default=1) == 1
+
+    def test_growth_maximizer_searches_only_when_a_breed_can_win(self):
+        # A breed costs 1.0 against a floor of 2.0, a change of +1.0. Agent
+        # 1's adventure gains 0.1 x 100 = 10, so no cost in the table can
+        # win and it never searches; agent 2 has no activity tokens, its
+        # adventure gains nothing, and it searches and breeds.
+        rules = base_rules(activity_cost_schedule=[0] * 7, market_cost_schedule=[1] * 7)
+        config = SimConfig(
+            rules=rules,
+            agents=(
+                AgentSpec(id=1, strategy="growth_maximizer", collectibles=4,
+                          activity_balance=100.0, market_balance=5.0),
+                AgentSpec(id=2, strategy="growth_maximizer", collectibles=4, market_balance=5.0),
+            ),
+            steps=8,
+            board=PriceBoard(floor_price=2.0),
+            genesis_price=2.0,
+            adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
+        )
+        sim = GameSimulation(config)
+        searched = record_searches(sim)
+        for step in range(1, config.steps + 1):
+            sim.step(step)
+        assert {agent for agent, _ in searched} == {2}
+        assert sim.action_counts[1]["adventure"] == 8
+        assert sim.action_counts[2]["breed"] == 5  # one per market token
+        every_turn = run_steps(SearchEveryTurn, config)
+        assert [asdict(e) for e in sim.events] == [asdict(e) for e in every_turn.events]
+
+    def test_every_distinct_cost_is_tried(self):
+        # A first breed costs 3.0 and loses to an adventure that changes
+        # nothing (floor 1.0); a second costs nothing and gains the floor.
+        # The agent's tokens have bred once, so only the second entry of the
+        # table says a breed can win. The adventure answers the ruin test,
+        # so only the choice can run the search.
+        rules = base_rules(activity_cost_schedule=[3, 0, 0, 0, 0, 0, 0])
+        config = SimConfig(
+            rules=rules,
+            agents=(AgentSpec(id=1, strategy="growth_maximizer", collectibles=4,
+                              activity_balance=5.0),),
+            steps=1,
+            adventure=AdventureSpec(reward_multiplier=1.0, collectibles_required=1),
+        )
+        sim = GameSimulation(config)
+        for token in sim.population.values():
+            token.breed_count = 1
+        sim.step(1)
+        assert [e.action for e in sim.events if e.step == 1] == ["breed"]
+
     def test_breed_only_ruin_steps_come_from_the_search(self):
         # Agents 2 and 3 pass on every turn their cycle does not breed; only
         # the search tells the ruin test they can still afford to breed.
@@ -622,13 +861,11 @@ class TestSearchOnDemand:
             sim.step(step)
         # Everyone holds a collectible, so every agent affords an adventure
         # and no ruin test falls through to the search. Agent 3's cycle
-        # breeds on steps 1, 4, 7 and 10; agent 4 reads the search always.
-        assert searched == [
-            (agent, step)
-            for step in range(1, 13)
-            for agent in (3, 4)
-            if agent == 4 or step % 3 == 1
-        ]
+        # breeds on steps 1, 4, 7 and 10. Agent 4's breed costs 1.5 against
+        # a floor of 1.0, so it loses to a profitable adventure and agent 4
+        # never searches.
+        assert searched == [(3, step) for step in (1, 4, 7, 10)]
+        assert sim.action_counts[4]["adventure"] == 12
         assert {a: sim.action_counts[3][a] for a in ("breed", "battle", "adventure")} == {
             "breed": 4, "battle": 4, "adventure": 4
         }

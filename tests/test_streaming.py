@@ -1,9 +1,13 @@
-"""simulate streams its outputs, and the simulate path never loads numpy."""
+"""simulate streams its outputs, and the simulate path never loads numpy
+or analytics."""
+import importlib
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import nftgamesim
 from nftgamesim.cli import main
@@ -46,3 +50,63 @@ def test_package_and_cli_import_without_numpy():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_package_and_cli_import_without_analytics():
+    # The package resolves its exports on first access, and the simulate
+    # path never reaches analytics.
+    src = str(Path(nftgamesim.__file__).resolve().parents[1])
+    code = (
+        "import sys, nftgamesim, nftgamesim.cli; "
+        "print(sorted(m for m in ('nftgamesim.analytics', 'fractions', 'hashlib') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+# The 62 names the package exported when it imported every module up front.
+EXPORTS = {
+    "activities": (
+        "AdventureSpec BattleSpec FixedStep GeometricRandom LotterySpec MinorityGameSpec PoolCap "
+        "SponsorClass StrategyMix adventure_payout battle_payout classify_lottery lottery_sharpe "
+        "minority_settle minority_should_stop total_earnings"
+    ),
+    "analytics": (
+        "RedistributionGame ReturnModel UtilitySpec envelope_expected_gain expected_utility "
+        "heterogeneous_lottery_ev optimal_allocation optimal_fraction_1d pooled_lottery_game "
+        "propitious_check pseudo_inverse sharpe_ratio"
+    ),
+    "breeding": (
+        "ArbitrageKind ArbitrageVerdict BreedCost BreedingError ExhaustedBreeder GameRules "
+        "ImmatureParent InsufficientBalance RestrictionViolated breed classify_breeding_arbitrage "
+        "forward_price_step lattice_value max_population"
+    ),
+    "economy": (
+        "Collectible Holdings MissingPriceError PriceBoard SupplyCounters collectible_pool_value "
+        "fungible_pool_values total_value"
+    ),
+    "scenario": "ScenarioError load_scenario parse_scenario",
+    "simulation": (
+        "AgentSpec CollateralOutcome CollateralSpec RuinEstimate SimConfig SimulationInvariantError "
+        "collateral_loop ruin_probability run_simulation"
+    ),
+}
+
+
+def test_every_export_resolves_to_its_module_object():
+    names = {name: module for module, text in EXPORTS.items() for name in text.split()}
+    assert len(names) == 62
+    assert sorted(nftgamesim.__all__) == sorted(names)
+    for name, module in names.items():
+        assert getattr(nftgamesim, name) is getattr(importlib.import_module(f"nftgamesim.{module}"), name)
+    assert nftgamesim.__version__ == "0.1.0"
+    assert set(nftgamesim.__all__) <= set(dir(nftgamesim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nftgamesim.no_such_name
