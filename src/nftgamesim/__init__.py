@@ -10,20 +10,15 @@ _EXPORTS = {
     "activities": (
         "AdventureSpec",
         "BattleSpec",
-        "FixedStep",
-        "GeometricRandom",
         "LotterySpec",
         "MinorityGameSpec",
-        "PoolCap",
         "SponsorClass",
         "StrategyMix",
-        "adventure_payout",
-        "battle_payout",
         "classify_lottery",
+        "lottery_deltas",
         "lottery_sharpe",
         "minority_settle",
-        "minority_should_stop",
-        "total_earnings",
+        "scale_balance",
     ),
     "analytics": (
         "RedistributionGame",

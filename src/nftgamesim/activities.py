@@ -1,9 +1,10 @@
-"""Adventure and battle payouts, lotteries, and minority-game settlement.
+"""Adventure, battle and lottery settlement, and the minority game.
 
 Activity outcomes are radically simplified: each in-game distribution is
-replaced by its average value, so the payout functions here are pure
-arithmetic given the multipliers. Which side wins a battle, and when a
-random stopping rule fires, is decided by the caller's seeded generator.
+replaced by its average value, so an adventure or a battle settles by pure
+arithmetic given its multiplier. Whether a lottery play is lost is drawn by
+the caller's seeded generator. The engine settles every play with the
+functions here, and the lottery classifiers value the same settlements.
 """
 from __future__ import annotations
 
@@ -64,38 +65,6 @@ class LotterySpec:
 
 
 @dataclass(frozen=True)
-class FixedStep:
-    """Stop once a fixed number of steps has elapsed."""
-
-    steps: int
-
-
-@dataclass(frozen=True)
-class GeometricRandom:
-    """Stop with fixed probability at every step (geometric cut-off time)."""
-
-    stop_prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.stop_prob <= 1.0:
-            raise ValueError("stop probability must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PoolCap:
-    """Stop once the committed pool reaches a threshold (inclusive)."""
-
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("pool cap threshold must be positive")
-
-
-StoppingRule = FixedStep | GeometricRandom | PoolCap
-
-
-@dataclass(frozen=True)
 class MinorityGameSpec:
     """Stake-commitment game: the smaller side divides the raked pot.
 
@@ -105,7 +74,6 @@ class MinorityGameSpec:
 
     rake_fraction: float = 1.0
     sponsor_subsidy: float = 0.0
-    stopping_rule: StoppingRule = FixedStep(1)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rake_fraction <= 1.0:
@@ -133,41 +101,30 @@ class SponsorClass(str, Enum):
     PROFITABLE = "Profitable"
 
 
-def adventure_payout(
-    collectible_values: list[float], activity_balance: float, spec: AdventureSpec
-) -> float:
-    """Average portfolio value after an adventure at constant prices.
-
-    The deployed collectibles are kept and the committed activity balance
-    is scaled by the reward multiplier, as the engine's adventure does.
-    """
-    if len(collectible_values) != spec.collectibles_required:
-        raise ValueError(
-            f"adventure needs {spec.collectibles_required} collectibles, "
-            f"got {len(collectible_values)}"
-        )
-    return math.fsum(collectible_values) + spec.reward_multiplier * activity_balance
+def scale_balance(multiplier: float, balance: float) -> tuple[float, float]:
+    """Settle an adventure (multiplier n') or a battle (n''): the committed
+    activity balance after the play and the activity tokens it minted,
+    negative when the play burned some. The deployed collectibles are kept."""
+    after = multiplier * balance
+    return after, after - balance
 
 
-def battle_payout(team_values: list[float], activity_balance: float, spec: BattleSpec) -> float:
-    """Average portfolio value after a battle: team kept, activity balance
-    scaled by n'' as the engine's battle does."""
-    if len(team_values) != spec.team_size:
-        raise ValueError(f"battle needs a team of {spec.team_size}, got {len(team_values)}")
-    return math.fsum(team_values) + spec.survival_fraction * activity_balance
-
-
-def total_earnings(mix: StrategyMix, alpha: float, beta: float, gamma: float) -> float:
-    """Earnings of a strategy mix: breed count * alpha + battle count * beta
-    + adventure count * gamma."""
-    return mix.breed * alpha + mix.battle * beta + mix.adventure * gamma
+def lottery_deltas(spec: LotterySpec, lost: bool) -> tuple[float, float]:
+    """Settle a lottery play: the change in the player's (activity, market)
+    balances, which is also the change in supply. A loss burns the stake, a
+    win mints both prizes."""
+    if lost:
+        return 0.0, -spec.stake
+    return spec.win_game_tokens, spec.win_market_tokens
 
 
 def _lottery_values(spec: LotterySpec, board: PriceBoard) -> tuple[float, float, float]:
-    """Numeraire value of a lost play, of a won play and their mean, as the
-    engine settles a play: a loss burns the stake, a win mints both prizes."""
-    loss = -spec.stake * board.market_price
-    win = spec.win_game_tokens * board.activity_price + spec.win_market_tokens * board.market_price
+    """Numeraire value of a lost play, of a won play and their mean: the
+    settled deltas of each outcome valued at the board."""
+    loss, win = (
+        activity * board.activity_price + market * board.market_price
+        for activity, market in (lottery_deltas(spec, True), lottery_deltas(spec, False))
+    )
     return loss, win, spec.loss_prob * loss + (1.0 - spec.loss_prob) * win
 
 
@@ -255,20 +212,3 @@ def minority_settle(
     payouts.update({p: 0.0 for p, _ in losers})
     organizer_net = (1.0 - spec.rake_fraction) * (total1 + total2) - spec.sponsor_subsidy
     return payouts, organizer_net
-
-
-def minority_should_stop(
-    rule: StoppingRule, step: int, pool_total: float, rng
-) -> bool:
-    """Evaluate the round's stopping rule.
-
-    GeometricRandom consumes exactly one draw per call, whatever the
-    outcome, so replays stay aligned.
-    """
-    if isinstance(rule, FixedStep):
-        return step >= rule.steps
-    if isinstance(rule, GeometricRandom):
-        return rng.random() < rule.stop_prob
-    if isinstance(rule, PoolCap):
-        return pool_total >= rule.threshold
-    raise TypeError(f"unknown stopping rule {rule!r}")

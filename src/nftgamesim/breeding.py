@@ -8,7 +8,6 @@ capital growth from breeding and the tokens it consumes are arbitrage.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -377,21 +376,3 @@ def iterate_forward_price(p0: float, d: int, step_cost_numeraire: float, steps: 
         path.append(forward_price_step(path[-1], d, step_cost_numeraire))
     return path
 
-
-def floor_price_bound(parent_values: list[float], floor_price: float) -> float:
-    """Most conservative post-breeding portfolio value: parents plus one floor-priced child."""
-    if floor_price <= 0:
-        raise ValueError("floor price must be positive")
-    return math.fsum(parent_values) + floor_price
-
-
-def breeding_expected_value(
-    parent_values: list[float], expected_child_value: float, cost: BreedCost
-) -> float:
-    """Average post-breeding portfolio value at constant prices.
-
-    Parents are retained, one child of the given expected value is added,
-    and the breed cost is paid. Using the floor price as the child value
-    recovers the maximally risk-averse bound (see floor_price_bound).
-    """
-    return math.fsum(parent_values) + expected_child_value - cost.numeraire_total

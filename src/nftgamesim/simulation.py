@@ -31,7 +31,10 @@ list, its collectibles with a breed charge left in ascending id order:
 genesis and each mint append (a new id is the largest), and a parent
 leaves when it uses its last charge, so the search sorts nothing and never
 walks a spent token. Breeds are priced from a table of per-breed numeraire
-costs built once per run, as the engine never writes the fungible prices.
+costs built once per run from breeding.BreedCost, as the engine never writes
+the fungible prices. Adventures, battles and lotteries settle through
+activities.scale_balance and activities.lottery_deltas; the engine holds no
+payoff arithmetic of its own beyond the growth maximizer's score.
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
 random bits redrawn while the value is n or more, so the stream is the same.
 Monte Carlo experiments derive independent sub-seeds from the master seed
@@ -49,7 +52,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
-from . import breeding
+from . import activities, breeding
 from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from .breeding import GameRules
 from .economy import (
@@ -165,7 +168,7 @@ class SimConfig:
     ``trait_premiums`` optionally prices newborn collectibles above the
     floor: one non-negative premium per trait value, added once per trait
     position carrying that value. Without it every newborn lists at the
-    floor price.
+    floor price. A refused config's message names the scenario key at fault.
     """
 
     rules: GameRules
@@ -182,12 +185,12 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError("run.steps must be >= 1")
         if not self.agents:
-            raise ValueError("at least one agent is required")
+            raise ValueError("agents must list at least one agent")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
-            raise ValueError("agent ids must be unique")
+            raise ValueError("agents[].id must be unique")
         if sum(a.collectibles for a in self.agents) > MAX_GENESIS_COLLECTIBLES:
             raise ValueError(f"agents[].collectibles must total <= {MAX_GENESIS_COLLECTIBLES}")
         if self.steps * len(self.agents) > MAX_AGENT_TURNS:
@@ -196,17 +199,20 @@ class SimConfig:
                 f"got {self.steps} steps x {len(self.agents)} agents"
             )
         if not 0 <= self.seed < MAX_SEED:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError("run.seed must fit in 64 unsigned bits")
         if self.price_update not in PRICE_UPDATES:
-            raise ValueError(f"unknown price update mode {self.price_update!r}")
+            raise ValueError(
+                f"run.price_update must be one of {', '.join(PRICE_UPDATES)}, "
+                f"got {self.price_update!r}"
+            )
         genesis = self.genesis_price if self.genesis_price is not None else self.board.floor_price
         if genesis < self.board.floor_price:
-            raise ValueError("genesis price may not undercut the floor price")
+            raise ValueError("run.board.genesis_price may not undercut the floor price")
         if self.trait_premiums is not None:
             if len(self.trait_premiums) != self.rules.trait_alphabet:
-                raise ValueError("trait_premiums needs one entry per trait value")
+                raise ValueError("run.trait_premiums needs one entry per trait value")
             if any(p < 0 for p in self.trait_premiums):
-                raise ValueError("trait premiums must be non-negative")
+                raise ValueError("run.trait_premiums entries must be non-negative")
 
 
 @dataclass
@@ -344,12 +350,12 @@ class GameSimulation:
         # A balance below every entry of a cost schedule affords no breed.
         self._min_activity_cost = min(self.rules.activity_cost_schedule)
         self._min_market_cost = min(self.rules.market_cost_schedule)
-        # Numeraire cost of a breed by the lead parent's breed count, with
-        # BreedCost.at_index's arithmetic. The engine never writes the
-        # fungible prices, so the table holds for the whole run.
+        # Numeraire cost of a breed by the lead parent's breed count. The
+        # engine never writes the fungible prices, so the table holds for the
+        # whole run.
         self._breed_costs = tuple(
-            act * self.board.activity_price + mkt * self.board.market_price
-            for act, mkt in zip(self.rules.activity_cost_schedule, self.rules.market_cost_schedule)
+            breeding.BreedCost.at_index(self.rules, k, self.board).numeraire_total
+            for k in range(self.rules.breed_limit)
         )
         self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
         # Each agent's collectibles with a breed charge left, in ascending id
@@ -547,39 +553,28 @@ class GameSimulation:
             rng_draws=self.rng.draws - before,
         )
 
-    def _do_adventure(self, agent_id: int, step: int) -> Event:
-        spec = self.config.adventure
+    def _do_scaled(
+        self,
+        agent_id: int,
+        step: int,
+        action: str,
+        team_key: str,
+        team_size: int,
+        multiplier: float,
+    ) -> Event:
+        """An adventure or a battle: deploy the team, scale the committed
+        activity balance. Resolved at the average multiplier, so no draw is made."""
         h = self.holdings[agent_id]
-        team = sorted(h.collectibles)[: spec.collectibles_required]
+        team = sorted(h.collectibles)[:team_size]
         before_balance = h.activity_balance
-        after_balance = spec.reward_multiplier * before_balance
-        minted = after_balance - before_balance
+        after_balance, minted = activities.scale_balance(multiplier, before_balance)
         h.activity_balance = after_balance
         self.counters.activity_supply += minted
         return Event(
             step=step,
             agent=agent_id,
-            action="adventure",
-            inputs={"collectibles": team, "activity_balance": before_balance},
-            outputs={"activity_balance": after_balance, "activity_minted": minted},
-            rng_draws=0,
-        )
-
-    def _do_battle(self, agent_id: int, step: int) -> Event:
-        # Resolved at the average multiplier; no winner draw is made.
-        spec = self.config.battle
-        h = self.holdings[agent_id]
-        team = sorted(h.collectibles)[: spec.team_size]
-        before_balance = h.activity_balance
-        after_balance = spec.survival_fraction * before_balance
-        minted = after_balance - before_balance
-        h.activity_balance = after_balance
-        self.counters.activity_supply += minted
-        return Event(
-            step=step,
-            agent=agent_id,
-            action="battle",
-            inputs={"team": team, "activity_balance": before_balance},
+            action=action,
+            inputs={team_key: team, "activity_balance": before_balance},
             outputs={"activity_balance": after_balance, "activity_minted": minted},
             rng_draws=0,
         )
@@ -589,20 +584,15 @@ class GameSimulation:
         h = self.holdings[agent_id]
         before = self.rng.draws
         lost = self.rng.random() < spec.loss_prob
+        activity, market = activities.lottery_deltas(spec, lost)
+        h.market_balance += market
+        h.activity_balance += activity
+        self.counters.market_supply += market
+        self.counters.activity_supply += activity
         if lost:
-            h.market_balance -= spec.stake
-            self.counters.market_supply -= spec.stake
-            outputs = {"result": "loss", "market_burned": spec.stake}
+            outputs = {"result": "loss", "market_burned": -market}
         else:
-            h.market_balance += spec.win_market_tokens
-            h.activity_balance += spec.win_game_tokens
-            self.counters.market_supply += spec.win_market_tokens
-            self.counters.activity_supply += spec.win_game_tokens
-            outputs = {
-                "result": "win",
-                "market_minted": spec.win_market_tokens,
-                "activity_minted": spec.win_game_tokens,
-            }
+            outputs = {"result": "win", "market_minted": market, "activity_minted": activity}
         return Event(
             step=step,
             agent=agent_id,
@@ -723,9 +713,16 @@ class GameSimulation:
         if action == "breed":
             return self._do_breed(agent_id, step, parents)
         if action == "battle":
-            return self._do_battle(agent_id, step)
+            spec = self.config.battle
+            return self._do_scaled(
+                agent_id, step, "battle", "team", spec.team_size, spec.survival_fraction
+            )
         if action == "adventure":
-            return self._do_adventure(agent_id, step)
+            spec = self.config.adventure
+            return self._do_scaled(
+                agent_id, step, "adventure", "collectibles",
+                spec.collectibles_required, spec.reward_multiplier,
+            )
         if action == "lottery":
             return self._do_lottery(agent_id, step)
         return self._pass_event(agent_id, step)
@@ -763,10 +760,7 @@ class GameSimulation:
     def _update_prices(self) -> None:
         if self.config.price_update != "forward_drift":
             return
-        cost = (
-            self.rules.activity_cost_schedule[0] * self.board.activity_price
-            + self.rules.market_cost_schedule[0] * self.board.market_price
-        )
+        cost = self._breed_costs[0]
         d = self.rules.breed_arity
         # Each price's next value depends on that price alone, so equal
         # prices share one step, and only the distinct ones are stepped.

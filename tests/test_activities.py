@@ -8,26 +8,20 @@ from hypothesis import strategies as st
 from nftgamesim.activities import (
     AdventureSpec,
     BattleSpec,
-    FixedStep,
-    GeometricRandom,
     LotterySpec,
     MinorityGameSpec,
-    PoolCap,
     SponsorClass,
     StrategyMix,
-    adventure_payout,
-    battle_payout,
     classify_lottery,
+    lottery_deltas,
     lottery_sharpe,
     minority_settle,
-    minority_should_stop,
-    total_earnings,
+    scale_balance,
 )
 from nftgamesim.breeding import GameRules
 from nftgamesim.economy import PriceBoard
 from nftgamesim.simulation import (
     AgentSpec,
-    CountingRng,
     GameSimulation,
     SimConfig,
     run_simulation,
@@ -37,23 +31,43 @@ from nftgamesim.simulation import (
 BOARD = PriceBoard(activity_price=0.5, market_price=1.0)
 
 
+def engine_turn(action: str, spec, held: int, before: float):
+    """The simulation and its last event after one step of a fixed_mix agent
+    that plays ``action`` holding ``held`` collectibles and ``before`` game tokens."""
+    agent = AgentSpec(
+        id=1,
+        strategy="fixed_mix",
+        mix=StrategyMix(**{action: 1}),
+        collectibles=held,
+        activity_balance=before,
+    )
+    sim = GameSimulation(SimConfig(rules=GameRules(), agents=(agent,), steps=1, **{action: spec}))
+    sim.step(1)
+    return sim, sim.events[-1]
+
+
 class TestAdventure:
     def test_hand_value(self):
-        spec = AdventureSpec(reward_multiplier=1.2, collectibles_required=1)
-        assert adventure_payout([10.0], 5.0, spec) == pytest.approx(16.0, abs=1e-15)
+        assert scale_balance(1.2, 5.0) == pytest.approx((6.0, 1.0), abs=1e-15)
 
     def test_identity_multiplier_and_empty_balance(self):
-        spec = AdventureSpec(reward_multiplier=1.0, collectibles_required=2)
-        assert adventure_payout([3.0, 4.0], 0.0, spec) == 7.0
+        assert scale_balance(1.0, 7.0) == (7.0, 0.0)
+        assert scale_balance(1.5, 0.0) == (0.0, 0.0)
 
     def test_two_collectibles(self):
+        # The two oldest collectibles are deployed and kept; the balance is scaled.
         spec = AdventureSpec(reward_multiplier=1.5, collectibles_required=2)
-        assert adventure_payout([3.0, 4.0], 2.0, spec) == pytest.approx(10.0, abs=1e-15)
+        sim, event = engine_turn("adventure", spec, held=3, before=2.0)
+        assert event.action == "adventure"
+        assert event.inputs == {"collectibles": [0, 1], "activity_balance": 2.0}
+        assert event.outputs == {"activity_balance": 3.0, "activity_minted": 1.0}
+        assert sim.holdings[1].collectibles == {0, 1, 2}
 
     def test_wrong_collectible_count(self):
         spec = AdventureSpec(reward_multiplier=1.2, collectibles_required=2)
-        with pytest.raises(ValueError, match="2 collectibles"):
-            adventure_payout([10.0], 5.0, spec)
+        sim, event = engine_turn("adventure", spec, held=1, before=5.0)
+        assert event.action == "pass"
+        assert sim.holdings[1].activity_balance == 5.0
 
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -62,46 +76,41 @@ class TestAdventure:
 
 class TestBattle:
     def test_hand_value(self):
-        spec = BattleSpec(team_size=3, survival_fraction=0.8)
-        assert battle_payout([1.0, 1.0, 1.0], 10.0, spec) == pytest.approx(11.0, abs=1e-15)
+        assert scale_balance(0.8, 10.0) == pytest.approx((8.0, -2.0), abs=1e-15)
 
     def test_identity_fraction_preserves_value(self):
-        spec = BattleSpec(team_size=2, survival_fraction=1.0)
-        assert battle_payout([2.0, 3.0], 7.0, spec) == 12.0
+        assert scale_balance(1.0, 7.0) == (7.0, 0.0)
 
     def test_zero_balance_leaves_team_value(self):
         spec = BattleSpec(team_size=3, survival_fraction=0.5)
-        assert battle_payout([1.0, 2.0, 3.0], 0.0, spec) == 6.0
+        sim, event = engine_turn("battle", spec, held=3, before=0.0)
+        assert event.action == "battle"
+        assert event.outputs == {"activity_balance": 0.0, "activity_minted": 0.0}
+        assert sim.holdings[1].collectibles == {0, 1, 2}
+        assert sim.agent_wealth(1) == 3 * sim.board.floor_price
 
     def test_wrong_team_size(self):
         spec = BattleSpec(team_size=3, survival_fraction=0.8)
-        with pytest.raises(ValueError, match="team of 3"):
-            battle_payout([1.0], 10.0, spec)
-
-
-def engine_balance_after(action: str, spec, deployed: int, before: float) -> float:
-    """activity_balance after one engine step of a fixed_mix agent that
-    plays ``action`` with ``deployed`` collectibles and ``before`` game tokens."""
-    agent = AgentSpec(
-        id=1,
-        strategy="fixed_mix",
-        mix=StrategyMix(**{action: 1}),
-        collectibles=deployed,
-        activity_balance=before,
-    )
-    sim = GameSimulation(SimConfig(rules=GameRules(), agents=(agent,), steps=1, **{action: spec}))
-    sim.step(1)
-    event = sim.events[-1]
-    assert event.action == action
-    return event.outputs["activity_balance"]
+        sim, event = engine_turn("battle", spec, held=2, before=10.0)
+        assert event.action == "pass"
+        assert sim.holdings[1].activity_balance == 10.0
 
 
 BALANCES = st.floats(min_value=0.0, max_value=1e12)
 
 
 class TestEngineAgreement:
-    """With no collectible value, the analytic payoff is exactly the balance
-    the engine writes after the same activity."""
+    """The engine's settlement of each play, bit for bit, against arithmetic
+    written out here rather than the settlement functions it calls."""
+
+    @staticmethod
+    def check_scaled(action: str, spec, deployed: int, multiplier: float, before: float):
+        sim, event = engine_turn(action, spec, deployed, before)
+        assert event.action == action
+        after = multiplier * before
+        assert event.outputs == {"activity_balance": after, "activity_minted": after - before}
+        assert sim.holdings[1].activity_balance == after
+        assert sim.counters.activity_supply == before + (after - before)
 
     @given(
         multiplier=st.floats(min_value=1.0, max_value=1e3),
@@ -111,8 +120,7 @@ class TestEngineAgreement:
     @settings(max_examples=60, deadline=None)
     def test_adventure(self, multiplier, required, before):
         spec = AdventureSpec(reward_multiplier=multiplier, collectibles_required=required)
-        expected = adventure_payout([0.0] * required, before, spec)
-        assert engine_balance_after("adventure", spec, required, before) == expected
+        self.check_scaled("adventure", spec, required, multiplier, before)
 
     @given(
         fraction=st.floats(min_value=0.0, max_value=1e3),
@@ -122,31 +130,53 @@ class TestEngineAgreement:
     @settings(max_examples=60, deadline=None)
     def test_battle(self, fraction, team, before):
         spec = BattleSpec(team_size=team, survival_fraction=fraction)
-        expected = battle_payout([0.0] * team, before, spec)
-        assert engine_balance_after("battle", spec, team, before) == expected
-
-
-class TestTotalEarnings:
-    def test_empty_mix(self):
-        assert total_earnings(StrategyMix(), 3.0, -1.0, 2.0) == 0.0
-
-    def test_hand_value(self):
-        mix = StrategyMix(breed=2, battle=1, adventure=1)
-        assert total_earnings(mix, 3.0, -1.0, 2.0) == 7.0
+        self.check_scaled("battle", spec, team, fraction, before)
 
     @given(
-        counts=st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
-        scale=st.integers(1, 9),
-        values=st.tuples(
-            st.floats(-100, 100), st.floats(-100, 100), st.floats(-100, 100)
-        ),
+        loss_prob=st.floats(min_value=0.0, max_value=1.0),
+        stake=st.floats(min_value=1e-3, max_value=10.0),
+        win_game=st.floats(min_value=0.0, max_value=10.0),
+        win_market=st.floats(min_value=0.0, max_value=10.0),
+        prices=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+        seed=st.integers(0, 2**32),
     )
-    def test_linear_in_mix(self, counts, scale, values):
-        x1, x2, x3 = counts
-        a, b, g = values
-        base = total_earnings(StrategyMix(x1, x2, x3), a, b, g)
-        scaled = total_earnings(StrategyMix(x1 * scale, x2 * scale, x3 * scale), a, b, g)
-        assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-9)
+    @settings(max_examples=40, deadline=None)
+    def test_lottery(self, loss_prob, stake, win_game, win_market, prices, seed):
+        """Each play changes both balances and both supplies by
+        lottery_deltas(spec, lost), which is (0, -stake) on a loss and the
+        two prizes on a win; classify_lottery's EV is those two outcomes
+        valued at the board."""
+        spec = LotterySpec(loss_prob, stake, win_game_tokens=win_game, win_market_tokens=win_market)
+        board = PriceBoard(activity_price=prices[0], market_price=prices[1])
+        seeker = AgentSpec(id=1, strategy="thrill_seeker", market_balance=1e6)
+        config = SimConfig(
+            rules=GameRules(), agents=(seeker,), steps=30, seed=seed, board=board, lottery=spec
+        )
+        sim = GameSimulation(config)
+        h, counters = sim.holdings[1], sim.counters
+        outcomes = {}
+        for step in range(1, 31):
+            balances = (h.activity_balance, h.market_balance)
+            supplies = (counters.activity_supply, counters.market_supply)
+            sim.step(step)
+            event = sim.events[-1]
+            assert event.action == "lottery" and event.rng_draws == 1
+            lost = event.outputs["result"] == "loss"
+            activity, market = lottery_deltas(spec, lost)
+            assert (activity, market) == ((0.0, -stake) if lost else (win_game, win_market))
+            assert (h.activity_balance, h.market_balance) == (
+                balances[0] + activity,
+                balances[1] + market,
+            )
+            assert (counters.activity_supply, counters.market_supply) == (
+                supplies[0] + activity,
+                supplies[1] + market,
+            )
+            outcomes[lost] = activity * board.activity_price + market * board.market_price
+        loss = outcomes.get(True, -stake * board.market_price)
+        win = outcomes.get(False, win_game * board.activity_price + win_market * board.market_price)
+        ev, _ = classify_lottery(spec, board)
+        assert ev == loss_prob * loss + (1.0 - loss_prob) * win
 
 
 class TestLottery:
@@ -351,30 +381,3 @@ class TestMinoritySettle:
             minority_settle(stakes([0.0], "a"), stakes([1.0], "b"), MinorityGameSpec())
         with pytest.raises(ValueError, match="once"):
             minority_settle([("p", 1.0)], [("p", 2.0)], MinorityGameSpec())
-
-
-class TestStoppingRules:
-    def test_fixed_step_boundary(self):
-        rng = CountingRng(0)
-        assert not minority_should_stop(FixedStep(5), 4, 0.0, rng)
-        assert minority_should_stop(FixedStep(5), 5, 0.0, rng)
-        assert rng.draws == 0
-
-    def test_pool_cap_boundary_inclusive(self):
-        rng = CountingRng(0)
-        assert not minority_should_stop(PoolCap(10.0), 1, 9.99, rng)
-        assert minority_should_stop(PoolCap(10.0), 1, 10.0, rng)
-
-    def test_certain_geometric_stop(self):
-        rng = CountingRng(0)
-        assert all(minority_should_stop(GeometricRandom(1.0), s, 0.0, rng) for s in range(20))
-
-    def test_impossible_geometric_stop(self):
-        rng = CountingRng(0)
-        assert not any(minority_should_stop(GeometricRandom(0.0), s, 0.0, rng) for s in range(20))
-
-    def test_geometric_consumes_exactly_one_draw(self):
-        rng = CountingRng(123)
-        for expected in range(1, 6):
-            minority_should_stop(GeometricRandom(0.5), expected, 0.0, rng)
-            assert rng.draws == expected

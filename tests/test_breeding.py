@@ -13,10 +13,7 @@ from nftgamesim.breeding import (
     InsufficientBalance,
     RestrictionViolated,
     breed,
-    breeding_expected_value,
-    BreedCost,
     classify_breeding_arbitrage,
-    floor_price_bound,
     forward_price_step,
     iterate_forward_price,
     lattice_value,
@@ -352,15 +349,6 @@ class TestLatticeValue:
     def test_monotone_in_child_value(self, floor, child, bump, costs):
         k = len(costs)
         assert lattice_value(k, floor, child + bump, costs) >= lattice_value(k, floor, child, costs)
-
-
-class TestValueHelpers:
-    def test_floor_bound_is_parents_plus_floor(self):
-        assert floor_price_bound([2.0, 3.0], 1.0) == 6.0
-
-    def test_expected_value_sits_above_floor_bound_when_child_beats_floor(self):
-        cost = BreedCost(0.0, 0.0, 0.0)
-        assert breeding_expected_value([2.0, 3.0], 1.5, cost) >= floor_price_bound([2.0, 3.0], 1.0)
 
 
 class NoScanPopulation(dict):

@@ -377,6 +377,41 @@ class TestSimulateCommand:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mutate, key, extra",
+        [
+            pytest.param(lambda d: d["run"].update(steps=0), "run.steps", (), id="steps"),
+            pytest.param(lambda d: None, "run.steps", ("--steps", "0"), id="steps_flag"),
+            pytest.param(lambda d: d["run"].update(seed=2**64), "run.seed", (), id="seed"),
+            pytest.param(
+                lambda d: d["run"].update(price_update="x"), "run.price_update", (), id="price_update"
+            ),
+            pytest.param(
+                lambda d: d["run"]["board"].update(genesis_price=0.5),
+                "run.board.genesis_price",
+                (),
+                id="genesis_price",
+            ),
+            pytest.param(
+                lambda d: d["run"].update(trait_premiums=[0.1]),
+                "run.trait_premiums",
+                (),
+                id="trait_premiums",
+            ),
+            pytest.param(lambda d: d["agents"][1].update(id=1), "agents", (), id="duplicate_ids"),
+            pytest.param(lambda d: d.update(agents=[]), "agents", (), id="no_agents"),
+        ],
+    )
+    def test_refused_config_exits_2_with_key_name(self, tmp_path, capsys, mutate, key, extra):
+        data = scenario_dict()
+        mutate(data)
+        code, out = self.run_simulate(tmp_path, data, extra=extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
     def test_example_scenarios_run(self, tmp_path, path):
         out = tmp_path / "out"

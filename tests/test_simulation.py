@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim import breeding
@@ -81,6 +81,44 @@ def mixed_config(seed=0, steps=15, price_update="frozen") -> SimConfig:
         price_update=price_update,
         adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
         battle=BattleSpec(team_size=3, survival_fraction=0.9),
+        lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
+    )
+
+
+@st.composite
+def breedless_drift_economies(draw) -> SimConfig:
+    """Forward-drift economies in which nobody breeds: passive agents, thrill
+    seekers and fixed mixes of battles and adventures, with drawn prices,
+    arity and per-breed costs."""
+    rules = base_rules(
+        breed_arity=draw(st.integers(1, 4)),
+        activity_cost_schedule=draw(st.lists(st.floats(0.0, 3.0), min_size=7, max_size=7)),
+        market_cost_schedule=draw(st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7)),
+    )
+    agents = []
+    for agent_id in range(1, draw(st.integers(1, 4)) + 1):
+        strategy = draw(st.sampled_from(("passive", "thrill_seeker", "fixed_mix")))
+        mix = None
+        if strategy == "fixed_mix":
+            mix = StrategyMix(battle=draw(st.integers(0, 2)), adventure=draw(st.integers(0, 2)))
+        agents.append(AgentSpec(
+            id=agent_id, strategy=strategy, mix=mix, collectibles=draw(st.integers(0, 5)),
+            activity_balance=draw(st.floats(0.0, 50.0)), market_balance=draw(st.floats(0.0, 20.0)),
+        ))
+    floor = draw(st.floats(0.1, 3.0))
+    return SimConfig(
+        rules=rules,
+        agents=tuple(agents),
+        steps=80,
+        board=PriceBoard(
+            activity_price=draw(st.floats(0.1, 2.0)),
+            market_price=draw(st.floats(0.1, 2.0)),
+            floor_price=floor,
+        ),
+        price_update="forward_drift",
+        genesis_price=floor * draw(st.floats(1.0, 3.0)),
+        adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
+        battle=BattleSpec(team_size=2, survival_fraction=0.9),
         lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
     )
 
@@ -163,6 +201,22 @@ class TestRunSimulation:
             sim.step(step)
             observed.append(sim.board.collectible_prices[0])
         assert observed == iterate_forward_price(2.0, rules.breed_arity, cost, config.steps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=breedless_drift_economies())
+    def test_forward_drift_without_breeds_follows_the_recursion(self, config):
+        # After step t every collectible price is the recursion's p_t from the
+        # genesis price, and the floor its p_t from the initial floor.
+        sim = GameSimulation(config)
+        cost = sim._breed_costs[0]
+        assert cost == BreedCost.at_index(config.rules, 0, config.board).numeraire_total
+        d = config.rules.breed_arity
+        prices = iterate_forward_price(config.genesis_price, d, cost, config.steps)
+        floors = iterate_forward_price(config.board.floor_price, d, cost, config.steps)
+        for t, (events, _) in enumerate(sim.stream()):
+            assert "breed" not in {e.action for e in events}
+            assert set(sim.board.collectible_prices.values()) <= {prices[t]}
+            assert sim.board.floor_price == floors[t]
 
     def test_supply_changes_equal_recorded_mints_and_burns(self):
         config = mixed_config(steps=12)
@@ -1252,6 +1306,56 @@ class TestMetamorphic:
         )
         assert serialize(e for e in wider_events if e.agent != idle) == serialize(events)
         assert [pools(s) for s in wider_snapshots] == [pools(s) for s in snapshots]
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=small_configs())
+    def test_doubling_every_price_changes_no_event_and_doubles_every_value(self, config):
+        """Relation (a): twice the activity, market, floor and genesis prices and
+        twice every trait premium.
+
+        Precondition: every balance stays 0 or at least 1e-300, so every
+        product of a balance, a price and a multiplier is a normal float, and
+        doubling one factor doubles it exactly. A subnormal balance (2.2e-313,
+        say) rounds its products on the fixed subnormal grid instead, and
+        doubling then need not be exact: float rounding, not a fault.
+        """
+        sim = GameSimulation(config)
+        events, snapshots = [], []
+        for step_events, snapshot in sim.stream():
+            assume(all(
+                b == 0 or b >= 1e-300
+                for h in sim.holdings.values()
+                for b in (h.activity_balance, h.market_balance)
+            ))
+            events += step_events
+            snapshots.append(snapshot)
+        board = config.board
+        premiums = config.trait_premiums
+        doubled_events, doubled_snapshots = run_trace(replace(
+            config,
+            board=replace(
+                board,
+                activity_price=2 * board.activity_price,
+                market_price=2 * board.market_price,
+                floor_price=2 * board.floor_price,
+            ),
+            genesis_price=2 * config.genesis_price,
+            trait_premiums=None if premiums is None else tuple(2 * p for p in premiums),
+        ))
+        assert serialize(doubled_events) == serialize(events)
+        assert len(doubled_snapshots) == len(snapshots)
+        for snap, twice in zip(snapshots, doubled_snapshots):
+            assert (twice.step, twice.collectible_count) == (snap.step, snap.collectible_count)
+            assert pools(twice) == pools(replace(
+                snap,
+                collectible_pool=2 * snap.collectible_pool,
+                activity_pool=2 * snap.activity_pool,
+                market_pool=2 * snap.market_pool,
+                total=2 * snap.total,
+            ))
+            assert {k: v.hex() for k, v in twice.agent_wealth.items()} == {
+                k: (2 * v).hex() for k, v in snap.agent_wealth.items()
+            }
 
 
 class TestCollateralLoop:
