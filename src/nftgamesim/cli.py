@@ -5,6 +5,11 @@ cannot be written, 3 runtime invariant violation. simulate honors --seed, which 
 scenario's run.seed; wall-clock entropy is never used. The analyze and demo
 commands draw no random numbers: they accept --seed so existing scripts keep
 working, but it has no effect there.
+
+simulate writes events.jsonl and snapshots.csv as the run goes. Each event
+line's envelope is formatted directly and its payloads go through json's own
+compact C encoder, built once per run with the settings JSONEncoder.encode
+would use, so every line is what json.dumps writes for the event.
 """
 from __future__ import annotations
 
@@ -12,8 +17,10 @@ import argparse
 import contextlib
 import csv
 import json
+import json.encoder
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -58,6 +65,33 @@ def _matrix(text: str) -> list[list[float]]:
 # -- simulate ------------------------------------------------------------
 
 
+def _payload_encoder() -> Callable[[dict], str]:
+    """json's compact encoder for event payloads, built once per run.
+
+    JSONEncoder.encode builds a new C encoder on every call. This builds it
+    once, with the arguments iterencode passes for these settings (the
+    circular-reference check included), and calls it directly, so the text
+    is the same. Without the C accelerator it is encode itself.
+    """
+    settings = json.JSONEncoder(separators=(",", ":"))
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return settings.encode
+    encoder = make_encoder(
+        {},  # the circular-reference check's markers
+        settings.default,
+        json.encoder.encode_basestring_ascii,
+        settings.indent,
+        settings.key_separator,
+        settings.item_separator,
+        settings.sort_keys,
+        settings.skipkeys,
+        settings.allow_nan,
+    )
+    join = "".join
+    return lambda payload: join(encoder(payload, 0))
+
+
 def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     """Write events.jsonl and snapshots.csv as the run goes; return the summary.
 
@@ -66,7 +100,7 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     """
     config = sim.config
     agent_ids = sorted(a.id for a in config.agents)
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    encode = _payload_encoder()
     first = last = None
     with open(out_dir / "snapshots.csv", "w", newline="") as snap_fh, open(
         out_dir / "events.jsonl", "w"

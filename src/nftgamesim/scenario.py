@@ -170,6 +170,8 @@ def load_scenario(path: str | Path) -> SimConfig:
         raise ScenarioError(f"scenario file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {p}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {p} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

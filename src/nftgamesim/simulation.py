@@ -15,26 +15,33 @@ agent breeds or prices are rewritten. Kept values equal fresh ones bit for
 bit.
 The audit after each step splits by what can change what it reads. Every
 step checks each balance, the supply counters and their conservation, the
-fungible prices and a finite positive floor. The checks that read every
-token (the ownership partition, each collectible's price, the floor against
-the lowest price, a price for exactly the minted ids) run only at step 0,
-after a step that minted or rewrote prices, or when an O(agents) size check
-disagrees. The forward-drift update keeps the set of distinct collectible
-prices (a mint adds to it, a rewrite maps it). So on a step at rest, one
-that mints nothing and rewrites no price, the audit costs O(agents) and the
-price update O(distinct prices).
-A turn does its work once. The breeding search runs at most once per agent
-turn, and only where its result is read: on a fixed-mix breed turn, when
-the ruin test finds nothing cheaper affordable, or when a growth
-maximizer's breed could still win. The search reads each agent's candidate
-list, its collectibles with a breed charge left in ascending id order:
-genesis and each mint append (a new id is the largest), and a parent
-leaves when it uses its last charge, so the search sorts nothing and never
-walks a spent token. Breeds are priced from a table of per-breed numeraire
-costs built once per run from breeding.BreedCost, as the engine never writes
-the fungible prices. Adventures, battles and lotteries settle through
-activities.scale_balance and activities.lottery_deltas; the engine holds no
-payoff arithmetic of its own beyond the growth maximizer's score.
+fungible prices and a finite positive floor; one pass over the holdings
+sums their sizes and tests every balance, and the per-holding check runs
+only to name a bad one. The checks that read every token (the ownership
+partition, each collectible's price, the floor against the lowest price, a
+price for exactly the minted ids) run only at step 0, after a step that
+minted or rewrote prices, or when an O(agents) size check disagrees. The
+forward-drift update keeps the set of distinct collectible prices (a mint
+adds to it, a rewrite maps it). So on a step at rest, one that mints
+nothing and rewrites no price, the audit costs O(agents) and the price
+update O(distinct prices).
+A turn does its work once. Each agent's turn record (its id, spec,
+holdings, action counts and strategy's choice) and what each activity needs
+(an adventure's or a battle's team size, the lottery stake, inf for an
+absent activity) are built once per run, so a turn dispatches on no
+strategy name and the ruin test reads two thresholds. The breeding search
+runs at most once per agent turn, and only where its result is read: when
+the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
+or when a growth maximizer's breed could still win. The search reads each
+agent's candidate list, its collectibles with a breed charge left in
+ascending id order: genesis and each mint append (a new id is the largest),
+and a parent leaves when it uses its last charge, so the search sorts
+nothing and never walks a spent token. Breeds are priced from a table of
+per-breed numeraire costs built once per run from breeding.BreedCost, as
+the engine never writes the fungible prices. Adventures, battles and
+lotteries settle through activities.scale_balance and
+activities.lottery_deltas; the engine holds no payoff arithmetic of its own
+beyond the growth maximizer's score.
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
 random bits redrawn while the value is n or more, so the stream is the same.
 Monte Carlo experiments derive independent sub-seeds from the master seed
@@ -84,6 +91,9 @@ CONVERGENCE_REL_TOL = 1e-9
 
 # Standard normal 97.5% quantile, the z of a 95% interval.
 Z_95 = 1.959963984540054
+
+# A turn's breeding-search result before the turn has searched.
+NOT_SEARCHED = object()
 
 
 class SimulationInvariantError(RuntimeError):
@@ -373,7 +383,27 @@ class GameSimulation:
         # Set by a mint or a price rewrite, genesis included: the next audit
         # runs the checks that read every token (see _check_invariants).
         self._tokens_changed = True
+        # What each activity needs, inf where it is absent: collectibles to
+        # adventure or battle with, and a market balance to stake.
+        self._adventure_team = (
+            math.inf if config.adventure is None else config.adventure.collectibles_required
+        )
+        self._battle_team = math.inf if config.battle is None else config.battle.team_size
+        self._stake = math.inf if config.lottery is None else config.lottery.stake
         self._genesis()
+        # One turn record per agent, in id order: what step reads of the
+        # agent on every turn, and its strategy's choice.
+        cls = type(self)
+        choices = {
+            "passive": cls._pass_choice,
+            "fixed_mix": cls._cycle_choice,
+            "growth_maximizer": cls._growth_choice,
+            "thrill_seeker": cls._lottery_choice,
+        }
+        self._turns = tuple(
+            (a.id, a, self.holdings[a.id], self.action_counts[a.id], choices[a.strategy])
+            for a in self._agents
+        )
 
     # -- setup ---------------------------------------------------------
 
@@ -475,21 +505,24 @@ class GameSimulation:
         return None
 
     def _can_adventure(self, agent_id: int) -> bool:
-        spec = self.config.adventure
-        return spec is not None and len(self.holdings[agent_id].collectibles) >= spec.collectibles_required
+        return len(self.holdings[agent_id].collectibles) >= self._adventure_team
 
     def _can_battle(self, agent_id: int) -> bool:
-        spec = self.config.battle
-        return spec is not None and len(self.holdings[agent_id].collectibles) >= spec.team_size
+        return len(self.holdings[agent_id].collectibles) >= self._battle_team
 
     def _can_lottery(self, agent_id: int) -> bool:
-        spec = self.config.lottery
-        return spec is not None and self.holdings[agent_id].market_balance >= spec.stake
+        return self.holdings[agent_id].market_balance >= self._stake
 
     def _list_price(self, traits: tuple[int, ...]) -> float:
         if self.config.trait_premiums is None:
             return self.board.floor_price
-        return self.board.floor_price + sum(self.config.trait_premiums[t] for t in traits)
+        # Added left to right, as builtin sum added floats before Python
+        # 3.12 (it compensates from then on), so a newborn's price and the
+        # outputs do not depend on the interpreter.
+        premium = functools.reduce(
+            operator.add, map(self.config.trait_premiums.__getitem__, traits), 0
+        )
+        return self.board.floor_price + premium
 
     # -- wealth --------------------------------------------------------
 
@@ -619,34 +652,30 @@ class GameSimulation:
             return "breed"
         return "battle" if i < mix.breed + mix.battle else "adventure"
 
-    def _choose_action(
-        self,
-        spec: AgentSpec,
-        step: int,
-        cycle: str | None,
-        parents: list[int] | None,
-        searched: bool,
-    ) -> tuple[str, list[int] | None]:
-        """The turn's action and, for a breed, its parents. ``cycle`` is a
-        fixed-mix agent's cycle entry, ``parents`` the turn's search result
-        if ``searched``."""
-        if spec.strategy == "passive":
-            return "pass", None
-        if spec.strategy == "thrill_seeker":
-            return ("lottery" if self._can_lottery(spec.id) else "pass"), None
-        if cycle is not None:
-            if cycle == "breed" and parents is None:
-                return "pass", None
-            if cycle == "battle" and not self._can_battle(spec.id):
-                return "pass", None
-            if cycle == "adventure" and not self._can_adventure(spec.id):
-                return "pass", None
-            return cycle, parents
-        return self._growth_choice(spec.id, step, parents, searched)
+    # Each strategy's choice of the turn's action and, for a breed, its
+    # parents. ``parents`` is the turn's search result, or NOT_SEARCHED if
+    # the ruin test did not search.
 
-    def _growth_choice(
-        self, agent_id: int, step: int, parents: list[int] | None, searched: bool
-    ) -> tuple[str, list[int] | None]:
+    def _pass_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, None]:
+        return "pass", None
+
+    def _lottery_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, None]:
+        return ("lottery" if self._can_lottery(spec.id) else "pass"), None
+
+    def _cycle_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, list[int] | None]:
+        """The cycle's entry if the agent can afford it, else pass."""
+        action = self._cycle_action(spec, step)
+        if action == "breed":
+            if parents is NOT_SEARCHED:
+                parents = self._find_breeding_set(spec.id, step)
+            return ("pass", None) if parents is None else ("breed", parents)
+        if action == "battle" and not self._can_battle(spec.id):
+            return "pass", None
+        if action == "adventure" and not self._can_adventure(spec.id):
+            return "pass", None
+        return action, None
+
+    def _growth_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, list[int] | None]:
         """Highest expected log-wealth change at current-board averages;
         ties resolved in the order breed < battle < adventure < pass.
 
@@ -656,6 +685,7 @@ class GameSimulation:
         win. Every distinct cost is tried, so nothing assumes that log1p is
         monotone; a breed the table rules out could not have been chosen.
         """
+        agent_id = spec.id
         wealth = self.agent_wealth(agent_id)
         if wealth <= 0:
             return "pass", None
@@ -695,7 +725,7 @@ class GameSimulation:
             delta = floor - cost
             return wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat
 
-        if not searched:
+        if parents is NOT_SEARCHED:
             if not any(map(breed_wins, self._distinct_breed_costs)):
                 return best_name, None
             parents = self._find_breeding_set(agent_id, step)
@@ -728,32 +758,26 @@ class GameSimulation:
         return self._pass_event(agent_id, step)
 
     def step(self, step: int) -> None:
-        for spec in self._agents:
-            agent_id = spec.id
-            cycle = self._cycle_action(spec, step) if spec.strategy == "fixed_mix" else None
+        events = self.events
+        ruined_at = self.ruined_at
+        team = min(self._adventure_team, self._battle_team)
+        stake = self._stake
+        for agent_id, spec, h, counts, choose in self._turns:
             # Nothing changes state before _execute, so one search serves the
-            # ruin test, the strategy and the breed itself. It runs at most
-            # once: on a fixed-mix breed turn, when the ruin test finds no
-            # cheaper activity affordable, or when a growth maximizer's breed
-            # could win (see _growth_choice); otherwise parents stays None,
-            # unread.
-            searched = cycle == "breed"
-            parents = self._find_breeding_set(agent_id, step) if searched else None
-            if self.ruined_at[agent_id] is None and not (
-                parents is not None
-                or self._can_adventure(agent_id)
-                or self._can_battle(agent_id)
-                or self._can_lottery(agent_id)
+            # ruin test, the choice and the breed itself. It runs at most
+            # once: when the ruin test finds no adventure, battle or lottery
+            # affordable, on a fixed-mix breed turn, or when a growth
+            # maximizer's breed could win (see _growth_choice).
+            parents = NOT_SEARCHED
+            if ruined_at[agent_id] is None and not (
+                len(h.collectibles) >= team or h.market_balance >= stake
             ):
-                if not searched:
-                    parents = self._find_breeding_set(agent_id, step)
-                    searched = True
+                parents = self._find_breeding_set(agent_id, step)
                 if parents is None:
-                    self.ruined_at[agent_id] = step
-            action, parents = self._choose_action(spec, step, cycle, parents, searched)
-            event = self._execute(agent_id, action, step, parents)
-            self.action_counts[agent_id][event.action] += 1
-            self.events.append(event)
+                    ruined_at[agent_id] = step
+            action, parents = choose(self, spec, step, parents)
+            events.append(self._execute(agent_id, action, step, parents))
+            counts[action] += 1
         self._update_prices()
         self._check_invariants(step)
 
@@ -797,18 +821,33 @@ class GameSimulation:
         price table and the population differ in size, or a fungible price
         or the floor is not finite and positive.
 
+        One pass over the holdings sums their sizes and tests each balance
+        as Holdings.check_balances does; that check runs, in owner order,
+        only when the pass finds a bad balance, to name the owner.
+
         This is the whole audit of a run that takes no snapshot (see
         ruin_probability), so it also proves what a snapshot relies on:
         every minted collectible, and nothing else, has a price.
         """
         holdings = list(self.holdings.values())
+        # One pass over the holdings sums their sizes and tests every
+        # balance as Holdings.check_balances does, which then runs only to
+        # name the first bad one. Supply conservation keeps its own sums:
+        # builtin sum compensates rounding from Python 3.12 on, a loop
+        # here would not.
+        held = 0
+        balances_ok = True
+        for h in holdings:
+            held += len(h.collectibles)
+            if not (0 <= h.activity_balance < math.inf and 0 <= h.market_balance < math.inf):
+                balances_ok = False
         board = self.board
         prices = board.collectible_prices
         minted = len(self.population)
         read_tokens = (
             self._tokens_changed
             or len(prices) != minted
-            or sum(len(h.collectibles) for h in holdings) != minted
+            or held != minted
             or not (
                 0 < board.activity_price < math.inf
                 and 0 < board.market_price < math.inf
@@ -818,15 +857,20 @@ class GameSimulation:
         try:
             if read_tokens:
                 check_ownership_partition(holdings, self.population)
-            for h in holdings:
-                try:
-                    h.check_balances()
-                except ValueError as exc:
-                    last = next(
-                        (e for e in reversed(self.events) if e.agent == h.owner and e.step == step),
-                        None,
-                    )
-                    raise SimulationInvariantError(step, str(exc), h.owner, last) from exc
+            if not balances_ok:
+                for h in holdings:
+                    try:
+                        h.check_balances()
+                    except ValueError as exc:
+                        last = next(
+                            (
+                                e
+                                for e in reversed(self.events)
+                                if e.agent == h.owner and e.step == step
+                            ),
+                            None,
+                        )
+                        raise SimulationInvariantError(step, str(exc), h.owner, last) from exc
             self.counters.validate()
             check_supply_conservation(holdings, self.counters, scale=self._supply_scale)
             if read_tokens:

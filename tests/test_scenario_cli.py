@@ -1,5 +1,8 @@
+import errno
 import json
+import json.encoder
 import math
+import os
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -284,6 +287,21 @@ class TestSimulateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_file_exits_2_with_path_and_reason(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, scenario_dict())
+
+        def unreadable(self, *args, **kwargs):
+            # What a chmod-000 file gives a user other than root.
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read scenario file {path}: {os.strerror(errno.EACCES)}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -638,6 +656,66 @@ class TestEventLines:
         assert line.isascii()
         for text in ("-0.0", "1e-07", "1e+22", r"\u00e9", r'\"b\"'):
             assert text in line
+
+
+def event_line_config(variant: str) -> SimConfig:
+    """TestEventLines' scenarios: the baseline, treasury burns, trait premiums."""
+    data = json.loads(BASELINE.read_text())
+    if variant == "treasury":
+        data["rules"]["burn_mode"] = "treasury"
+    if variant == "premiums":
+        data["run"]["trait_premiums"] = [0, 0.01, 0.03, 0.07, 0.15, 0.31]
+    return parse_scenario(data)
+
+
+ESCAPES = Event(
+    step=0,
+    agent=1,
+    action="pass",
+    inputs={"quoted": 'a "b" \\ c\nd\te', "name": "caf\u00e9 \u2713 \U0001f40d"},
+    outputs={"zero": -0.0, "small": 1e-07, "large": 1e22, "nested": [{"k\u00fc": -0.0}]},
+    rng_draws=0,
+)
+
+
+def events_bytes(out_dir: Path, variant: str) -> bytes:
+    if variant == "escapes":
+        sim = RecordingSimulation(parse_scenario(scenario_dict()), extra=[ESCAPES])
+    else:
+        sim = GameSimulation(event_line_config(variant))
+    out_dir.mkdir()
+    _write_outputs(out_dir, sim)
+    return (out_dir / "events.jsonl").read_bytes()
+
+
+class TestPayloadEncoder:
+    """The writer builds json's C encoder once per run and calls it
+    directly; without the C accelerator it uses JSONEncoder.encode."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "treasury", "premiums", "escapes"])
+    def test_without_the_c_accelerator_the_bytes_are_the_same(self, tmp_path, monkeypatch, variant):
+        with_c = events_bytes(tmp_path / "c", variant)
+        # As on a build without _json: no C encoder and json's pure-Python
+        # string escaping.
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(
+            json.encoder, "encode_basestring_ascii", json.encoder.py_encode_basestring_ascii
+        )
+        assert events_bytes(tmp_path / "python", variant) == with_c
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder here")
+    def test_one_c_encoder_per_run(self, tmp_path, monkeypatch):
+        made = []
+        make_encoder = json.encoder.c_make_encoder
+
+        def counting(*args):
+            made.append(args)
+            return make_encoder(*args)
+
+        monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+        sim = GameSimulation(event_line_config("baseline"))
+        _write_outputs(tmp_path, sim)
+        assert len(made) == 1
 
 
 class TestAnalyzeCommand:

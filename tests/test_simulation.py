@@ -475,6 +475,19 @@ class TestStrategies:
         expected = 1.0 + sum((0.0, 0.5, 1.0)[t] for t in traits)
         assert sim.board.collectible_prices[child_id] == expected
 
+    def test_trait_premiums_add_left_to_right_on_every_interpreter(self):
+        # Left to right these premiums sum to 0.07, and 0.5 + 0.07 is
+        # 0.5700000000000001; the compensated builtin sum of Python 3.12 and
+        # later gives 0.06999999999999999, and a price of 0.57.
+        config = SimConfig(
+            rules=base_rules(trait_count=6),
+            agents=(AgentSpec(id=1),),
+            steps=1,
+            board=PriceBoard(floor_price=0.5),
+            trait_premiums=(0.0, 0.01, 0.03, 0.07, 0.15, 0.31),
+        )
+        assert GameSimulation(config)._list_price((0, 0, 0, 1, 2, 2)) == 0.5700000000000001
+
     def test_trait_premiums_validated_against_alphabet(self):
         with pytest.raises(ValueError, match="one entry per trait value"):
             SimConfig(
@@ -1093,6 +1106,20 @@ class TestKeptValuations:
         check_kept_valuations(config)
 
 
+class TestPopulationBound:
+    """The engine's collectible count against breeding.max_population, the
+    greedy schedule that breeds every mature token at every step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs())
+    def test_never_exceeded_after_any_step_of_drawn_economies(self, config):
+        genesis = sum(a.collectibles for a in config.agents)
+        # With no genesis collectible nothing can ever breed.
+        bound = max_population(genesis, config.rules, config.steps) if genesis else None
+        for _, snap in GameSimulation(config).stream():
+            assert snap.collectible_count <= (bound[snap.step] if bound else 0)
+
+
 def reference_audit(sim: GameSimulation) -> None:
     """The whole audit, every check on every token, from the economy functions."""
     holdings = list(sim.holdings.values())
@@ -1426,6 +1453,55 @@ def lottery_ruin_oracle(balance: float, stake: float, turn: int, steps: int) -> 
     )
 
 
+def lattice_ruin_probability(
+    balance: int, stake: int, win: int, loss_prob: float, horizon: int
+) -> float:
+    """Exact P(ruin by step ``horizon``) of a lone thrill seeker that holds no
+    collectibles and can afford nothing but the lottery: a lattice walk down
+    by the stake with probability ``loss_prob`` and up by the win otherwise,
+    ruined at the first turn that starts below the stake (gambler's ruin;
+    Feller, An Introduction to Probability Theory, vol. 1, ch. XIV). A
+    finite-horizon dynamic program over the balance."""
+    alive = {balance: 1.0}
+    ruined = 0.0
+    for _ in range(horizon):
+        after: dict[int, float] = {}
+        for held, mass in alive.items():
+            if held < stake:
+                ruined += mass
+                continue
+            after[held - stake] = after.get(held - stake, 0.0) + loss_prob * mass
+            after[held + win] = after.get(held + win, 0.0) + (1.0 - loss_prob) * mass
+        alive = after
+    return ruined
+
+
+# (balance, stake, win, loss probability, horizon): loss probabilities near
+# 0 and near 1, balances below the stake, and baseline agent 5.
+RUIN_GRID = [
+    (25, 1, 1, 0.52, 200),
+    (0, 1, 1, 0.5, 10),
+    (2, 3, 1, 0.3, 10),
+    (1, 1, 1, 0.02, 30),
+    (3, 1, 2, 0.05, 40),
+    (3, 1, 1, 0.98, 20),
+    (10, 2, 1, 0.97, 30),
+    (5, 1, 1, 0.5, 30),
+    (4, 2, 3, 0.6, 40),
+    (6, 3, 2, 0.55, 25),
+    (2, 1, 3, 0.7, 50),
+    (8, 1, 1, 0.6, 60),
+    (12, 4, 5, 0.5, 40),
+    (7, 2, 2, 0.45, 50),
+    (20, 5, 5, 0.65, 40),
+    (9, 3, 1, 0.8, 30),
+]
+# Each case's interval covers with probability about 0.95, so 9 or fewer
+# of 16 covered has probability about 6e-6 (binomial).
+RUIN_GRID_COVERED = 10
+RUIN_GRID_TRIALS = 200
+
+
 class TestRuinProbability:
     def ruin_config(self, market_balance: float, steps: int = 5) -> SimConfig:
         return SimConfig(
@@ -1516,6 +1592,38 @@ class TestRuinProbability:
             assert (estimate.low, estimate.high) == (0.0, pytest.approx(width, rel=1e-12))
         else:
             assert (estimate.low, estimate.high) == (pytest.approx(1 - width, rel=1e-12), 1.0)
+
+    def test_dynamic_program_gives_baseline_agent_5_ruin(self):
+        # Balance 25, stake 1, win 1, loss probability 0.52, 200 steps.
+        assert lattice_ruin_probability(25, 1, 1, 0.52, 200) == pytest.approx(0.18655, abs=5e-6)
+
+    def test_wilson_interval_covers_the_exact_ruin_probability(self):
+        misses = []
+        excess = variance = 0.0
+        for seed, case in enumerate(RUIN_GRID, start=7001):
+            balance, stake, win, loss_prob, horizon = case
+            config = SimConfig(
+                rules=base_rules(),
+                agents=(AgentSpec(id=1, strategy="thrill_seeker", market_balance=float(balance)),),
+                steps=horizon,
+                seed=seed,
+                lottery=LotterySpec(
+                    loss_prob=loss_prob, stake=float(stake), win_market_tokens=float(win)
+                ),
+            )
+            exact = lattice_ruin_probability(*case)
+            estimate = ruin_probability(config, 1, trials=RUIN_GRID_TRIALS)
+            if balance < stake:
+                assert exact == estimate.probability == 1.0
+            if not estimate.low <= exact <= estimate.high:
+                misses.append((case, exact, estimate))
+            excess += RUIN_GRID_TRIALS * (estimate.probability - exact)
+            variance += RUIN_GRID_TRIALS * exact * (1.0 - exact)
+        assert len(RUIN_GRID) - len(misses) >= RUIN_GRID_COVERED, misses
+        # A ruin rule off by one turn or one unit moves most cases the same
+        # way, which the pooled ruin count shows: |z| >= 5 has probability
+        # about 6e-7 (normal approximation).
+        assert abs(excess) / math.sqrt(variance) < 5.0
 
     @pytest.mark.parametrize(
         "successes, trials, name",
