@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 
-from nftgamesim.simulation import CollateralSpec, collateral_loop
+from nftgamesim.analytics import CollateralSpec, collateral_loop
 
 
 def sweep(initial_value: float, steps: int):

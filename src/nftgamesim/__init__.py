@@ -1,5 +1,8 @@
 """Deterministic simulator and analytics toolkit for NFT game economies.
 
+economy, breeding, activities and simulation hold what simulate and
+ruin_probability run; analytics holds the paper's closed-form analyses,
+which only the analyze and demo commands, the scripts and the tests use.
 Every export below loads its module on first access (PEP 562), so
 ``import nftgamesim`` loads none of them: a command pays only for the
 modules it runs, and simulate never loads analytics (nor numpy).
@@ -11,22 +14,30 @@ _EXPORTS = {
         "AdventureSpec",
         "BattleSpec",
         "LotterySpec",
-        "MinorityGameSpec",
-        "SponsorClass",
         "StrategyMix",
-        "classify_lottery",
         "lottery_deltas",
-        "lottery_sharpe",
-        "minority_settle",
         "scale_balance",
     ),
     "analytics": (
+        "ArbitrageKind",
+        "ArbitrageVerdict",
+        "CollateralOutcome",
+        "CollateralSpec",
+        "MinorityGameSpec",
         "RedistributionGame",
         "ReturnModel",
+        "SponsorClass",
         "UtilitySpec",
+        "classify_breeding_arbitrage",
+        "classify_lottery",
+        "collateral_loop",
         "envelope_expected_gain",
         "expected_utility",
         "heterogeneous_lottery_ev",
+        "lattice_value",
+        "lottery_sharpe",
+        "max_population",
+        "minority_settle",
         "optimal_allocation",
         "optimal_fraction_1d",
         "pooled_lottery_game",
@@ -35,8 +46,6 @@ _EXPORTS = {
         "sharpe_ratio",
     ),
     "breeding": (
-        "ArbitrageKind",
-        "ArbitrageVerdict",
         "BreedCost",
         "BreedingError",
         "ExhaustedBreeder",
@@ -45,10 +54,7 @@ _EXPORTS = {
         "InsufficientBalance",
         "RestrictionViolated",
         "breed",
-        "classify_breeding_arbitrage",
         "forward_price_step",
-        "lattice_value",
-        "max_population",
     ),
     "economy": (
         "Collectible",
@@ -56,19 +62,15 @@ _EXPORTS = {
         "MissingPriceError",
         "PriceBoard",
         "SupplyCounters",
-        "collectible_pool_value",
         "fungible_pool_values",
         "total_value",
     ),
     "scenario": ("ScenarioError", "load_scenario", "parse_scenario"),
     "simulation": (
         "AgentSpec",
-        "CollateralOutcome",
-        "CollateralSpec",
         "RuinEstimate",
         "SimConfig",
         "SimulationInvariantError",
-        "collateral_loop",
         "ruin_probability",
         "run_simulation",
     ),

@@ -1,19 +1,19 @@
-"""Breeding mechanics, population bounds, forward prices, and charge valuation.
+"""Breeding mechanics, the breed-cost table and the forward-price step.
 
 Breeding consumes fungible tokens and parent breed charges to mint a new
 collectible with partially inherited, partially random traits. Because the
 supply of collectibles grows at a rate fixed by the breeding arity, their
-forward prices drift toward the per-breed cost; deviations between the
-capital growth from breeding and the tokens it consumes are arbitrage.
+forward prices drift toward the per-breed cost: under forward_drift the
+engine takes one forward_price_step per step. The closed-form side of
+breeding (the arbitrage classifier, the charge lattice, the population
+bound and the forward-price path) lives in analytics, since no run calls it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from .economy import Collectible, Holdings, PriceBoard, TokenId
 
-ARBITRAGE_REL_TOL = 1e-9
 # Size caps: genesis draws trait_count traits per token, breed_limit sizes the schedules.
 MAX_TRAIT_COUNT = 1024
 MAX_BREED_LIMIT = 1024
@@ -102,24 +102,6 @@ class BreedCost:
         act = rules.activity_cost_schedule[index]
         mkt = rules.market_cost_schedule[index]
         return cls(act, mkt, act * board.activity_price + mkt * board.market_price)
-
-
-class ArbitrageKind(str, Enum):
-    NO_ARBITRAGE = "NoArbitrage"
-    LONG_BREEDING = "LongBreedingArbitrage"
-    SHORT_BREEDING = "ShortBreedingArbitrage"
-
-
-@dataclass(frozen=True)
-class ArbitrageVerdict:
-    """Classification of the breeding trade, with magnitude = A*C - B.
-
-    Short-side arbitrage is only indirectly exploitable: breeding is not a
-    time-reversible process, so there is no direct way to short it.
-    """
-
-    kind: ArbitrageKind
-    magnitude: float
 
 
 def _are_siblings(a: Collectible, b: Collectible) -> bool:
@@ -235,74 +217,6 @@ def breed(
     return child, cost
 
 
-@dataclass
-class _Cohort:
-    # One birth cohort; blocks are (breed_count, size) runs in id order.
-    # Oldest-first selection always consumes an id-order prefix, so counts
-    # along the block list are non-increasing.
-    birth_step: int
-    blocks: list[list[int]] = field(default_factory=list)
-
-
-def max_population(initial: int, rules: GameRules, horizon: int) -> list[int]:
-    """Deterministic upper bound on the collectible count, per step.
-
-    Greedy schedule: at every step all mature collectibles with remaining
-    charges are grouped into as many disjoint breeding sets of size d as
-    possible, oldest collectibles first; each participant spends one charge
-    and every group yields one newborn at the next step. With d = 1,
-    unlimited charges, and unit maturity this is the Fibonacci recurrence
-    N(t+1) = N(t) + N(t-1).
-
-    Returns the counts N_0..N_horizon. Pairing restrictions are ignored:
-    with enough collectibles they never bind, so this stays an upper bound.
-    """
-    if initial < 1:
-        raise ValueError("initial population must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-
-    d = rules.breed_arity
-    limit = rules.breed_limit
-    cohorts = [_Cohort(birth_step=-rules.maturity_delay, blocks=[[0, initial]])]
-    counts = [initial]
-
-    for step in range(horizon):
-        eligible_total = 0
-        for c in cohorts:
-            if step - c.birth_step < rules.maturity_delay:
-                break
-            eligible_total += sum(n for used, n in c.blocks if used < limit)
-        births = eligible_total // d
-
-        take = births * d
-        for c in cohorts:
-            if take == 0:
-                break
-            if step - c.birth_step < rules.maturity_delay:
-                break
-            new_blocks: list[list[int]] = []
-            for used, n in c.blocks:
-                if used >= limit or take == 0:
-                    new_blocks.append([used, n])
-                    continue
-                k = min(n, take)
-                take -= k
-                if new_blocks and new_blocks[-1][0] == used + 1:
-                    new_blocks[-1][1] += k
-                else:
-                    new_blocks.append([used + 1, k])
-                if n - k:
-                    new_blocks.append([used, n - k])
-            c.blocks = new_blocks
-
-        if births:
-            cohorts.append(_Cohort(birth_step=step + 1, blocks=[[0, births]]))
-        counts.append(counts[-1] + births)
-
-    return counts
-
-
 def forward_price_step(p_t: float, d: int, step_cost_numeraire: float) -> float:
     """One step of the no-arbitrage forward-price recursion.
 
@@ -317,62 +231,3 @@ def forward_price_step(p_t: float, d: int, step_cost_numeraire: float) -> float:
     if step_cost_numeraire < 0:
         raise ValueError("step cost must be non-negative")
     return (d / (d + 1)) * p_t + step_cost_numeraire / (d + 1)
-
-
-def classify_breeding_arbitrage(
-    collectible_capital: float, growth_fraction: float, external_cost: float
-) -> ArbitrageVerdict:
-    """Compare the capital gain from breeding (A*C) with the tokens it burns (B).
-
-    Only A*C = B prevents arbitrage. A*C > B is exploitable by going long
-    breeding; A*C < B only indirectly, by going short, since breeding cannot
-    be reversed. Equality is judged at tolerance 1e-9 relative to the larger
-    of A*C and B, with no absolute floor, so scaling capital and cost by
-    one factor leaves the verdict unchanged.
-    """
-    if collectible_capital <= 0:
-        raise ValueError("collectible capital must be positive")
-    if external_cost < 0:
-        raise ValueError("external cost must be non-negative")
-    gain = collectible_capital * growth_fraction
-    magnitude = gain - external_cost
-    if abs(magnitude) <= ARBITRAGE_REL_TOL * max(abs(gain), abs(external_cost)):
-        return ArbitrageVerdict(ArbitrageKind.NO_ARBITRAGE, magnitude)
-    if magnitude > 0:
-        return ArbitrageVerdict(ArbitrageKind.LONG_BREEDING, magnitude)
-    return ArbitrageVerdict(ArbitrageKind.SHORT_BREEDING, magnitude)
-
-
-def lattice_value(
-    breeds_remaining: int,
-    floor_price: float,
-    expected_child_value: float,
-    cost_schedule_numeraire: list[float],
-) -> float:
-    """Value a collectible by backward induction over its remaining charges.
-
-    A spent collectible is worth the floor price. Each remaining charge adds
-    its exercise value, clamped at zero since a rational holder never breeds
-    at a loss: V(k) = V(k-1) + max(0, child_value - cost(k)).
-    """
-    if breeds_remaining < 0 or breeds_remaining > len(cost_schedule_numeraire):
-        raise ValueError(
-            f"breeds_remaining {breeds_remaining} outside [0, {len(cost_schedule_numeraire)}]"
-        )
-    if floor_price <= 0:
-        raise ValueError("floor price must be positive")
-    if expected_child_value < 0:
-        raise ValueError("expected child value must be non-negative")
-    value = floor_price
-    for k in range(1, breeds_remaining + 1):
-        value += max(0.0, expected_child_value - cost_schedule_numeraire[k - 1])
-    return value
-
-
-def iterate_forward_price(p0: float, d: int, step_cost_numeraire: float, steps: int) -> list[float]:
-    """Forward-price path p_0..p_steps under repeated application of the recursion."""
-    path = [p0]
-    for _ in range(steps):
-        path.append(forward_price_step(path[-1], d, step_cost_numeraire))
-    return path
-

@@ -289,7 +289,7 @@ def cmd_analyze_propitious(args) -> int:
 
 
 def cmd_analyze_lattice(args) -> int:
-    from .breeding import lattice_value
+    from .analytics import lattice_value
 
     value = lattice_value(args.breeds_remaining, args.floor, args.child_value, args.costs)
     return _emit(
@@ -306,7 +306,7 @@ def cmd_analyze_lattice(args) -> int:
 
 
 def cmd_analyze_arbitrage(args) -> int:
-    from .breeding import classify_breeding_arbitrage
+    from .analytics import classify_breeding_arbitrage
 
     verdict = classify_breeding_arbitrage(args.capital, args.growth, args.cost)
     return _emit(
@@ -374,7 +374,7 @@ def demo_babylon_lottery() -> int:
 
 
 def demo_collateral_cycle() -> int:
-    from .simulation import CollateralSpec, collateral_loop
+    from .analytics import CollateralSpec, collateral_loop
 
     calm = CollateralSpec(ltv=0.5, impact=1.0, initial_value=100.0)
     _, outcome = collateral_loop(calm)
@@ -402,7 +402,7 @@ def demo_collateral_cycle() -> int:
 
 
 def demo_minority() -> int:
-    from .activities import MinorityGameSpec, minority_settle
+    from .analytics import MinorityGameSpec, minority_settle
 
     side1 = [("alice", 1.0), ("bob", 2.0)]
     side2 = [("carol", 4.0)]

@@ -4,13 +4,13 @@ Three token classes make up a game economy: unique collectibles priced
 individually, a fungible activity token, and a fungible marketplace token.
 All values are quoted in a single external numeraire (e.g. a stablecoin).
 Bid-offer spreads, order books, and partial liquidity are out of scope;
-every asset has one price.
+every asset has one price. The collectible pool is summed in one place,
+the engine's snapshot; this module values the two fungible pools, totals
+the three and audits ownership and supply.
 """
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 TokenId = int
@@ -112,12 +112,6 @@ class PriceBoard:
                     f"floor price {self.floor_price} exceeds lowest listed price {lowest}"
                 )
 
-    def price_of(self, token_id: TokenId) -> float:
-        try:
-            return self.collectible_prices[token_id]
-        except KeyError:
-            raise MissingPriceError(token_id) from None
-
 
 @dataclass
 class SupplyCounters:
@@ -135,42 +129,6 @@ class SupplyCounters:
                 "supplies must be finite and non-negative "
                 f"(activity={self.activity_supply}, market={self.market_supply})"
             )
-
-
-def _disjoint_union(holdings_all: list[Holdings]) -> set[TokenId] | None:
-    """Every held token, or None if some token is held twice."""
-    held = [h.collectibles for h in holdings_all]
-    owned = set().union(*held)
-    return owned if sum(map(len, held)) == len(owned) else None
-
-
-def collectible_pool_value(holdings_all: list[Holdings], board: PriceBoard) -> float:
-    """Capital deployed in the collectibles pool.
-
-    One naive left-to-right sum over all owned tokens in ascending token-id
-    order (not builtin ``sum``, which compensates float rounding from Python
-    3.12 on). A token held by two users means the ownership partition is
-    broken and raises ValueError; a token with no price raises
-    MissingPriceError.
-    """
-    owned = _disjoint_union(holdings_all)
-    if owned is not None:
-        try:
-            return functools.reduce(
-                operator.add, map(board.collectible_prices.__getitem__, sorted(owned)), 0.0
-            )
-        except KeyError:
-            pass
-    # A token held twice or without a price: the per-token pass names the
-    # first one in id order.
-    value = 0.0
-    previous = None
-    for tid in sorted(tid for h in holdings_all for tid in h.collectibles):
-        if tid == previous:
-            raise ValueError(f"ownership is not a partition: collectible {tid} is held twice")
-        value += board.price_of(tid)
-        previous = tid
-    return value
 
 
 def fungible_pool_values(counters: SupplyCounters, board: PriceBoard) -> tuple[float, float]:
@@ -206,7 +164,9 @@ def check_ownership_partition(
     """
     # Disjoint holdings whose union is the population form a partition; the
     # per-token pass runs only to name the offending token.
-    if population.keys() == _disjoint_union(holdings_all):
+    held = [h.collectibles for h in holdings_all]
+    owned = set().union(*held)
+    if sum(map(len, held)) == len(owned) and population.keys() == owned:
         return
     seen: dict[TokenId, int] = {}
     for h in holdings_all:

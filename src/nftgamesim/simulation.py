@@ -1,18 +1,18 @@
-"""Seed-deterministic, time-stepped game simulation and leverage toys.
+"""Seed-deterministic, time-stepped game simulation and Monte Carlo ruin.
 
 One run owns a single counting generator; agents act in ascending id order
 within each step and every state transition is recorded as an event, so
 identical (config, seed) pairs reproduce byte-identical histories.
 GameSimulation.stream hands each step's events and snapshot to its caller
 as the run goes, so a caller that writes them out keeps nothing.
-A snapshot values the collectible pool exactly as
-economy.collectible_pool_value does, one naive left-to-right sum in
-ascending id order, but keeps that sum between steps: a mint extends it by
-the newborn's price (the largest id is the last term) and only a price
-rewrite makes the next snapshot sum the population again. Each agent's
-token value, an exactly rounded math.fsum, is kept the same way until that
-agent breeds or prices are rewritten. Kept values equal fresh ones bit for
-bit.
+A snapshot values the collectible pool, the only place the pool is summed,
+as one naive left-to-right sum in ascending id order (not builtin sum,
+which compensates float rounding from Python 3.12 on), and keeps that sum
+between steps: a mint extends it by the newborn's price (the largest id is
+the last term) and only a price rewrite makes the next snapshot sum the
+population again. Each agent's token value, an exactly rounded math.fsum,
+is kept the same way until that agent breeds or prices are rewritten. Kept
+values equal fresh ones bit for bit.
 The audit after each step splits by what can change what it reads. Every
 step checks each balance, the supply counters and their conservation, the
 fungible prices and a finite positive floor; one pass over the holdings
@@ -86,8 +86,6 @@ MAX_AGENT_TURNS = 10**8
 # Feasibility search looks at this many oldest eligible parents; breeding
 # prefers old collectibles anyway and this keeps a step O(1).
 BREED_SEARCH_WINDOW = 12
-
-CONVERGENCE_REL_TOL = 1e-9
 
 # Standard normal 97.5% quantile, the z of a 95% interval.
 Z_95 = 1.959963984540054
@@ -256,47 +254,6 @@ class SimResult:
     snapshots: list[EconomySnapshot]
     ruined_at: dict[int, int | None]
     action_counts: dict[int, dict[str, int]]
-
-
-@dataclass(frozen=True)
-class CollateralSpec:
-    """Linear borrow-and-reinvest loop for game tokens used as loan collateral.
-
-    Each round the promoter borrows ltv times the collateral value and the
-    reinvested loan lifts the value by impact per unit: V(n+1) = V0 +
-    impact * ltv * V(n). An optional shock multiplies the value by
-    (1 - shock_fraction) at the given step; the position is liquidated once
-    the value falls below liquidation_threshold times the outstanding debt.
-    """
-
-    ltv: float
-    impact: float
-    initial_value: float
-    liquidation_threshold: float = 1.0
-    shock_step: int | None = None
-    shock_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ltv < 1.0:
-            raise ValueError("loan-to-value must be in (0, 1)")
-        if self.impact < 0:
-            raise ValueError("price impact must be non-negative")
-        if self.initial_value <= 0:
-            raise ValueError("initial value must be positive")
-        if not 0.0 < self.liquidation_threshold <= 1.0:
-            raise ValueError("liquidation threshold must be in (0, 1]")
-        if self.shock_step is not None:
-            if self.shock_step < 1:
-                raise ValueError("shock step must be >= 1")
-            if not 0.0 < self.shock_fraction < 1.0:
-                raise ValueError("shock fraction must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class CollateralOutcome:
-    kind: str  # "Converged" | "Diverged" | "Liquidated"
-    limit_value: float | None = None
-    liquidated_step: int | None = None
 
 
 @dataclass(frozen=True)
@@ -905,9 +862,9 @@ class GameSimulation:
 
     def snapshot(self, step: int) -> EconomySnapshot:
         if self._pool is None:
-            # collectible_pool_value's sum without its checks: the audit before
-            # every snapshot proved that the holdings partition the population
-            # and that exactly its ids are priced, and population ids ascend.
+            # The sum needs no checks of its own: the audit before every
+            # snapshot proved that the holdings partition the population and
+            # that exactly its ids are priced, and population ids ascend.
             self._pool = functools.reduce(
                 operator.add, map(self.board.collectible_prices.__getitem__, self.population), 0.0
             )
@@ -943,35 +900,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         ruined_at=sim.ruined_at,
         action_counts=sim.action_counts,
     )
-
-
-def collateral_loop(
-    spec: CollateralSpec, max_iter: int = 10_000
-) -> tuple[list[float], CollateralOutcome]:
-    """Iterate the borrow-and-reinvest recursion until it settles, blows up,
-    or a shock forces liquidation.
-
-    With impact * ltv < 1 the value converges to initial / (1 - impact*ltv)
-    (declared once the step change drops below 1e-9 of the initial value);
-    at or above 1 the loop diverges. A shocked value below the liquidation
-    threshold times the outstanding debt ends the run as Liquidated.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    feedback = spec.impact * spec.ltv
-    trajectory = [spec.initial_value]
-    for n in range(1, max_iter + 1):
-        prev = trajectory[-1]
-        value = spec.initial_value + feedback * prev
-        if spec.shock_step == n:
-            value *= 1.0 - spec.shock_fraction
-        trajectory.append(value)
-        debt = spec.ltv * prev
-        if value < spec.liquidation_threshold * debt:
-            return trajectory, CollateralOutcome(kind="Liquidated", liquidated_step=n)
-        if abs(value - prev) < CONVERGENCE_REL_TOL * spec.initial_value:
-            return trajectory, CollateralOutcome(kind="Converged", limit_value=value)
-    return trajectory, CollateralOutcome(kind="Diverged")
 
 
 def ruin_probability(config: SimConfig, agent: int, trials: int) -> RuinEstimate:

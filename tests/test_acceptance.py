@@ -11,27 +11,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nftgamesim.activities import MinorityGameSpec, minority_settle
 from nftgamesim.analytics import (
+    ArbitrageKind,
+    CollateralSpec,
+    MinorityGameSpec,
     ReturnModel,
     UtilitySpec,
+    classify_breeding_arbitrage,
+    collateral_loop,
     envelope_expected_gain,
     heterogeneous_lottery_ev,
+    max_population,
+    minority_settle,
     optimal_allocation,
     pooled_lottery_game,
     propitious_check,
     pseudo_inverse,
     sharpe_ratio,
 )
-from nftgamesim.breeding import (
-    ArbitrageKind,
-    GameRules,
-    classify_breeding_arbitrage,
-    forward_price_step,
-    max_population,
-)
+from nftgamesim.breeding import GameRules, forward_price_step
 from nftgamesim.cli import main
-from nftgamesim.simulation import CollateralSpec, collateral_loop
 
 BASELINE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 

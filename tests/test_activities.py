@@ -9,14 +9,16 @@ from nftgamesim.activities import (
     AdventureSpec,
     BattleSpec,
     LotterySpec,
+    StrategyMix,
+    lottery_deltas,
+    scale_balance,
+)
+from nftgamesim.analytics import (
     MinorityGameSpec,
     SponsorClass,
-    StrategyMix,
     classify_lottery,
-    lottery_deltas,
     lottery_sharpe,
     minority_settle,
-    scale_balance,
 )
 from nftgamesim.breeding import GameRules
 from nftgamesim.economy import PriceBoard

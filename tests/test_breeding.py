@@ -5,19 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nftgamesim.breeding import (
+from nftgamesim.analytics import (
     ArbitrageKind,
+    classify_breeding_arbitrage,
+    iterate_forward_price,
+    lattice_value,
+    max_population,
+)
+from nftgamesim.breeding import (
     ExhaustedBreeder,
     GameRules,
     ImmatureParent,
     InsufficientBalance,
     RestrictionViolated,
     breed,
-    classify_breeding_arbitrage,
     forward_price_step,
-    iterate_forward_price,
-    lattice_value,
-    max_population,
 )
 from nftgamesim.economy import Collectible, Holdings, PriceBoard
 

@@ -780,8 +780,11 @@ class TestAnalyzeCommand:
                 ],
                 "lattice_value",
             ),
+            # 2**1024 and 0.5**-1024 overflow a float; 2**1023 does not.
+            (["propitious", "--seeker-exponent", "1024"], "power utility 2.0**1024.0"),
+            (["propitious", "--seeker-exponent", "-1024"], "power utility 0.5**-1024.0"),
         ],
-        ids=["sharpe", "envelope", "lattice"],
+        ids=["sharpe", "envelope", "lattice", "utility-1024", "utility--1024"],
     )
     def test_overflowing_result_exits_2_with_nothing_on_stdout(self, capsys, argv, field):
         assert main(["analyze", *argv]) == 2

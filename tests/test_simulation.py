@@ -12,21 +12,19 @@ from hypothesis import strategies as st
 
 from nftgamesim import breeding
 from nftgamesim.activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
-from nftgamesim.breeding import (
-    BreedCost,
-    GameRules,
-    RestrictionViolated,
-    check_pairing,
+from nftgamesim.analytics import (
+    CollateralSpec,
+    collateral_loop,
     iterate_forward_price,
     max_population,
 )
+from nftgamesim.breeding import BreedCost, GameRules, RestrictionViolated, check_pairing
 from nftgamesim import simulation
 from nftgamesim.economy import (
     Collectible,
     PriceBoard,
     check_ownership_partition,
     check_supply_conservation,
-    collectible_pool_value,
 )
 from nftgamesim.scenario import parse_scenario
 from nftgamesim.simulation import (
@@ -34,17 +32,16 @@ from nftgamesim.simulation import (
     STRATEGIES,
     Z_95,
     AgentSpec,
-    CollateralSpec,
     Event,
     GameSimulation,
     SimConfig,
     SimulationInvariantError,
-    collateral_loop,
     derive_subseed,
     ruin_probability,
     run_simulation,
     wilson_interval,
 )
+from test_economy import reference_pool_value
 from test_golden import BASELINE, CASES
 
 
@@ -1033,7 +1030,7 @@ def check_kept_valuations(config: SimConfig) -> None:
     sim = GameSimulation(config)
     board = sim.board
     for _, snap in sim.stream():
-        pool = collectible_pool_value(list(sim.holdings.values()), board)
+        pool = reference_pool_value(list(sim.holdings.values()), board)
         assert snap.collectible_pool.hex() == pool.hex()
         for agent_id, wealth in snap.agent_wealth.items():
             h = sim.holdings[agent_id]
@@ -1107,7 +1104,7 @@ class TestKeptValuations:
 
 
 class TestPopulationBound:
-    """The engine's collectible count against breeding.max_population, the
+    """The engine's collectible count against analytics.max_population, the
     greedy schedule that breeds every mature token at every step."""
 
     @settings(max_examples=40, deadline=None)

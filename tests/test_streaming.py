@@ -1,5 +1,5 @@
-"""simulate streams its outputs, and the simulate path never loads numpy
-or analytics."""
+"""simulate streams its outputs, and neither simulate nor a
+ruin_probability run loads numpy or analytics."""
 import importlib
 import os
 import subprocess
@@ -38,70 +38,76 @@ def test_simulate_memory_is_flat_in_steps(tmp_path, capsys):
     assert at_1600 <= 1.25 * at_400, (at_400, at_1600)
 
 
-def test_package_and_cli_import_without_numpy():
+def _loaded_after(code: str, modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
     src = str(Path(nftgamesim.__file__).resolve().parents[1])
-    code = "import sys, nftgamesim, nftgamesim.cli; print('numpy' in sys.modules)"
+    probe = f"{code}\nimport sys\nprint(sorted(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_package_and_cli_import_without_numpy():
+    assert _loaded_after("import nftgamesim, nftgamesim.cli", ("numpy",)) == "[]"
 
 
 def test_package_and_cli_import_without_analytics():
     # The package resolves its exports on first access, and the simulate
     # path never reaches analytics.
-    src = str(Path(nftgamesim.__file__).resolve().parents[1])
+    modules = ("nftgamesim.analytics", "fractions", "hashlib")
+    assert _loaded_after("import nftgamesim, nftgamesim.cli", modules) == "[]"
+
+
+def test_ruin_path_loads_neither_analytics_nor_numpy():
+    # What perfbench/probe.py runs for its setup and ruin probes, cut to 5 steps.
     code = (
-        "import sys, nftgamesim, nftgamesim.cli; "
-        "print(sorted(m for m in ('nftgamesim.analytics', 'fractions', 'hashlib') if m in sys.modules))"
+        "from dataclasses import replace\n"
+        "from nftgamesim.scenario import load_scenario\n"
+        "from nftgamesim.simulation import GameSimulation, ruin_probability\n"
+        f"config = replace(load_scenario({str(BASELINE)!r}), steps=5)\n"
+        "GameSimulation(config)\n"
+        "ruin_probability(config, agent=5, trials=1)"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    assert done.stdout.strip() == "[]"
+    assert _loaded_after(code, ("nftgamesim.analytics", "numpy", "fractions")) == "[]"
 
 
-# The package's 57 exports, each loaded from its module on first access.
+# The package's 56 exports, each loaded from its module on first access.
 EXPORTS = {
     "activities": (
-        "AdventureSpec BattleSpec LotterySpec MinorityGameSpec SponsorClass StrategyMix "
-        "classify_lottery lottery_deltas lottery_sharpe minority_settle scale_balance"
+        "AdventureSpec BattleSpec LotterySpec StrategyMix lottery_deltas scale_balance"
     ),
     "analytics": (
-        "RedistributionGame ReturnModel UtilitySpec envelope_expected_gain expected_utility "
-        "heterogeneous_lottery_ev optimal_allocation optimal_fraction_1d pooled_lottery_game "
-        "propitious_check pseudo_inverse sharpe_ratio"
+        "ArbitrageKind ArbitrageVerdict CollateralOutcome CollateralSpec MinorityGameSpec "
+        "RedistributionGame ReturnModel SponsorClass UtilitySpec classify_breeding_arbitrage "
+        "classify_lottery collateral_loop envelope_expected_gain expected_utility "
+        "heterogeneous_lottery_ev lattice_value lottery_sharpe max_population minority_settle "
+        "optimal_allocation optimal_fraction_1d pooled_lottery_game propitious_check "
+        "pseudo_inverse sharpe_ratio"
     ),
     "breeding": (
-        "ArbitrageKind ArbitrageVerdict BreedCost BreedingError ExhaustedBreeder GameRules "
-        "ImmatureParent InsufficientBalance RestrictionViolated breed classify_breeding_arbitrage "
-        "forward_price_step lattice_value max_population"
+        "BreedCost BreedingError ExhaustedBreeder GameRules ImmatureParent InsufficientBalance "
+        "RestrictionViolated breed forward_price_step"
     ),
     "economy": (
-        "Collectible Holdings MissingPriceError PriceBoard SupplyCounters collectible_pool_value "
-        "fungible_pool_values total_value"
+        "Collectible Holdings MissingPriceError PriceBoard SupplyCounters fungible_pool_values "
+        "total_value"
     ),
     "scenario": "ScenarioError load_scenario parse_scenario",
     "simulation": (
-        "AgentSpec CollateralOutcome CollateralSpec RuinEstimate SimConfig SimulationInvariantError "
-        "collateral_loop ruin_probability run_simulation"
+        "AgentSpec RuinEstimate SimConfig SimulationInvariantError ruin_probability run_simulation"
     ),
 }
 
 
 def test_every_export_resolves_to_its_module_object():
     names = {name: module for module, text in EXPORTS.items() for name in text.split()}
-    assert len(names) == 57
+    assert len(names) == 56
     assert sorted(nftgamesim.__all__) == sorted(names)
     for name, module in names.items():
         assert getattr(nftgamesim, name) is getattr(importlib.import_module(f"nftgamesim.{module}"), name)
@@ -109,3 +115,16 @@ def test_every_export_resolves_to_its_module_object():
     assert set(nftgamesim.__all__) <= set(dir(nftgamesim))
     with pytest.raises(AttributeError, match="no_such_name"):
         nftgamesim.no_such_name
+
+
+def test_engine_modules_do_not_reexport_the_analytics():
+    # The analyses are reached through analytics alone: no engine module
+    # carries one of its names, under an import or a compatibility alias.
+    engine = ("economy", "breeding", "activities", "simulation")
+    shims = [
+        f"{module}.{name}"
+        for module in engine
+        for name in EXPORTS["analytics"].split()
+        if hasattr(importlib.import_module(f"nftgamesim.{module}"), name)
+    ]
+    assert shims == []
