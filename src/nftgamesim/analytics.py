@@ -167,16 +167,31 @@ def pseudo_inverse(matrix, rel_cutoff: float = SVD_REL_CUTOFF) -> np.ndarray:
 
 def optimal_allocation(model: ReturnModel) -> np.ndarray:
     """Growth-optimal weights: excess drifts times the pseudoinverse of the
-    asset Gram matrix. Reduces to optimal_fraction_1d for one asset."""
+    asset Gram matrix. Reduces to optimal_fraction_1d for one asset.
+
+    The Gram pseudoinverse is P @ P.T with P the pseudoinverse of the
+    volatility matrix itself, so pseudo_inverse's cutoff applies to the
+    volatilities, not to their squares: a small but nonzero volatility is
+    inverted, not dropped as redundant. Products that underflow to zero are
+    fine; if the Gram matrix or the weights overflow, ValueError names the
+    volatility matrix.
+    """
     import numpy as np
 
     mu = np.asarray(model.mean_vector, dtype=float)
     vol = np.asarray(model.vol_matrix, dtype=float)
-    gram = vol.T @ vol
-    excess = mu - model.riskless_rate
-    # The Gram pseudoinverse is symmetric, so row/column orientation is
-    # immaterial: excess @ pinv == pinv @ excess.
-    return excess @ pseudo_inverse(gram)
+    p = pseudo_inverse(vol)
+    with np.errstate(over="raise", under="ignore"):
+        try:
+            # The covariance of the assets is formed only to prove that it
+            # is representable.
+            vol.T @ vol
+            # P @ P.T is symmetric, so row/column orientation is immaterial.
+            return (mu - model.riskless_rate) @ (p @ p.T)
+        except FloatingPointError:
+            raise ValueError(
+                "vol_matrix is out of float range: its Gram matrix or the allocation overflows"
+            ) from None
 
 
 def envelope_expected_gain(up: float, down: float, up_prob: float) -> tuple[float, float]:

@@ -1,12 +1,20 @@
 """Breeding mechanics, the breed-cost table and the forward-price step.
 
 Breeding consumes fungible tokens and parent breed charges to mint a new
-collectible with partially inherited, partially random traits. Because the
-supply of collectibles grows at a rate fixed by the breeding arity, their
-forward prices drift toward the per-breed cost: under forward_drift the
-engine takes one forward_price_step per step. The closed-form side of
-breeding (the arbitrage classifier, the charge lattice, the population
-bound and the forward-price path) lives in analytics, since no run calls it.
+collectible with partially inherited, partially random traits. Parents may
+breed when no two of them are the same token, parent and child, or
+siblings: can_pair answers that for one pair as a bool, and check_pairing
+raises the rule a list breaks. A breed is check_breed, which runs every
+check and returns the BreedCost, then mint, which draws the traits,
+creates the child and debits the owner; breed does both. The engine's
+search proves what check_breed checks, so the engine calls mint alone.
+
+Because the supply of collectibles grows at a rate fixed by the breeding
+arity, their forward prices drift toward the per-breed cost: under
+forward_drift the engine takes one forward_price_step per step. The
+closed-form side of breeding (the arbitrage classifier, the charge
+lattice, the population bound and the forward-price path) lives in
+analytics, since no run calls it.
 """
 from __future__ import annotations
 
@@ -104,59 +112,54 @@ class BreedCost:
         return cls(act, mkt, act * board.activity_price + mkt * board.market_price)
 
 
-def _are_siblings(a: Collectible, b: Collectible) -> bool:
-    # Siblings share at least one parent (strictest reading).
-    if a.parents is None or b.parents is None:
+def can_pair(a: Collectible, b: Collectible) -> bool:
+    """True if ``a`` and ``b`` may breed together: they are two different
+    tokens, neither is a parent of the other, and they share no parent (a
+    single shared parent already makes them siblings)."""
+    if a.id == b.id:
         return False
-    return bool(set(a.parents) & set(b.parents))
+    pa, pb = a.parents, b.parents
+    if pa is None:
+        return pb is None or a.id not in pb
+    if pb is None:
+        return b.id not in pa
+    return b.id not in pa and a.id not in pb and set(pa).isdisjoint(pb)
 
 
-def _is_parent_child(a: Collectible, b: Collectible) -> bool:
-    return (a.parents is not None and b.id in a.parents) or (
+def _pairing_error(a: Collectible, b: Collectible) -> RestrictionViolated:
+    """Name the rule a pair that fails can_pair breaks."""
+    if a.id == b.id:
+        return RestrictionViolated(f"collectible {a.id} listed twice as parent")
+    if (a.parents is not None and b.id in a.parents) or (
         b.parents is not None and a.id in b.parents
-    )
+    ):
+        return RestrictionViolated(f"collectibles {a.id} and {b.id} are parent and child")
+    return RestrictionViolated(f"collectibles {a.id} and {b.id} are siblings")
 
 
 def check_pairing(parents: list[Collectible]) -> None:
     """Raise RestrictionViolated if any two chosen parents may not breed."""
     for i, a in enumerate(parents):
         for b in parents[i + 1 :]:
-            if a.id == b.id:
-                raise RestrictionViolated(f"collectible {a.id} listed twice as parent")
-            if _is_parent_child(a, b):
-                raise RestrictionViolated(
-                    f"collectibles {a.id} and {b.id} are parent and child"
-                )
-            if _are_siblings(a, b):
-                raise RestrictionViolated(f"collectibles {a.id} and {b.id} are siblings")
+            if not can_pair(a, b):
+                raise _pairing_error(a, b)
 
 
-def breed(
+def check_breed(
     parent_ids: list[TokenId],
     owner: Holdings,
     population: dict[TokenId, Collectible],
     rules: GameRules,
     board: PriceBoard,
-    rng,
     current_step: int = 0,
-) -> tuple[Collectible, BreedCost]:
-    """Mint a new collectible from ``parent_ids`` (length = breed_arity).
+) -> BreedCost:
+    """The cost of breeding ``parent_ids`` (length = breed_arity), or the
+    BreedingError that refuses it. Changes nothing.
 
     The first parent is the lead breeder; the cost index is its current
-    breed count. Each child trait is inherited from a uniformly chosen
-    parent with probability 1 - mutation_prob, otherwise drawn uniformly
-    from the trait alphabet. Debits the owner's balances and increments
-    every parent's breed count; the caller settles supply counters
-    according to ``rules.burn_mode``.
-
-    ``rng`` needs ``random()`` and ``randrange(n)``. Two draws are consumed
-    per trait (mutation test, then value) regardless of mutation_prob, so
-    replay streams stay aligned.
-
-    The child id is one more than the population's last key, which is its
-    largest as long as ids are added in ascending order (genesis and every
-    breed do so). If that id is already taken, ValueError is raised before
-    anything changes; an id is never reused.
+    breed count. In order: the arity, the owner holds every parent, the
+    pairing rules, every parent has a charge left and is mature, and the
+    owner's balances cover the cost.
     """
     if len(parent_ids) != rules.breed_arity:
         raise RestrictionViolated(
@@ -186,35 +189,79 @@ def breed(
             f"user {owner.owner} cannot cover breed cost "
             f"(needs {cost.activity_amount} activity + {cost.market_amount} market)"
         )
+    return cost
+
+
+def mint(
+    parent_ids: list[TokenId],
+    owner: Holdings,
+    population: dict[TokenId, Collectible],
+    rules: GameRules,
+    cost: BreedCost,
+    rng,
+    current_step: int = 0,
+) -> Collectible:
+    """Mint the child of ``parent_ids`` at ``cost``, checking nothing that
+    check_breed checks: the caller has proven the breed legal.
+
+    Each child trait is inherited from a uniformly chosen parent with
+    probability 1 - mutation_prob, otherwise drawn uniformly from the trait
+    alphabet. Debits the owner's balances and increments every parent's
+    breed count; the caller settles supply counters according to
+    ``rules.burn_mode``.
+
+    ``rng`` needs ``random()`` and ``randrange(n)``. Two draws are consumed
+    per trait (mutation test, then value) regardless of mutation_prob, so
+    replay streams stay aligned.
+
+    The child id is one more than the population's last key, which is its
+    largest as long as ids are added in ascending order (genesis and every
+    breed do so). If that id is already taken, ValueError is raised before
+    anything changes; an id is never reused.
+    """
     child_id = next(reversed(population)) + 1
     if child_id in population:
         raise ValueError(
             f"child id {child_id} is already minted: population ids were not added in ascending order"
         )
-
+    parents = [population[pid] for pid in parent_ids]
+    draw, pick = rng.random, rng.randrange
+    mutation_prob = rules.mutation_prob
+    alphabet = rules.trait_alphabet
+    n = len(parents)
     traits = []
     for i in range(rules.trait_count):
-        mutate = rng.random() < rules.mutation_prob
-        if mutate:
-            traits.append(rng.randrange(rules.trait_alphabet))
+        if draw() < mutation_prob:
+            traits.append(pick(alphabet))
         else:
-            traits.append(parents[rng.randrange(len(parents))].traits[i])
+            traits.append(parents[pick(n)].traits[i])
 
-    child = Collectible(
-        id=child_id,
-        traits=tuple(traits),
-        parents=tuple(parent_ids),
-        breed_count=0,
-        birth_step=current_step + 1,
-    )
-
+    child = Collectible(child_id, tuple(traits), tuple(parent_ids), 0, current_step + 1)
     owner.activity_balance -= cost.activity_amount
     owner.market_balance -= cost.market_amount
     for p in parents:
         p.breed_count += 1
-    population[child.id] = child
-    owner.collectibles.add(child.id)
-    return child, cost
+    population[child_id] = child
+    owner.collectibles.add(child_id)
+    return child
+
+
+def breed(
+    parent_ids: list[TokenId],
+    owner: Holdings,
+    population: dict[TokenId, Collectible],
+    rules: GameRules,
+    board: PriceBoard,
+    rng,
+    current_step: int = 0,
+) -> tuple[Collectible, BreedCost]:
+    """Check and mint a breed: check_breed, then mint at the cost it found.
+
+    Raises whatever check_breed raises, and mint's ValueError on a child id
+    that is already taken; in either case nothing changes.
+    """
+    cost = check_breed(parent_ids, owner, population, rules, board, current_step)
+    return mint(parent_ids, owner, population, rules, cost, rng, current_step), cost
 
 
 def forward_price_step(p_t: float, d: int, step_cost_numeraire: float) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 TokenId = int
 
@@ -197,8 +198,8 @@ def check_supply_conservation(
     to the larger of the sum and ``scale``: per token, the largest supply
     audited before (at least 1).
     """
-    act = sum(h.activity_balance for h in holdings_all)
-    mkt = sum(h.market_balance for h in holdings_all)
+    act = sum(map(attrgetter("activity_balance"), holdings_all))
+    mkt = sum(map(attrgetter("market_balance"), holdings_all))
     if abs(act - counters.activity_supply) > rel_tol * max(scale[0], abs(act)):
         raise ValueError(
             f"activity supply {counters.activity_supply} != user balance sum {act}"

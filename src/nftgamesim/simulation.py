@@ -36,9 +36,14 @@ or when a growth maximizer's breed could still win. The search reads each
 agent's candidate list, its collectibles with a breed charge left in
 ascending id order: genesis and each mint append (a new id is the largest),
 and a parent leaves when it uses its last charge, so the search sorts
-nothing and never walks a spent token. Breeds are priced from a table of
-per-breed numeraire costs built once per run from breeding.BreedCost, as
-the engine never writes the fungible prices. Adventures, battles and
+nothing and never walks a spent token. A breed is proven once, by the
+search: it tests pairs with breeding.can_pair, a bool, so a refused pair
+raises nothing, and the set it finds passes every check of
+breeding.check_breed, so the engine mints it with breeding.mint without
+checking it again. Breeds are priced from a table of breeding.BreedCost
+built once per run, as the engine never writes the fungible prices. Each
+turn's event and each newborn are built positionally, and a snapshot
+values every agent in one pass over the turn records. Adventures, battles and
 lotteries settle through activities.scale_balance and
 activities.lottery_deltas; the engine holds no payoff arithmetic of its own
 beyond the growth maximizer's score.
@@ -317,13 +322,14 @@ class GameSimulation:
         # A balance below every entry of a cost schedule affords no breed.
         self._min_activity_cost = min(self.rules.activity_cost_schedule)
         self._min_market_cost = min(self.rules.market_cost_schedule)
-        # Numeraire cost of a breed by the lead parent's breed count. The
-        # engine never writes the fungible prices, so the table holds for the
-        # whole run.
-        self._breed_costs = tuple(
-            breeding.BreedCost.at_index(self.rules, k, self.board).numeraire_total
+        # The cost of a breed by the lead parent's breed count, and its
+        # numeraire total. The engine never writes the fungible prices, so
+        # the table holds for the whole run.
+        self._breed_table = tuple(
+            breeding.BreedCost.at_index(self.rules, k, self.board)
             for k in range(self.rules.breed_limit)
         )
+        self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
         self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
         # Each agent's collectibles with a breed charge left, in ascending id
         # order: genesis and every mint append (a new id is the largest), and
@@ -387,25 +393,19 @@ class GameSimulation:
                     self.rng.randrange(self.rules.trait_alphabet)
                     for _ in range(self.rules.trait_count)
                 )
-                token = Collectible(
-                    id=next_id,
-                    traits=traits,
-                    parents=None,
-                    breed_count=0,
-                    birth_step=1 - self.rules.maturity_delay,
-                )
-                self.population[token.id] = token
-                h.collectibles.add(token.id)
-                candidates[token.id] = token
-                self.board.collectible_prices[token.id] = genesis_price
+                token = Collectible(next_id, traits, None, 0, 1 - self.rules.maturity_delay)
+                self.population[next_id] = token
+                h.collectibles.add(next_id)
+                candidates[next_id] = token
+                self.board.collectible_prices[next_id] = genesis_price
                 self.events.append(
                     Event(
-                        step=0,
-                        agent=spec.id,
-                        action="genesis",
-                        inputs={},
-                        outputs={"collectible": token.id, "traits": list(traits)},
-                        rng_draws=self.rng.draws - before,
+                        0,
+                        spec.id,
+                        "genesis",
+                        {},
+                        {"collectible": next_id, "traits": list(traits)},
+                        self.rng.draws - before,
                     )
                 )
                 next_id += 1
@@ -437,7 +437,9 @@ class GameSimulation:
         The cost depends only on the lead parent's breed count, so a lead
         the agent cannot afford is skipped before any pairing check, and an
         agent priced out of every lead is refused before the parents are
-        gathered.
+        gathered. Pairs are tested with breeding.can_pair, so a refused pair
+        raises nothing. A set this returns passes breeding.check_breed at
+        this step (see _do_breed).
         """
         h = self.holdings[agent_id]
         if h.activity_balance < self._min_activity_cost or h.market_balance < self._min_market_cost:
@@ -453,12 +455,9 @@ class GameSimulation:
             if h.activity_balance < activity_costs[k] or h.market_balance < market_costs[k]:
                 continue
             for rest in itertools.combinations(eligible[i + 1 :], arity - 1):
-                combo = [lead, *rest]
-                try:
-                    breeding.check_pairing(combo)
-                except breeding.RestrictionViolated:
-                    continue
-                return [c.id for c in combo]
+                combo = (lead, *rest)
+                if all(itertools.starmap(breeding.can_pair, itertools.combinations(combo, 2))):
+                    return [c.id for c in combo]
         return None
 
     def _can_adventure(self, agent_id: int) -> bool:
@@ -483,18 +482,22 @@ class GameSimulation:
 
     # -- wealth --------------------------------------------------------
 
+    def _value_tokens(self, agent_id: int, h: Holdings) -> float:
+        """Sum the agent's token prices and keep the sum (see _token_value)."""
+        # fsum is exactly rounded, so neither the set's iteration order nor
+        # when the value was taken matters while prices and holdings stay put.
+        try:
+            tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
+        except KeyError as exc:
+            raise MissingPriceError(exc.args[0]) from None
+        self._token_value[agent_id] = tokens
+        return tokens
+
     def agent_wealth(self, agent_id: int) -> float:
         h = self.holdings[agent_id]
         tokens = self._token_value.get(agent_id)
         if tokens is None:
-            # fsum is exactly rounded, so neither the set's iteration order
-            # nor when the value was taken matters while prices and holdings
-            # stay put.
-            try:
-                tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
-            except KeyError as exc:
-                raise MissingPriceError(exc.args[0]) from None
-            self._token_value[agent_id] = tokens
+            tokens = self._value_tokens(agent_id, h)
         return (
             tokens
             + h.activity_balance * self.board.activity_price
@@ -504,11 +507,16 @@ class GameSimulation:
     # -- actions -------------------------------------------------------
 
     def _do_breed(self, agent_id: int, step: int, parent_ids: list[int]) -> Event:
+        """Mint the set _find_breeding_set found this turn. The search proved
+        every check of breeding.check_breed (ownership, arity, pairing,
+        charges, maturity, balances), and nothing changed state since, so
+        the breed is minted at the table's cost without checking it again."""
         h = self.holdings[agent_id]
-        before = self.rng.draws
-        child, cost = breeding.breed(
-            parent_ids, h, self.population, self.rules, self.board, self.rng, current_step=step
-        )
+        population = self.population
+        rng = self.rng
+        before = rng.draws
+        cost = self._breed_table[population[parent_ids[0]].breed_count]
+        child = breeding.mint(parent_ids, h, population, self.rules, cost, rng, step)
         if self.rules.burn_mode == "treasury":
             self.holdings[TREASURY].activity_balance += cost.activity_amount
             self.holdings[TREASURY].market_balance += cost.market_amount
@@ -517,7 +525,7 @@ class GameSimulation:
             self.counters.market_supply -= cost.market_amount
         candidates = self._candidates[agent_id]
         for pid in parent_ids:
-            if self.population[pid].breed_count == self.rules.breed_limit:
+            if population[pid].breed_count == self.rules.breed_limit:
                 del candidates[pid]
         candidates[child.id] = child
         price = self._list_price(child.traits)
@@ -530,17 +538,17 @@ class GameSimulation:
         self._token_value.pop(agent_id, None)
         self._tokens_changed = True
         return Event(
-            step=step,
-            agent=agent_id,
-            action="breed",
-            inputs={"parents": list(parent_ids)},
-            outputs={
+            step,
+            agent_id,
+            "breed",
+            {"parents": list(parent_ids)},
+            {
                 "child": child.id,
                 "traits": list(child.traits),
                 "activity_cost": cost.activity_amount,
                 "market_cost": cost.market_amount,
             },
-            rng_draws=self.rng.draws - before,
+            rng.draws - before,
         )
 
     def _do_scaled(
@@ -561,12 +569,12 @@ class GameSimulation:
         h.activity_balance = after_balance
         self.counters.activity_supply += minted
         return Event(
-            step=step,
-            agent=agent_id,
-            action=action,
-            inputs={team_key: team, "activity_balance": before_balance},
-            outputs={"activity_balance": after_balance, "activity_minted": minted},
-            rng_draws=0,
+            step,
+            agent_id,
+            action,
+            {team_key: team, "activity_balance": before_balance},
+            {"activity_balance": after_balance, "activity_minted": minted},
+            0,
         )
 
     def _do_lottery(self, agent_id: int, step: int) -> Event:
@@ -584,16 +592,11 @@ class GameSimulation:
         else:
             outputs = {"result": "win", "market_minted": market, "activity_minted": activity}
         return Event(
-            step=step,
-            agent=agent_id,
-            action="lottery",
-            inputs={"stake": spec.stake},
-            outputs=outputs,
-            rng_draws=self.rng.draws - before,
+            step, agent_id, "lottery", {"stake": spec.stake}, outputs, self.rng.draws - before
         )
 
     def _pass_event(self, agent_id: int, step: int) -> Event:
-        return Event(step=step, agent=agent_id, action="pass", inputs={}, outputs={}, rng_draws=0)
+        return Event(step, agent_id, "pass", {}, {}, 0)
 
     # -- strategy ------------------------------------------------------
 
@@ -875,15 +878,20 @@ class GameSimulation:
             total = total_value(phi, psi, omega)
         except ValueError as exc:
             raise SimulationInvariantError(step, str(exc)) from exc
-        return EconomySnapshot(
-            step=step,
-            collectible_pool=phi,
-            activity_pool=psi,
-            market_pool=omega,
-            total=total,
-            collectible_count=len(self.population),
-            agent_wealth={a.id: self.agent_wealth(a.id) for a in self._agents},
-        )
+        # Every agent valued as agent_wealth does, in one pass over the turn
+        # records, with the same kept token values.
+        activity_price = self.board.activity_price
+        market_price = self.board.market_price
+        kept = self._token_value
+        wealth = {}
+        for agent_id, _, h, _, _ in self._turns:
+            tokens = kept.get(agent_id)
+            if tokens is None:
+                tokens = self._value_tokens(agent_id, h)
+            wealth[agent_id] = (
+                tokens + h.activity_balance * activity_price + h.market_balance * market_price
+            )
+        return EconomySnapshot(step, phi, psi, omega, total, len(self.population), wealth)
 
 
 def run_simulation(config: SimConfig) -> SimResult:

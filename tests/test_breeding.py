@@ -19,6 +19,8 @@ from nftgamesim.breeding import (
     InsufficientBalance,
     RestrictionViolated,
     breed,
+    can_pair,
+    check_pairing,
     forward_price_step,
 )
 from nftgamesim.economy import Collectible, Holdings, PriceBoard
@@ -40,6 +42,58 @@ def genesis_pair(rules: GameRules, traits_a=(0, 1, 2, 3), traits_b=(4, 3, 2, 1))
     owner = Holdings(owner=1, collectibles={0, 1}, activity_balance=100.0, market_balance=100.0)
     board = PriceBoard(collectible_prices={0: 2.0, 1: 2.0}, floor_price=1.0)
     return pop, owner, board
+
+
+def reference_pairing_error(parents: list[Collectible]) -> str | None:
+    """The pairing rules as first written: the message check_pairing raises
+    for the first pair, in list order, that breaks a rule, or None."""
+    for i, a in enumerate(parents):
+        for b in parents[i + 1 :]:
+            if a.id == b.id:
+                return f"collectible {a.id} listed twice as parent"
+            if (a.parents is not None and b.id in a.parents) or (
+                b.parents is not None and a.id in b.parents
+            ):
+                return f"collectibles {a.id} and {b.id} are parent and child"
+            if a.parents is not None and b.parents is not None and set(a.parents) & set(b.parents):
+                return f"collectibles {a.id} and {b.id} are siblings"
+    return None
+
+
+@st.composite
+def lineages(draw) -> list[Collectible]:
+    """A chosen parent list from a random lineage. Most tokens have
+    parents, drawn from the first few tokens only, and half the lists may
+    repeat a token, so siblings, parent-child pairs and repeated ids are
+    all common."""
+    size = draw(st.integers(1, 12))
+    founders = draw(st.integers(1, 4))
+    population = []
+    for tid in range(size):
+        parents = None
+        if tid and draw(st.integers(0, 3)):
+            parent_ids = st.integers(0, min(tid, founders) - 1)
+            parents = tuple(draw(st.lists(parent_ids, min_size=1, max_size=3, unique=True)))
+        population.append(Collectible(tid, (0,), parents))
+    unique_by = (lambda c: c.id) if draw(st.booleans()) else None
+    return draw(st.lists(st.sampled_from(population), min_size=1, max_size=4, unique_by=unique_by))
+
+
+class TestPairingRule:
+    @settings(max_examples=300)
+    @given(parents=lineages())
+    def test_check_pairing_raises_exactly_when_a_pair_fails_can_pair(self, parents):
+        expected = reference_pairing_error(parents)
+        pairs = [(a, b) for i, a in enumerate(parents) for b in parents[i + 1 :]]
+        assert all(can_pair(a, b) for a, b in pairs) == (expected is None)
+        for a, b in pairs:
+            assert can_pair(a, b) == (reference_pairing_error([a, b]) is None)
+        if expected is None:
+            check_pairing(parents)
+        else:
+            with pytest.raises(RestrictionViolated) as exc:
+                check_pairing(parents)
+            assert str(exc.value) == expected
 
 
 class TestBreed:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nftgamesim.analytics import optimal_fraction_1d
 from nftgamesim.breeding import MAX_BREED_LIMIT, MAX_TRAIT_COUNT, GameRules
 from nftgamesim.cli import _write_outputs, main
 from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
@@ -750,6 +751,25 @@ class TestAnalyzeCommand:
             ["analyze", "allocate", "--mu", "0.10", "--riskless", "0.02", "--vol", "0.2"],
         )
         assert got["optimal_allocation"][0] == pytest.approx(2.0, rel=1e-12)
+
+    def test_allocate_inverts_a_small_volatility(self, capsys):
+        # Independent assets: each weight is its own 1-D fraction, however
+        # small the first volatility is against the second.
+        got = self.get_json(
+            capsys, ["analyze", "allocate", "--mu", "0.1,0.1", "--vol", "1e-7,0;0,1"]
+        )
+        expected = [optimal_fraction_1d(0.1, 0.0, 1e-7), optimal_fraction_1d(0.1, 0.0, 1.0)]
+        assert got["optimal_allocation"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mu, vol", [("1", "1e-200"), ("1,1", "1e200,0;0,1")], ids=["tiny", "huge"]
+    )
+    def test_allocate_out_of_float_range_exits_2_with_one_line(self, capsys, mu, vol):
+        assert main(["analyze", "allocate", "--mu", mu, "--vol", vol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: vol_matrix ")
 
     def test_lattice(self, capsys):
         got = self.get_json(

@@ -41,6 +41,7 @@ from nftgamesim.simulation import (
     run_simulation,
     wilson_interval,
 )
+from test_breeding import reference_pairing_error
 from test_economy import reference_pool_value
 from test_golden import BASELINE, CASES
 
@@ -1115,6 +1116,51 @@ class TestPopulationBound:
         bound = max_population(genesis, config.rules, config.steps) if genesis else None
         for _, snap in GameSimulation(config).stream():
             assert snap.collectible_count <= (bound[snap.step] if bound else 0)
+
+
+class CheckedBreeds(GameSimulation):
+    """The engine with every breed checked before it is minted: the pairing
+    rules as first written, then breeding.check_breed on the live state.
+    The engine mints what its search found without checking it again, so
+    neither may refuse a breed, and the cost check_breed finds must be the
+    one the engine's table charges."""
+
+    def __init__(self, config: SimConfig):
+        self.checked = 0
+        super().__init__(config)
+
+    def _do_breed(self, agent_id: int, step: int, parent_ids: list[int]) -> Event:
+        parents = [self.population[pid] for pid in parent_ids]
+        assert reference_pairing_error(parents) is None
+        cost = breeding.check_breed(
+            parent_ids, self.holdings[agent_id], self.population, self.rules, self.board,
+            current_step=step,
+        )
+        assert cost == self._breed_table[parents[0].breed_count]
+        event = super()._do_breed(agent_id, step, parent_ids)
+        assert (event.outputs["activity_cost"], event.outputs["market_cost"]) == (
+            cost.activity_amount, cost.market_amount
+        )
+        self.checked += 1
+        return event
+
+
+class TestCheckedBreeds:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_every_breed_passes_the_checks_on_the_golden_cases(self, edit, seed, steps):
+        config = baseline_config(edit, seed, steps)
+        sim = run_steps(CheckedBreeds, config)
+        assert sim.checked == sum(counts["breed"] for counts in sim.action_counts.values()) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs())
+    def test_every_breed_passes_the_checks_on_drawn_economies(self, config):
+        sim = run_steps(CheckedBreeds, config)
+        assert sim.checked == sum(counts["breed"] for counts in sim.action_counts.values())
 
 
 def reference_audit(sim: GameSimulation) -> None:
