@@ -147,7 +147,8 @@ def pseudo_inverse(matrix, rel_cutoff: float = SVD_REL_CUTOFF) -> np.ndarray:
 
     Singular values below rel_cutoff times the largest are treated as zero,
     so the result extends the ordinary inverse to rank-deficient and
-    non-square matrices while satisfying all four Penrose conditions.
+    non-square matrices while satisfying all four Penrose conditions;
+    ValueError refuses an inverse out of float range.
     """
     import numpy as np
 
@@ -161,8 +162,12 @@ def pseudo_inverse(matrix, rel_cutoff: float = SVD_REL_CUTOFF) -> np.ndarray:
         return np.zeros((a.shape[1], a.shape[0]))
     keep = s > rel_cutoff * s[0]
     s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
-    return (vt.T * s_inv) @ u.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_inv[keep] = 1.0 / s[keep]
+        inverse = (vt.T * s_inv) @ u.T
+    if not np.all(np.isfinite(inverse)):
+        raise ValueError("pseudoinverse is out of float range")
+    return inverse
 
 
 def optimal_allocation(model: ReturnModel) -> np.ndarray:
@@ -172,15 +177,20 @@ def optimal_allocation(model: ReturnModel) -> np.ndarray:
     The Gram pseudoinverse is P @ P.T with P the pseudoinverse of the
     volatility matrix itself, so pseudo_inverse's cutoff applies to the
     volatilities, not to their squares: a small but nonzero volatility is
-    inverted, not dropped as redundant. Products that underflow to zero are
-    fine; if the Gram matrix or the weights overflow, ValueError names the
-    volatility matrix.
+    inverted, not dropped as redundant. Below the cutoff it is dropped:
+    an independent asset whose volatility is under 1e-12 of the largest
+    gets weight 0. Products that underflow to zero are fine; if the
+    pseudoinverse, the Gram matrix or the weights overflow, ValueError
+    names the volatility matrix.
     """
     import numpy as np
 
     mu = np.asarray(model.mean_vector, dtype=float)
     vol = np.asarray(model.vol_matrix, dtype=float)
-    p = pseudo_inverse(vol)
+    try:
+        p = pseudo_inverse(vol)
+    except ValueError as exc:
+        raise ValueError(f"vol_matrix: {exc}") from None
     with np.errstate(over="raise", under="ignore"):
         try:
             # The covariance of the assets is formed only to prove that it

@@ -252,7 +252,10 @@ def cmd_analyze_allocate(args) -> int:
         riskless_rate=args.riskless,
         vol_matrix=tuple(tuple(r) for r in args.vol),
     )
-    weights = optimal_allocation(model)
+    try:
+        weights = optimal_allocation(model)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--vol)") from None
     return _emit(
         {
             "inputs": {"mu": args.mu, "riskless": args.riskless, "vol": args.vol},

@@ -19,6 +19,8 @@ TokenId = int
 # User index 0 is the game's treasury. It participates in conservation
 # checks but never acts as an agent.
 TREASURY = 0
+# Relative tolerance of the supply audit (see check_supply_conservation).
+SUPPLY_REL_TOL = 1e-9
 
 
 class MissingPriceError(KeyError):
@@ -187,7 +189,7 @@ def check_ownership_partition(
 def check_supply_conservation(
     holdings_all: list[Holdings],
     counters: SupplyCounters,
-    rel_tol: float = 1e-9,
+    rel_tol: float = SUPPLY_REL_TOL,
     scale: tuple[float, float] = (1.0, 1.0),
 ) -> None:
     """Supply counters must match the per-user balance sums.

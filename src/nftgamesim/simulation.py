@@ -5,48 +5,49 @@ within each step and every state transition is recorded as an event, so
 identical (config, seed) pairs reproduce byte-identical histories.
 GameSimulation.stream hands each step's events and snapshot to its caller
 as the run goes, so a caller that writes them out keeps nothing.
-A snapshot values the collectible pool, the only place the pool is summed,
-as one naive left-to-right sum in ascending id order (not builtin sum,
-which compensates float rounding from Python 3.12 on), and keeps that sum
-between steps: a mint extends it by the newborn's price (the largest id is
-the last term) and only a price rewrite makes the next snapshot sum the
-population again. Each agent's token value, an exactly rounded math.fsum,
-is kept the same way until that agent breeds or prices are rewritten. Kept
-values equal fresh ones bit for bit.
-The audit after each step splits by what can change what it reads. Every
-step checks each balance, the supply counters and their conservation, the
-fungible prices and a finite positive floor; one pass over the holdings
-sums their sizes and tests every balance, and the per-holding check runs
-only to name a bad one. The checks that read every token (the ownership
-partition, each collectible's price, the floor against the lowest price, a
-price for exactly the minted ids) run only at step 0, after a step that
-minted or rewrote prices, or when an O(agents) size check disagrees. The
-forward-drift update keeps the set of distinct collectible prices (a mint
-adds to it, a rewrite maps it). So on a step at rest, one that mints
-nothing and rewrites no price, the audit costs O(agents) and the price
-update O(distinct prices).
+
+A step costs what it changed. _do_breed and _update_prices write one
+change record per step: the ids minted, with their minters, and whether
+prices were rewritten (genesis counts as a rewrite). The audit reads it to
+choose its checks, then hands it to the kept valuations (_take_changes):
+- The collectible pool, summed only by a snapshot as one naive left-to-right
+  sum in ascending id order (not builtin sum, which compensates from Python
+  3.12 on), is extended by each minted price, the largest id being the last
+  term; a rewrite makes the next snapshot sum the population again.
+- Each agent's token value, an exactly rounded math.fsum, is kept until the
+  agent mints or a rewrite moves its prices; an agent holding no
+  collectible is worth 0.0 in tokens at any price.
+Kept values equal fresh ones bit for bit.
+
+The audit's fixed part is one pass over the holdings, a tuple built after
+genesis since no owner joins later: it sums their sizes and both balances
+and tests each balance. Those supply sums are naive loops, and
+check_supply_conservation, with builtin sum, runs only when they miss its
+tolerance: the two sums of non-negative balances differ by a few ulps, far
+inside the 1e-9 tolerance, and the audit only passes or raises, so no
+output byte depends on the choice. The checks that read every token (the
+ownership partition, each price, the floor against the lowest price, a
+price for exactly the minted ids) run at step 0, after a step whose record
+holds a mint or a rewrite, and when an O(agents) size check disagrees.
+
+The forward-drift update keeps the set of distinct collectible prices and
+steps only those. forward_price_step is pure, so once an update moves no
+price, the next ones do nothing until a newborn lists at a price outside
+the kept set: at the fixed point a step at rest costs O(agents) in all.
+
 A turn does its work once. Each agent's turn record (its id, spec,
 holdings, action counts and strategy's choice) and what each activity needs
-(an adventure's or a battle's team size, the lottery stake, inf for an
-absent activity) are built once per run, so a turn dispatches on no
-strategy name and the ruin test reads two thresholds. The breeding search
-runs at most once per agent turn, and only where its result is read: when
-the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
-or when a growth maximizer's breed could still win. The search reads each
-agent's candidate list, its collectibles with a breed charge left in
-ascending id order: genesis and each mint append (a new id is the largest),
-and a parent leaves when it uses its last charge, so the search sorts
-nothing and never walks a spent token. A breed is proven once, by the
-search: it tests pairs with breeding.can_pair, a bool, so a refused pair
-raises nothing, and the set it finds passes every check of
-breeding.check_breed, so the engine mints it with breeding.mint without
-checking it again. Breeds are priced from a table of breeding.BreedCost
-built once per run, as the engine never writes the fungible prices. Each
-turn's event and each newborn are built positionally, and a snapshot
-values every agent in one pass over the turn records. Adventures, battles and
-lotteries settle through activities.scale_balance and
-activities.lottery_deltas; the engine holds no payoff arithmetic of its own
-beyond the growth maximizer's score.
+(a team size, the lottery stake, inf for an absent activity) are built once
+per run. The breeding search runs at most once per agent turn, and only
+where its result is read; it walks each agent's candidate list (its
+collectibles with a breed charge left, in ascending id order, so it sorts
+nothing) and tests pairs with breeding.can_pair. The set it finds passes
+breeding.check_breed, so the engine mints it with breeding.mint, priced from
+a per-run table of breeding.BreedCost. A growth maximizer scores battle,
+adventure and pass in place and tries each distinct breed cost before it
+searches. Adventures, battles and lotteries settle through
+activities.scale_balance and activities.lottery_deltas.
+
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
 random bits redrawn while the value is n or more, so the stream is the same.
 Monte Carlo experiments derive independent sub-seeds from the master seed
@@ -68,6 +69,7 @@ from . import activities, breeding
 from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from .breeding import GameRules
 from .economy import (
+    SUPPLY_REL_TOL,
     TREASURY,
     Collectible,
     Holdings,
@@ -335,17 +337,21 @@ class GameSimulation:
         # order: genesis and every mint append (a new id is the largest), and
         # a parent leaves when it uses its last charge (see _do_breed).
         self._candidates: dict[int, dict[int, Collectible]] = {}
-        # Valuations kept between snapshots (see the module docstring): the
+        # Valuations kept between snapshots (see _take_changes): the
         # collectible pool, None until summed or after a price rewrite, and
         # each agent's token value, absent until valued or after a change.
         self._pool: float | None = None
         self._token_value: dict[int, float] = {}
         # The distinct collectible prices, built by the first forward-drift
-        # update and kept from then on (see _update_prices).
+        # update and kept from then on, and whether the last update moved
+        # no price (see _update_prices).
         self._distinct_prices: set[float] | None = None
-        # Set by a mint or a price rewrite, genesis included: the next audit
-        # runs the checks that read every token (see _check_invariants).
-        self._tokens_changed = True
+        self._prices_fixed = False
+        # The step's change record: each id minted since the last audit with
+        # its minter, and whether prices were rewritten. Genesis counts as a
+        # rewrite, so step 0 runs every check.
+        self._minted: dict[int, int] = {}
+        self._rewritten = True
         # What each activity needs, inf where it is absent: collectibles to
         # adventure or battle with, and a market balance to stake.
         self._adventure_team = (
@@ -371,19 +377,14 @@ class GameSimulation:
     # -- setup ---------------------------------------------------------
 
     def _genesis(self) -> None:
-        genesis_price = (
-            self.config.genesis_price
-            if self.config.genesis_price is not None
-            else self.board.floor_price
-        )
+        genesis_price = self.config.genesis_price
+        if genesis_price is None:
+            genesis_price = self.board.floor_price
         next_id = 0
         for spec in self._agents:
-            h = Holdings(
-                owner=spec.id,
-                activity_balance=spec.activity_balance,
-                market_balance=spec.market_balance,
+            h = self.holdings[spec.id] = Holdings(
+                spec.id, activity_balance=spec.activity_balance, market_balance=spec.market_balance
             )
-            self.holdings[spec.id] = h
             candidates = self._candidates[spec.id] = {}
             self.counters.activity_supply += spec.activity_balance
             self.counters.market_supply += spec.market_balance
@@ -398,17 +399,13 @@ class GameSimulation:
                 h.collectibles.add(next_id)
                 candidates[next_id] = token
                 self.board.collectible_prices[next_id] = genesis_price
+                outputs = {"collectible": next_id, "traits": list(traits)}
                 self.events.append(
-                    Event(
-                        0,
-                        spec.id,
-                        "genesis",
-                        {},
-                        {"collectible": next_id, "traits": list(traits)},
-                        self.rng.draws - before,
-                    )
+                    Event(0, spec.id, "genesis", {}, outputs, self.rng.draws - before)
                 )
                 next_id += 1
+        # No owner joins after genesis, so the audit walks this tuple.
+        self._holdings = tuple(self.holdings.values())
         self._check_invariants(step=0)
 
     # -- feasibility ---------------------------------------------------
@@ -426,20 +423,15 @@ class GameSimulation:
 
     def _find_breeding_set(self, agent_id: int, step: int) -> list[int] | None:
         """First affordable, validly paired set in lexicographic order of
-        the eligible parents, or None.
-
-        step runs this at most once per agent turn, and only when the
-        result is read: on a fixed-mix breed turn, by the ruin test when no
-        adventure, battle or lottery is affordable, or by a growth maximizer
-        whose breed could win (see _growth_choice). It changes no state and
-        draws nothing, so skipping it changes no outcome.
+        the eligible parents, or None. It changes no state and draws
+        nothing, so skipping it where its result is not read (see step)
+        changes no outcome.
 
         The cost depends only on the lead parent's breed count, so a lead
         the agent cannot afford is skipped before any pairing check, and an
         agent priced out of every lead is refused before the parents are
-        gathered. Pairs are tested with breeding.can_pair, so a refused pair
-        raises nothing. A set this returns passes breeding.check_breed at
-        this step (see _do_breed).
+        gathered. A set this returns passes breeding.check_breed at this
+        step (see _do_breed).
         """
         h = self.holdings[agent_id]
         if h.activity_balance < self._min_activity_cost or h.market_balance < self._min_market_cost:
@@ -528,28 +520,16 @@ class GameSimulation:
             if population[pid].breed_count == self.rules.breed_limit:
                 del candidates[pid]
         candidates[child.id] = child
-        price = self._list_price(child.traits)
-        self.board.collectible_prices[child.id] = price
-        if self._pool is not None:
-            # The child's id is the largest, so its price is the sum's last term.
-            self._pool += price
-        if self._distinct_prices is not None:
-            self._distinct_prices.add(price)
-        self._token_value.pop(agent_id, None)
-        self._tokens_changed = True
-        return Event(
-            step,
-            agent_id,
-            "breed",
-            {"parents": list(parent_ids)},
-            {
-                "child": child.id,
-                "traits": list(child.traits),
-                "activity_cost": cost.activity_amount,
-                "market_cost": cost.market_amount,
-            },
-            rng.draws - before,
-        )
+        self.board.collectible_prices[child.id] = self._list_price(child.traits)
+        self._minted[child.id] = agent_id
+        outputs = {
+            "child": child.id,
+            "traits": list(child.traits),
+            "activity_cost": cost.activity_amount,
+            "market_cost": cost.market_amount,
+        }
+        inputs = {"parents": list(parent_ids)}
+        return Event(step, agent_id, "breed", inputs, outputs, rng.draws - before)
 
     def _do_scaled(
         self,
@@ -568,14 +548,9 @@ class GameSimulation:
         after_balance, minted = activities.scale_balance(multiplier, before_balance)
         h.activity_balance = after_balance
         self.counters.activity_supply += minted
-        return Event(
-            step,
-            agent_id,
-            action,
-            {team_key: team, "activity_balance": before_balance},
-            {"activity_balance": after_balance, "activity_minted": minted},
-            0,
-        )
+        inputs = {team_key: team, "activity_balance": before_balance}
+        outputs = {"activity_balance": after_balance, "activity_minted": minted}
+        return Event(step, agent_id, action, inputs, outputs, 0)
 
     def _do_lottery(self, agent_id: int, step: int) -> Event:
         spec = self.config.lottery
@@ -594,9 +569,6 @@ class GameSimulation:
         return Event(
             step, agent_id, "lottery", {"stake": spec.stake}, outputs, self.rng.draws - before
         )
-
-    def _pass_event(self, agent_id: int, step: int) -> Event:
-        return Event(step, agent_id, "pass", {}, {}, 0)
 
     # -- strategy ------------------------------------------------------
 
@@ -650,50 +622,41 @@ class GameSimulation:
         if wealth <= 0:
             return "pass", None
         h = self.holdings[agent_id]
-        candidates: list[tuple[float, int, str]] = []
-        if self._can_battle(agent_id):
-            delta = (
-                (self.config.battle.survival_fraction - 1.0)
-                * h.activity_balance
-                * self.board.activity_price
-            )
-            candidates.append((delta, 1, "battle"))
-        if self._can_adventure(agent_id):
-            delta = (
-                (self.config.adventure.reward_multiplier - 1.0)
-                * h.activity_balance
-                * self.board.activity_price
-            )
-            candidates.append((delta, 2, "adventure"))
-        candidates.append((0.0, 3, "pass"))
-
+        held = len(h.collectibles)
+        balance = h.activity_balance
+        price = self.board.activity_price
+        # Scored in the tie order, so a later action replaces the best only
+        # if it scores strictly lower.
         best = None
-        for delta, order, name in candidates:
-            if wealth + delta <= 0:
-                continue
-            log_change = math.log1p(delta / wealth)
-            key = (-log_change, order)
-            if best is None or key < best[0]:
-                best = (key, name)
-        # Pass changes nothing, so it always scores and best is set. Breed
-        # comes first in the tie order, so its key (-log_change, 0) beats
-        # best's exactly when -log_change <= best's first entry.
-        (to_beat, _), best_name = best
+        if held >= self._battle_team:
+            delta = (self.config.battle.survival_fraction - 1.0) * balance * price
+            if wealth + delta > 0:
+                best, to_beat = "battle", -math.log1p(delta / wealth)
+        if held >= self._adventure_team:
+            delta = (self.config.adventure.reward_multiplier - 1.0) * balance * price
+            if wealth + delta > 0:
+                score = -math.log1p(delta / wealth)
+                if best is None or score < to_beat:
+                    best, to_beat = "adventure", score
+        # Pass changes nothing, so it scores -log1p(0.0) = -0.0.
+        if best is None or 0.0 < to_beat:
+            best, to_beat = "pass", -0.0
+        # A breed comes first in the tie order, so it wins when its score is
+        # at most to_beat.
         floor = self.board.floor_price
-
-        def breed_wins(cost: float) -> bool:
-            delta = floor - cost
-            return wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat
-
         if parents is NOT_SEARCHED:
-            if not any(map(breed_wins, self._distinct_breed_costs)):
-                return best_name, None
+            for cost in self._distinct_breed_costs:
+                delta = floor - cost
+                if wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat:
+                    break
+            else:
+                return best, None
             parents = self._find_breeding_set(agent_id, step)
-        if parents is not None and breed_wins(
-            self._breed_costs[self.population[parents[0]].breed_count]
-        ):
-            return "breed", parents
-        return best_name, None
+        if parents is not None:
+            delta = floor - self._breed_costs[self.population[parents[0]].breed_count]
+            if wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat:
+                return "breed", parents
+        return best, None
 
     # -- stepping ------------------------------------------------------
 
@@ -715,7 +678,7 @@ class GameSimulation:
             )
         if action == "lottery":
             return self._do_lottery(agent_id, step)
-        return self._pass_event(agent_id, step)
+        return Event(step, agent_id, "pass", {}, {}, 0)
 
     def step(self, step: int) -> None:
         events = self.events
@@ -724,10 +687,9 @@ class GameSimulation:
         stake = self._stake
         for agent_id, spec, h, counts, choose in self._turns:
             # Nothing changes state before _execute, so one search serves the
-            # ruin test, the choice and the breed itself. It runs at most
-            # once: when the ruin test finds no adventure, battle or lottery
-            # affordable, on a fixed-mix breed turn, or when a growth
-            # maximizer's breed could win (see _growth_choice).
+            # ruin test, the choice and the breed: it runs when the ruin test
+            # finds no adventure, battle or lottery affordable, on a fixed-mix
+            # breed turn, or when a growth maximizer's breed could win.
             parents = NOT_SEARCHED
             if ruined_at[agent_id] is None and not (
                 len(h.collectibles) >= team or h.market_balance >= stake
@@ -744,68 +706,71 @@ class GameSimulation:
     def _update_prices(self) -> None:
         if self.config.price_update != "forward_drift":
             return
+        prices = self.board.collectible_prices
+        distinct = self._distinct_prices
+        if distinct is None:
+            distinct = self._distinct_prices = set(prices.values())
+        else:
+            known = len(distinct)
+            distinct.update(map(prices.__getitem__, self._minted))
+            # forward_price_step is pure: if the last update moved no price
+            # and no newborn since listed outside the kept set, every price
+            # and the floor would map to themselves again.
+            if self._prices_fixed and len(distinct) == known:
+                return
         cost = self._breed_costs[0]
         d = self.rules.breed_arity
         # Each price's next value depends on that price alone, so equal
         # prices share one step, and only the distinct ones are stepped.
-        prices = self.board.collectible_prices
-        if self._distinct_prices is None:
-            self._distinct_prices = set(prices.values())
         stepped = {
             price: breeding.forward_price_step(price, d, cost)
-            for price in {*self._distinct_prices, self.board.floor_price}
+            for price in {*distinct, self.board.floor_price}
         }
         # At the fixed point p* = cost every price maps to itself, so there
         # is nothing to rewrite.
-        if any(new != old for old, new in stepped.items()):
+        moved = any(new != old for old, new in stepped.items())
+        if moved:
             for tid, price in prices.items():
                 prices[tid] = stepped[price]
-            self._distinct_prices = {stepped[price] for price in self._distinct_prices}
-            self._pool = None
-            self._token_value.clear()
-            self._tokens_changed = True
+            self._distinct_prices = {stepped[price] for price in distinct}
+            self._rewritten = True
+        self._prices_fixed = not moved
         self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:
-        """Audit the state after a step. Balances, supplies and prices must
-        be finite, so no NaN or infinity reaches the outputs.
+        """Audit the state after a step (see the module docstring), then
+        apply the step's change record to the kept valuations. Balances,
+        supplies and prices must be finite, so no NaN or infinity reaches
+        the outputs.
 
-        Every step checks each balance, the supply counters and their
-        conservation, the fungible prices and a finite positive floor: any
-        action can change these. The checks that read every token (the
-        ownership partition, each collectible's price, the floor against the
-        lowest price, a price for exactly the minted ids) can only be
-        changed by a mint or a price rewrite, so they run at step 0, after a
-        step that minted or rewrote prices, and whenever an O(agents) check
-        disagrees: the holdings' sizes do not sum to the population, the
-        price table and the population differ in size, or a fungible price
-        or the floor is not finite and positive.
-
-        One pass over the holdings sums their sizes and tests each balance
-        as Holdings.check_balances does; that check runs, in owner order,
-        only when the pass finds a bad balance, to name the owner.
-
-        This is the whole audit of a run that takes no snapshot (see
-        ruin_probability), so it also proves what a snapshot relies on:
-        every minted collectible, and nothing else, has a price.
+        Any action can change a balance, a supply, a fungible price or the
+        floor, so every step checks those. Only a mint or a price rewrite
+        can change what the per-token checks read, so they run when the
+        record holds either, or when the holdings' sizes do not sum to the
+        population, the price table and the population differ in size, or a
+        fungible price or the floor is not finite and positive.
+        Holdings.check_balances runs, in owner order, only to name a bad
+        balance. This is the whole audit of a run that takes no snapshot
+        (see ruin_probability), so it also proves what a snapshot relies
+        on: every minted collectible, and nothing else, has a price.
         """
-        holdings = list(self.holdings.values())
-        # One pass over the holdings sums their sizes and tests every
-        # balance as Holdings.check_balances does, which then runs only to
-        # name the first bad one. Supply conservation keeps its own sums:
-        # builtin sum compensates rounding from Python 3.12 on, a loop
-        # here would not.
+        holdings = self._holdings
         held = 0
+        activity = market = 0.0
         balances_ok = True
         for h in holdings:
+            a, m = h.activity_balance, h.market_balance
             held += len(h.collectibles)
-            if not (0 <= h.activity_balance < math.inf and 0 <= h.market_balance < math.inf):
+            activity += a
+            market += m
+            if not (0 <= a < math.inf and 0 <= m < math.inf):
                 balances_ok = False
         board = self.board
         prices = board.collectible_prices
         minted = len(self.population)
+        changed = self._minted or self._rewritten
         read_tokens = (
-            self._tokens_changed
+            changed
             or len(prices) != minted
             or held != minted
             or not (
@@ -814,6 +779,8 @@ class GameSimulation:
                 and 0 < board.floor_price < math.inf
             )
         )
+        counters = self.counters
+        scale = self._supply_scale
         try:
             if read_tokens:
                 check_ownership_partition(holdings, self.population)
@@ -822,17 +789,18 @@ class GameSimulation:
                     try:
                         h.check_balances()
                     except ValueError as exc:
-                        last = next(
-                            (
-                                e
-                                for e in reversed(self.events)
-                                if e.agent == h.owner and e.step == step
-                            ),
-                            None,
-                        )
+                        mine = (e for e in reversed(self.events) if e.agent == h.owner)
+                        last = next((e for e in mine if e.step == step), None)
                         raise SimulationInvariantError(step, str(exc), h.owner, last) from exc
-            self.counters.validate()
-            check_supply_conservation(holdings, self.counters, scale=self._supply_scale)
+            counters.validate()
+            # check_supply_conservation's test on the pass's naive sums; it
+            # runs itself, with builtin sum, only to name a miss.
+            tol = SUPPLY_REL_TOL
+            if not (
+                abs(activity - counters.activity_supply) <= tol * max(scale[0], abs(activity))
+                and abs(market - counters.market_supply) <= tol * max(scale[1], abs(market))
+            ):
+                check_supply_conservation(holdings, counters, scale=scale)
             if read_tokens:
                 board.validate()
                 if prices.keys() != self.population.keys():
@@ -844,11 +812,33 @@ class GameSimulation:
                     )
         except ValueError as exc:
             raise SimulationInvariantError(step, str(exc)) from exc
-        self._tokens_changed = False
         self._supply_scale = (
-            max(self._supply_scale[0], self.counters.activity_supply),
-            max(self._supply_scale[1], self.counters.market_supply),
+            max(scale[0], counters.activity_supply),
+            max(scale[1], counters.market_supply),
         )
+        if changed:
+            self._take_changes()
+
+    def _take_changes(self) -> None:
+        """Apply the step's change record to the kept valuations, then start
+        a new record. A rewrite drops the pool sum and the token value of
+        each owner holding a collectible (one holding none is worth fsum of
+        nothing, 0.0, at any price). Otherwise each minted id, in ascending
+        order, extends the pool sum as its last term and drops its minter's
+        token value. No agent values its own tokens after it breeds in a
+        step, so the record can wait for the audit."""
+        if self._rewritten:
+            self._pool = None
+            self._token_value = {h.owner: 0.0 for h in self._holdings if not h.collectibles}
+            self._rewritten = False
+        else:
+            prices = self.board.collectible_prices
+            kept = self._token_value
+            for tid, agent_id in self._minted.items():
+                kept.pop(agent_id, None)
+                if self._pool is not None:
+                    self._pool += prices[tid]
+        self._minted = {}
 
     def stream(self) -> Iterator[tuple[list[Event], EconomySnapshot]]:
         """Run every configured step, yielding (events, snapshot) after each.
@@ -902,12 +892,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     for step_events, snapshot in sim.stream():
         events.extend(step_events)
         snapshots.append(snapshot)
-    return SimResult(
-        events=events,
-        snapshots=snapshots,
-        ruined_at=sim.ruined_at,
-        action_counts=sim.action_counts,
-    )
+    return SimResult(events, snapshots, sim.ruined_at, sim.action_counts)
 
 
 def ruin_probability(config: SimConfig, agent: int, trials: int) -> RuinEstimate:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.analytics import (
@@ -149,6 +149,45 @@ class TestOptimalAllocation:
             expected = np.linalg.solve(gram, mu - 0.01)
             got = optimal_allocation(model)
             assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        assets=st.lists(
+            st.tuples(
+                st.floats(-1.0, 1.0),
+                st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        riskless=st.floats(-0.1, 0.1),
+    )
+    def test_diagonal_vol_matches_the_1d_rule_per_asset(self, assets, riskless):
+        # Every volatility is above 1e-12 of the largest, so none is cut
+        # off, and a loading's sign does not change the asset's variance.
+        mu = [m for m, _ in assets]
+        vol = np.diag([v for _, v in assets])
+        model = ReturnModel(
+            mean_vector=tuple(mu), riskless_rate=riskless, vol_matrix=tuple(map(tuple, vol))
+        )
+        expected = [optimal_fraction_1d(m, riskless, abs(v)) for m, v in assets]
+        assert optimal_allocation(model) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_permuting_the_assets_permutes_the_weights(self, data, n):
+        entries = st.integers(-16, 16).map(lambda k: k / 16)
+        vol = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                          min_size=n, max_size=n + 2)))
+        assume(np.linalg.cond(vol) < 1e6)
+        mu = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        perm = data.draw(st.permutations(range(n)))
+        weights = optimal_allocation(ReturnModel(tuple(mu), 0.01, tuple(map(tuple, vol))))
+        permuted = optimal_allocation(
+            ReturnModel(tuple(mu[perm]), 0.01, tuple(map(tuple, vol[:, perm])))
+        )
+        scale = np.max(np.abs(weights), initial=1.0)
+        assert np.allclose(permuted, weights[perm], rtol=1e-9, atol=1e-9 * scale)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one column per asset"):

@@ -771,6 +771,24 @@ class TestAnalyzeCommand:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: vol_matrix ")
 
+    def test_allocate_subnormal_volatility_exits_2_naming_vol(self, capsys):
+        # The reciprocal of 5e-324 overflows inside the pseudoinverse.
+        argv = ["analyze", "allocate", "--mu", "1e+154", "--vol", "5e-324", "--riskless", "1.0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: vol_matrix")
+        assert "--vol" in captured.err
+
+    def test_allocate_gives_weight_0_below_the_cutoff(self, capsys):
+        # A volatility below 1e-12 of the largest reads as a redundant
+        # direction of the matrix, not as a nearly riskless asset.
+        got = self.get_json(
+            capsys, ["analyze", "allocate", "--mu", "0.1,0.1", "--vol", "1e-13,0;0,1"]
+        )
+        assert got["optimal_allocation"] == [0.0, 0.1]
+
     def test_lattice(self, capsys):
         got = self.get_json(
             capsys,

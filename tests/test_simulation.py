@@ -1010,6 +1010,60 @@ class TestPriceUpdate:
             assert expected[2] != 6.0
         assert prices == expected
 
+    @staticmethod
+    def count_price_steps(monkeypatch) -> Counter:
+        calls = Counter()
+        step = breeding.forward_price_step
+
+        def counting(*args):
+            calls["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(breeding, "forward_price_step", counting)
+        return calls
+
+    def test_no_price_step_at_rest_once_the_fixed_point_is_proven(self, monkeypatch):
+        sim = at_rest_sim()
+        calls = self.count_price_steps(monkeypatch)
+        sim.step(1)
+        # The first update steps the one distinct price, the floor's too.
+        assert calls["steps"] == 1
+        for step in range(2, 5):
+            sim.step(step)
+        assert calls["steps"] == 1
+
+    @pytest.mark.parametrize("premium, stepped", [(0.0, 0), (0.5, 2)])
+    def test_a_newborn_at_a_new_price_runs_the_update_again(self, monkeypatch, premium, stepped):
+        # Every price rests at the fixed point 3.0. Agent 1 affords no breed
+        # until it is funded after step 2; its child lists at 3.0 plus six
+        # premiums. At 3.0 the kept set already holds that price, so the
+        # update stays idle; at 6.0 it steps both distinct prices and
+        # rewrites every token.
+        config = SimConfig(
+            rules=base_rules(activity_cost_schedule=[3, 0, 0, 0, 0, 0, 0], maturity_delay=0),
+            agents=(AgentSpec(id=1, strategy="fixed_mix", mix=StrategyMix(breed=1),
+                              collectibles=3),),
+            steps=4,
+            board=PriceBoard(floor_price=3.0),
+            price_update="forward_drift",
+            trait_premiums=(premium,) * 6,
+        )
+        sim = GameSimulation(config)
+        calls = self.count_price_steps(monkeypatch)
+        sim.step(1)
+        sim.step(2)
+        assert calls["steps"] == 1
+        sim.holdings[1].activity_balance = 3.0
+        sim.counters.activity_supply = 3.0
+        sim.step(3)
+        assert [e.action for e in sim.events if e.step == 3] == ["breed"]
+        assert calls["steps"] == 1 + stepped
+        prices = sim.board.collectible_prices
+        if premium:
+            assert prices == {0: 3.0, 1: 3.0, 2: 3.0, 3: breeding.forward_price_step(6.0, 2, 3.0)}
+        else:
+            assert prices == dict.fromkeys(range(4), 3.0)
+
     def test_snapshot_at_rest_reads_no_price(self):
         sim = self.fixed_point_sim()
         sim.board.collectible_prices = prices = CountingReads(sim.board.collectible_prices)
@@ -1312,6 +1366,27 @@ class TestAuditSchedule:
         with pytest.raises(SimulationInvariantError, match=f"step 2: {message}") as caught:
             sim.step(2)
         assert caught.value.agent is None and caught.value.last_event is None
+
+    def test_a_fault_that_keeps_every_size_is_caught_at_the_next_mint_step(self):
+        # Agent 1 breeds on every step; passive agent 2 takes one of agent
+        # 1's tokens and loses one of its own, so every holding keeps its
+        # size and only the per-token checks of the mint step can tell.
+        config = SimConfig(
+            rules=base_rules(activity_cost_schedule=[1] * 7),
+            agents=(
+                AgentSpec(id=1, strategy="fixed_mix", mix=StrategyMix(breed=1), collectibles=4,
+                          activity_balance=50.0),
+                AgentSpec(id=2, strategy="passive", collectibles=2),
+            ),
+            steps=3,
+        )
+        sim = GameSimulation(config)
+        sim.step(1)
+        sim.holdings[2].collectibles.add(0)
+        sim.holdings[2].collectibles.discard(5)
+        with pytest.raises(SimulationInvariantError, match="step 2: collectible 0 held by both"):
+            sim.step(2)
+        assert [e.action for e in sim.events if e.step == 2] == ["breed", "pass"]
 
     def test_balance_failure_names_the_agent_and_its_last_event(self):
         sim = GameSimulation(mixed_config(steps=3))
