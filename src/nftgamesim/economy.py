@@ -19,8 +19,8 @@ TokenId = int
 # User index 0 is the game's treasury. It participates in conservation
 # checks but never acts as an agent.
 TREASURY = 0
-# Relative tolerance of the supply audit (see check_supply_conservation).
-SUPPLY_REL_TOL = 1e-9
+# Relative tolerance of the supply audit (see check_supply_sums).
+_SUPPLY_REL_TOL = 1e-9
 
 
 class MissingPriceError(KeyError):
@@ -189,10 +189,29 @@ def check_ownership_partition(
 def check_supply_conservation(
     holdings_all: list[Holdings],
     counters: SupplyCounters,
-    rel_tol: float = SUPPLY_REL_TOL,
+    rel_tol: float = _SUPPLY_REL_TOL,
     scale: tuple[float, float] = (1.0, 1.0),
 ) -> None:
-    """Supply counters must match the per-user balance sums.
+    """Supply counters must match the per-user balance sums (see
+    check_supply_sums)."""
+    check_supply_sums(
+        sum(map(attrgetter("activity_balance"), holdings_all)),
+        sum(map(attrgetter("market_balance"), holdings_all)),
+        counters,
+        rel_tol,
+        scale,
+    )
+
+
+def check_supply_sums(
+    act: float,
+    mkt: float,
+    counters: SupplyCounters,
+    rel_tol: float = _SUPPLY_REL_TOL,
+    scale: tuple[float, float] = (1.0, 1.0),
+) -> None:
+    """Supply counters must match the activity and market balance sums
+    act and mkt, however the caller summed them.
 
     Float tolerance covers accumulation-order drift between the running
     counters and the grouped per-user sums. A counter drifts relative to the
@@ -200,8 +219,6 @@ def check_supply_conservation(
     to the larger of the sum and ``scale``: per token, the largest supply
     audited before (at least 1).
     """
-    act = sum(map(attrgetter("activity_balance"), holdings_all))
-    mkt = sum(map(attrgetter("market_balance"), holdings_all))
     if abs(act - counters.activity_supply) > rel_tol * max(scale[0], abs(act)):
         raise ValueError(
             f"activity supply {counters.activity_supply} != user balance sum {act}"

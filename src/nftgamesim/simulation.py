@@ -5,7 +5,6 @@ within each step and every state transition is recorded as an event, so
 identical (config, seed) pairs reproduce byte-identical histories.
 GameSimulation.stream hands each step's events and snapshot to its caller
 as the run goes, so a caller that writes them out keeps nothing.
-
 A step costs what it changed. _do_breed and _update_prices write one
 change record per step: the ids minted, with their minters, and whether
 prices were rewritten (genesis counts as a rewrite). The audit reads it to
@@ -15,39 +14,46 @@ choose its checks, then hands it to the kept valuations (_take_changes):
   3.12 on), is extended by each minted price, the largest id being the last
   term; a rewrite makes the next snapshot sum the population again.
 - Each agent's token value, an exactly rounded math.fsum, is kept until the
-  agent mints or a rewrite moves its prices; an agent holding no
-  collectible is worth 0.0 in tokens at any price.
+  agent mints or prices are rewritten.
 Kept values equal fresh ones bit for bit.
-
 The audit's fixed part is one pass over the holdings, a tuple built after
 genesis since no owner joins later: it sums their sizes and both balances
-and tests each balance. Those supply sums are naive loops, and
-check_supply_conservation, with builtin sum, runs only when they miss its
-tolerance: the two sums of non-negative balances differ by a few ulps, far
-inside the 1e-9 tolerance, and the audit only passes or raises, so no
-output byte depends on the choice. The checks that read every token (the
-ownership partition, each price, the floor against the lowest price, a
-price for exactly the minted ids) run at step 0, after a step whose record
-holds a mint or a rewrite, and when an O(agents) size check disagrees.
-
+and tests each balance. The supply sums are naive loops, tested by
+economy.check_supply_sums, the test check_supply_conservation applies to
+builtin sums, which compensate from Python 3.12 on. Over non-negative
+balances the two sums differ by a few ulps, far inside the 1e-9 tolerance,
+and the audit only passes or raises, so no output byte depends on the
+choice. The checks that read every token (the ownership partition, each
+price, the floor against the lowest price, a price for exactly the minted
+ids) run at step 0, after a step whose record holds a mint or a rewrite,
+and when an O(agents) size check disagrees.
 The forward-drift update keeps the set of distinct collectible prices and
 steps only those. forward_price_step is pure, so once an update moves no
 price, the next ones do nothing until a newborn lists at a price outside
 the kept set: at the fixed point a step at rest costs O(agents) in all.
-
 A turn does its work once. Each agent's turn record (its id, spec,
 holdings, action counts and strategy's choice) and what each activity needs
-(a team size, the lottery stake, inf for an absent activity) are built once
-per run. The breeding search runs at most once per agent turn, and only
-where its result is read; it walks each agent's candidate list (its
-collectibles with a breed charge left, in ascending id order, so it sorts
-nothing) and tests pairs with breeding.can_pair. The set it finds passes
-breeding.check_breed, so the engine mints it with breeding.mint, priced from
-a per-run table of breeding.BreedCost. A growth maximizer scores battle,
-adventure and pass in place and tries each distinct breed cost before it
-searches. Adventures, battles and lotteries settle through
-activities.scale_balance and activities.lottery_deltas.
-
+(an adventure's or a battle's team size, the lottery stake, inf for an
+absent activity) are built once per run, so a turn dispatches on no
+strategy name and the ruin test reads two thresholds. The breeding search
+runs at most once per agent turn, and only where its result is read: when
+the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
+or when a growth maximizer's breed could still win: it scores battle,
+adventure and pass in place, in its tie order, then tries each distinct
+breed cost. The search reads each agent's candidate list, its collectibles
+with a breed charge left in ascending id order: genesis and each mint
+append (a new id is the largest), and a parent leaves when it uses its last
+charge, so the search sorts nothing and never walks a spent token. A breed is proven once, by the
+search: it tests pairs with breeding.can_pair, a bool, so a refused pair
+raises nothing, and the set it finds passes every check of
+breeding.check_breed, so the engine mints it with breeding.mint without
+checking it again. Breeds are priced from a table of breeding.BreedCost
+built once per run, as the engine never writes the fungible prices. Each
+turn's event and each newborn are built positionally, and a snapshot
+values every agent in one pass over the turn records. Adventures, battles and
+lotteries settle through activities.scale_balance and
+activities.lottery_deltas; the engine holds no payoff arithmetic of its own
+beyond the growth maximizer's score.
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
 random bits redrawn while the value is n or more, so the stream is the same.
 Monte Carlo experiments derive independent sub-seeds from the master seed
@@ -69,7 +75,6 @@ from . import activities, breeding
 from .activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from .breeding import GameRules
 from .economy import (
-    SUPPLY_REL_TOL,
     TREASURY,
     Collectible,
     Holdings,
@@ -77,7 +82,7 @@ from .economy import (
     PriceBoard,
     SupplyCounters,
     check_ownership_partition,
-    check_supply_conservation,
+    check_supply_sums,
     fungible_pool_values,
     total_value,
 )
@@ -377,14 +382,19 @@ class GameSimulation:
     # -- setup ---------------------------------------------------------
 
     def _genesis(self) -> None:
-        genesis_price = self.config.genesis_price
-        if genesis_price is None:
-            genesis_price = self.board.floor_price
+        genesis_price = (
+            self.config.genesis_price
+            if self.config.genesis_price is not None
+            else self.board.floor_price
+        )
         next_id = 0
         for spec in self._agents:
-            h = self.holdings[spec.id] = Holdings(
-                spec.id, activity_balance=spec.activity_balance, market_balance=spec.market_balance
+            h = Holdings(
+                owner=spec.id,
+                activity_balance=spec.activity_balance,
+                market_balance=spec.market_balance,
             )
+            self.holdings[spec.id] = h
             candidates = self._candidates[spec.id] = {}
             self.counters.activity_supply += spec.activity_balance
             self.counters.market_supply += spec.market_balance
@@ -399,9 +409,15 @@ class GameSimulation:
                 h.collectibles.add(next_id)
                 candidates[next_id] = token
                 self.board.collectible_prices[next_id] = genesis_price
-                outputs = {"collectible": next_id, "traits": list(traits)}
                 self.events.append(
-                    Event(0, spec.id, "genesis", {}, outputs, self.rng.draws - before)
+                    Event(
+                        0,
+                        spec.id,
+                        "genesis",
+                        {},
+                        {"collectible": next_id, "traits": list(traits)},
+                        self.rng.draws - before,
+                    )
                 )
                 next_id += 1
         # No owner joins after genesis, so the audit walks this tuple.
@@ -423,15 +439,20 @@ class GameSimulation:
 
     def _find_breeding_set(self, agent_id: int, step: int) -> list[int] | None:
         """First affordable, validly paired set in lexicographic order of
-        the eligible parents, or None. It changes no state and draws
-        nothing, so skipping it where its result is not read (see step)
-        changes no outcome.
+        the eligible parents, or None.
+
+        step runs this at most once per agent turn, and only when the
+        result is read: on a fixed-mix breed turn, by the ruin test when no
+        adventure, battle or lottery is affordable, or by a growth maximizer
+        whose breed could win (see _growth_choice). It changes no state and
+        draws nothing, so skipping it changes no outcome.
 
         The cost depends only on the lead parent's breed count, so a lead
         the agent cannot afford is skipped before any pairing check, and an
         agent priced out of every lead is refused before the parents are
-        gathered. A set this returns passes breeding.check_breed at this
-        step (see _do_breed).
+        gathered. Pairs are tested with breeding.can_pair, so a refused pair
+        raises nothing. A set this returns passes breeding.check_breed at
+        this step (see _do_breed).
         """
         h = self.holdings[agent_id]
         if h.activity_balance < self._min_activity_cost or h.market_balance < self._min_market_cost:
@@ -522,14 +543,19 @@ class GameSimulation:
         candidates[child.id] = child
         self.board.collectible_prices[child.id] = self._list_price(child.traits)
         self._minted[child.id] = agent_id
-        outputs = {
-            "child": child.id,
-            "traits": list(child.traits),
-            "activity_cost": cost.activity_amount,
-            "market_cost": cost.market_amount,
-        }
-        inputs = {"parents": list(parent_ids)}
-        return Event(step, agent_id, "breed", inputs, outputs, rng.draws - before)
+        return Event(
+            step,
+            agent_id,
+            "breed",
+            {"parents": list(parent_ids)},
+            {
+                "child": child.id,
+                "traits": list(child.traits),
+                "activity_cost": cost.activity_amount,
+                "market_cost": cost.market_amount,
+            },
+            rng.draws - before,
+        )
 
     def _do_scaled(
         self,
@@ -548,9 +574,14 @@ class GameSimulation:
         after_balance, minted = activities.scale_balance(multiplier, before_balance)
         h.activity_balance = after_balance
         self.counters.activity_supply += minted
-        inputs = {team_key: team, "activity_balance": before_balance}
-        outputs = {"activity_balance": after_balance, "activity_minted": minted}
-        return Event(step, agent_id, action, inputs, outputs, 0)
+        return Event(
+            step,
+            agent_id,
+            action,
+            {team_key: team, "activity_balance": before_balance},
+            {"activity_balance": after_balance, "activity_minted": minted},
+            0,
+        )
 
     def _do_lottery(self, agent_id: int, step: int) -> Event:
         spec = self.config.lottery
@@ -569,6 +600,9 @@ class GameSimulation:
         return Event(
             step, agent_id, "lottery", {"stake": spec.stake}, outputs, self.rng.draws - before
         )
+
+    def _pass_event(self, agent_id: int, step: int) -> Event:
+        return Event(step, agent_id, "pass", {}, {}, 0)
 
     # -- strategy ------------------------------------------------------
 
@@ -630,11 +664,11 @@ class GameSimulation:
         best = None
         if held >= self._battle_team:
             delta = (self.config.battle.survival_fraction - 1.0) * balance * price
-            if wealth + delta > 0:
+            if not (wealth + delta <= 0):
                 best, to_beat = "battle", -math.log1p(delta / wealth)
         if held >= self._adventure_team:
             delta = (self.config.adventure.reward_multiplier - 1.0) * balance * price
-            if wealth + delta > 0:
+            if not (wealth + delta <= 0):
                 score = -math.log1p(delta / wealth)
                 if best is None or score < to_beat:
                     best, to_beat = "adventure", score
@@ -678,7 +712,7 @@ class GameSimulation:
             )
         if action == "lottery":
             return self._do_lottery(agent_id, step)
-        return Event(step, agent_id, "pass", {}, {}, 0)
+        return self._pass_event(agent_id, step)
 
     def step(self, step: int) -> None:
         events = self.events
@@ -687,9 +721,10 @@ class GameSimulation:
         stake = self._stake
         for agent_id, spec, h, counts, choose in self._turns:
             # Nothing changes state before _execute, so one search serves the
-            # ruin test, the choice and the breed: it runs when the ruin test
-            # finds no adventure, battle or lottery affordable, on a fixed-mix
-            # breed turn, or when a growth maximizer's breed could win.
+            # ruin test, the choice and the breed itself. It runs at most
+            # once: when the ruin test finds no adventure, battle or lottery
+            # affordable, on a fixed-mix breed turn, or when a growth
+            # maximizer's breed could win (see _growth_choice).
             parents = NOT_SEARCHED
             if ruined_at[agent_id] is None and not (
                 len(h.collectibles) >= team or h.market_balance >= stake
@@ -738,21 +773,29 @@ class GameSimulation:
         self.board.floor_price = stepped[self.board.floor_price]
 
     def _check_invariants(self, step: int) -> None:
-        """Audit the state after a step (see the module docstring), then
-        apply the step's change record to the kept valuations. Balances,
-        supplies and prices must be finite, so no NaN or infinity reaches
-        the outputs.
+        """Audit the state after a step, then apply the step's change record
+        to the kept valuations (see _take_changes). Balances, supplies and
+        prices must be finite, so no NaN or infinity reaches the outputs.
 
-        Any action can change a balance, a supply, a fungible price or the
-        floor, so every step checks those. Only a mint or a price rewrite
-        can change what the per-token checks read, so they run when the
-        record holds either, or when the holdings' sizes do not sum to the
-        population, the price table and the population differ in size, or a
-        fungible price or the floor is not finite and positive.
-        Holdings.check_balances runs, in owner order, only to name a bad
-        balance. This is the whole audit of a run that takes no snapshot
-        (see ruin_probability), so it also proves what a snapshot relies
-        on: every minted collectible, and nothing else, has a price.
+        Every step checks each balance, the supply counters and their
+        conservation, the fungible prices and a finite positive floor: any
+        action can change these. The checks that read every token (the
+        ownership partition, each collectible's price, the floor against the
+        lowest price, a price for exactly the minted ids) can only be
+        changed by a mint or a price rewrite, so they run at step 0, after a
+        step whose change record holds either, and whenever an O(agents)
+        check disagrees: the holdings' sizes do not sum to the population,
+        the price table and the population differ in size, or a fungible
+        price or the floor is not finite and positive.
+
+        One pass over the holdings sums their sizes and both balances and
+        tests each balance as Holdings.check_balances does; that check runs,
+        in owner order, only when the pass finds a bad balance, to name the
+        owner. The balance sums go to check_supply_sums.
+
+        This is the whole audit of a run that takes no snapshot (see
+        ruin_probability), so it also proves what a snapshot relies on:
+        every minted collectible, and nothing else, has a price.
         """
         holdings = self._holdings
         held = 0
@@ -779,8 +822,6 @@ class GameSimulation:
                 and 0 < board.floor_price < math.inf
             )
         )
-        counters = self.counters
-        scale = self._supply_scale
         try:
             if read_tokens:
                 check_ownership_partition(holdings, self.population)
@@ -789,18 +830,17 @@ class GameSimulation:
                     try:
                         h.check_balances()
                     except ValueError as exc:
-                        mine = (e for e in reversed(self.events) if e.agent == h.owner)
-                        last = next((e for e in mine if e.step == step), None)
+                        last = next(
+                            (
+                                e
+                                for e in reversed(self.events)
+                                if e.agent == h.owner and e.step == step
+                            ),
+                            None,
+                        )
                         raise SimulationInvariantError(step, str(exc), h.owner, last) from exc
-            counters.validate()
-            # check_supply_conservation's test on the pass's naive sums; it
-            # runs itself, with builtin sum, only to name a miss.
-            tol = SUPPLY_REL_TOL
-            if not (
-                abs(activity - counters.activity_supply) <= tol * max(scale[0], abs(activity))
-                and abs(market - counters.market_supply) <= tol * max(scale[1], abs(market))
-            ):
-                check_supply_conservation(holdings, counters, scale=scale)
+            self.counters.validate()
+            check_supply_sums(activity, market, self.counters, scale=self._supply_scale)
             if read_tokens:
                 board.validate()
                 if prices.keys() != self.population.keys():
@@ -813,23 +853,22 @@ class GameSimulation:
         except ValueError as exc:
             raise SimulationInvariantError(step, str(exc)) from exc
         self._supply_scale = (
-            max(scale[0], counters.activity_supply),
-            max(scale[1], counters.market_supply),
+            max(self._supply_scale[0], self.counters.activity_supply),
+            max(self._supply_scale[1], self.counters.market_supply),
         )
         if changed:
             self._take_changes()
 
     def _take_changes(self) -> None:
         """Apply the step's change record to the kept valuations, then start
-        a new record. A rewrite drops the pool sum and the token value of
-        each owner holding a collectible (one holding none is worth fsum of
-        nothing, 0.0, at any price). Otherwise each minted id, in ascending
-        order, extends the pool sum as its last term and drops its minter's
-        token value. No agent values its own tokens after it breeds in a
-        step, so the record can wait for the audit."""
+        a new record. A rewrite drops the pool sum and every token value.
+        Otherwise each minted id, in ascending order, extends the pool sum as
+        its last term and drops its minter's token value. No agent values its
+        own tokens after it breeds in a step, so the record can wait for the
+        audit."""
         if self._rewritten:
             self._pool = None
-            self._token_value = {h.owner: 0.0 for h in self._holdings if not h.collectibles}
+            self._token_value.clear()
             self._rewritten = False
         else:
             prices = self.board.collectible_prices
@@ -892,7 +931,12 @@ def run_simulation(config: SimConfig) -> SimResult:
     for step_events, snapshot in sim.stream():
         events.extend(step_events)
         snapshots.append(snapshot)
-    return SimResult(events, snapshots, sim.ruined_at, sim.action_counts)
+    return SimResult(
+        events=events,
+        snapshots=snapshots,
+        ruined_at=sim.ruined_at,
+        action_counts=sim.action_counts,
+    )
 
 
 def ruin_probability(config: SimConfig, agent: int, trials: int) -> RuinEstimate:

@@ -884,6 +884,30 @@ class TestSearchOnDemand:
         every_turn = run_steps(SearchEveryTurn, config)
         assert [asdict(e) for e in sim.events] == [asdict(e) for e in every_turn.events]
 
+    @pytest.mark.parametrize("battle, adventure", [(True, True), (True, False), (False, True)])
+    def test_an_overflowed_score_is_kept_as_before(self, battle, adventure):
+        # A balance of 1e308 at an activity price of 10 overflows: wealth is
+        # inf, a battle's change -inf and an adventure's inf, so each of
+        # their scores is log1p(nan). A NaN score is kept, and no later
+        # action beats it.
+        config = SimConfig(
+            rules=base_rules(),
+            agents=(AgentSpec(id=1, strategy="growth_maximizer", collectibles=4,
+                              activity_balance=1e308),),
+            steps=1,
+            board=PriceBoard(activity_price=10.0),
+            adventure=AdventureSpec(reward_multiplier=1.5, collectibles_required=1)
+            if adventure else None,
+            battle=BattleSpec(team_size=2, survival_fraction=0.5) if battle else None,
+        )
+        sim = SearchEveryTurn(config)
+        spec = config.agents[0]
+        assert sim.agent_wealth(1) == math.inf
+        expected = "battle" if battle else "adventure"
+        assert sim.reference_choice(spec, 1, None) == expected
+        assert sim._growth_choice(spec, 1, None) == (expected, None)
+        assert sim._growth_choice(spec, 1, simulation.NOT_SEARCHED) == (expected, None)
+
     def test_every_distinct_cost_is_tried(self):
         # A first breed costs 3.0 and loses to an adventure that changes
         # nothing (floor 1.0); a second costs nothing and gains the floor.
