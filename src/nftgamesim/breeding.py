@@ -206,9 +206,9 @@ def mint(
 
     Each child trait is inherited from a uniformly chosen parent with
     probability 1 - mutation_prob, otherwise drawn uniformly from the trait
-    alphabet. Debits the owner's balances and increments every parent's
-    breed count; the caller settles supply counters according to
-    ``rules.burn_mode``.
+    alphabet. Appends the child to the owner's holding, debits the owner's
+    balances and increments every parent's breed count; the caller settles
+    supply counters according to ``rules.burn_mode``.
 
     ``rng`` needs ``random()`` and ``randrange(n)``. Two draws are consumed
     per trait (mutation test, then value) regardless of mutation_prob, so
@@ -242,7 +242,7 @@ def mint(
     for p in parents:
         p.breed_count += 1
     population[child_id] = child
-    owner.collectibles.add(child_id)
+    owner.collectibles[child_id] = child
     return child
 
 

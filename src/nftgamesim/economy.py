@@ -59,10 +59,15 @@ class Collectible:
 
 @dataclass
 class Holdings:
-    """One user's positions: collectibles plus the two fungible balances."""
+    """One user's positions: collectibles plus the two fungible balances.
+
+    ``collectibles`` maps ids to the population's own tokens, in the order
+    acquired, which is ascending id: genesis and every mint append the new
+    largest id, and no token ever leaves a holding.
+    """
 
     owner: int
-    collectibles: set[TokenId] = field(default_factory=set)
+    collectibles: dict[TokenId, Collectible] = field(default_factory=dict)
     activity_balance: float = 0.0
     market_balance: float = 0.0
 

@@ -40,15 +40,15 @@ runs at most once per agent turn, and only where its result is read: when
 the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
 or when a growth maximizer's breed could still win: it scores battle,
 adventure and pass in place, in its tie order, then tries each distinct
-breed cost. The search reads each agent's candidate list, its collectibles
-with a breed charge left in ascending id order: genesis and each mint
-append (a new id is the largest), and a parent leaves when it uses its last
-charge, so the search sorts nothing and never walks a spent token. A breed is proven once, by the
-search: it tests pairs with breeding.can_pair, a bool, so a refused pair
-raises nothing, and the set it finds passes every check of
-breeding.check_breed, so the engine mints it with breeding.mint without
-checking it again. Breeds are priced from a table of breeding.BreedCost
-built once per run, as the engine never writes the fungible prices. Each
+breed cost. The search and each play's team walk the agent's holding,
+kept in ascending id order because genesis and each mint append the new
+largest id, so nothing is sorted and the search skips a spent token as it
+skips an immature one. A breed is proven once, by the search: it tests
+pairs with breeding.can_pair, a bool, so a refused pair raises nothing,
+and the set it finds passes every check of breeding.check_breed, so the
+engine mints it with breeding.mint without checking it again. Breeds are
+priced from a table of breeding.BreedCost built once per run, as the
+engine never writes the fungible prices. Each
 turn's event and each newborn are built positionally, and a snapshot
 values every agent in one pass over the turn records. Adventures, battles and
 lotteries settle through activities.scale_balance and
@@ -225,6 +225,10 @@ class SimConfig:
                 f"run.price_update must be one of {', '.join(PRICE_UPDATES)}, "
                 f"got {self.price_update!r}"
             )
+        if self.board.collectible_prices:
+            raise ValueError(
+                "board.collectible_prices must be empty: genesis prices every collectible"
+            )
         genesis = self.genesis_price if self.genesis_price is not None else self.board.floor_price
         if genesis < self.board.floor_price:
             raise ValueError("run.board.genesis_price may not undercut the floor price")
@@ -311,9 +315,7 @@ class GameSimulation:
         self.rng = CountingRng(config.seed)
         self.population: dict[int, Collectible] = {}
         self.holdings: dict[int, Holdings] = {TREASURY: Holdings(TREASURY)}
-        self.board = replace(
-            config.board, collectible_prices=dict(config.board.collectible_prices)
-        )
+        self.board = replace(config.board, collectible_prices={})
         self.counters = SupplyCounters()
         # Largest audited (activity, market) supply; see check_supply_conservation.
         self._supply_scale = (1.0, 1.0)
@@ -338,10 +340,6 @@ class GameSimulation:
         )
         self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
         self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
-        # Each agent's collectibles with a breed charge left, in ascending id
-        # order: genesis and every mint append (a new id is the largest), and
-        # a parent leaves when it uses its last charge (see _do_breed).
-        self._candidates: dict[int, dict[int, Collectible]] = {}
         # Valuations kept between snapshots (see _take_changes): the
         # collectible pool, None until summed or after a price rewrite, and
         # each agent's token value, absent until valued or after a change.
@@ -395,7 +393,6 @@ class GameSimulation:
                 market_balance=spec.market_balance,
             )
             self.holdings[spec.id] = h
-            candidates = self._candidates[spec.id] = {}
             self.counters.activity_supply += spec.activity_balance
             self.counters.market_supply += spec.market_balance
             for _ in range(spec.collectibles):
@@ -406,8 +403,7 @@ class GameSimulation:
                 )
                 token = Collectible(next_id, traits, None, 0, 1 - self.rules.maturity_delay)
                 self.population[next_id] = token
-                h.collectibles.add(next_id)
-                candidates[next_id] = token
+                h.collectibles[next_id] = token
                 self.board.collectible_prices[next_id] = genesis_price
                 self.events.append(
                     Event(
@@ -429,8 +425,9 @@ class GameSimulation:
     def _eligible_parents(self, agent_id: int, step: int) -> list[Collectible]:
         out = []
         delay = self.rules.maturity_delay
-        for c in self._candidates[agent_id].values():
-            if step - c.birth_step < delay:
+        limit = self.rules.breed_limit
+        for c in self.holdings[agent_id].collectibles.values():
+            if c.breed_count >= limit or step - c.birth_step < delay:
                 continue
             out.append(c)
             if len(out) >= BREED_SEARCH_WINDOW:
@@ -497,7 +494,7 @@ class GameSimulation:
 
     def _value_tokens(self, agent_id: int, h: Holdings) -> float:
         """Sum the agent's token prices and keep the sum (see _token_value)."""
-        # fsum is exactly rounded, so neither the set's iteration order nor
+        # fsum is exactly rounded, so neither the holding's order nor
         # when the value was taken matters while prices and holdings stay put.
         try:
             tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
@@ -536,11 +533,6 @@ class GameSimulation:
         else:
             self.counters.activity_supply -= cost.activity_amount
             self.counters.market_supply -= cost.market_amount
-        candidates = self._candidates[agent_id]
-        for pid in parent_ids:
-            if population[pid].breed_count == self.rules.breed_limit:
-                del candidates[pid]
-        candidates[child.id] = child
         self.board.collectible_prices[child.id] = self._list_price(child.traits)
         self._minted[child.id] = agent_id
         return Event(
@@ -569,7 +561,7 @@ class GameSimulation:
         """An adventure or a battle: deploy the team, scale the committed
         activity balance. Resolved at the average multiplier, so no draw is made."""
         h = self.holdings[agent_id]
-        team = sorted(h.collectibles)[:team_size]
+        team = list(itertools.islice(h.collectibles, team_size))
         before_balance = h.activity_balance
         after_balance, minted = activities.scale_balance(multiplier, before_balance)
         h.activity_balance = after_balance

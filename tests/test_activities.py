@@ -63,7 +63,7 @@ class TestAdventure:
         assert event.action == "adventure"
         assert event.inputs == {"collectibles": [0, 1], "activity_balance": 2.0}
         assert event.outputs == {"activity_balance": 3.0, "activity_minted": 1.0}
-        assert sim.holdings[1].collectibles == {0, 1, 2}
+        assert list(sim.holdings[1].collectibles) == [0, 1, 2]
 
     def test_wrong_collectible_count(self):
         spec = AdventureSpec(reward_multiplier=1.2, collectibles_required=2)
@@ -88,7 +88,7 @@ class TestBattle:
         sim, event = engine_turn("battle", spec, held=3, before=0.0)
         assert event.action == "battle"
         assert event.outputs == {"activity_balance": 0.0, "activity_minted": 0.0}
-        assert sim.holdings[1].collectibles == {0, 1, 2}
+        assert list(sim.holdings[1].collectibles) == [0, 1, 2]
         assert sim.agent_wealth(1) == 3 * sim.board.floor_price
 
     def test_wrong_team_size(self):

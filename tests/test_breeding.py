@@ -39,7 +39,7 @@ def genesis_pair(rules: GameRules, traits_a=(0, 1, 2, 3), traits_b=(4, 3, 2, 1))
         0: Collectible(0, tuple(traits_a), None, 0, -rules.maturity_delay),
         1: Collectible(1, tuple(traits_b), None, 0, -rules.maturity_delay),
     }
-    owner = Holdings(owner=1, collectibles={0, 1}, activity_balance=100.0, market_balance=100.0)
+    owner = Holdings(owner=1, collectibles=dict(pop), activity_balance=100.0, market_balance=100.0)
     board = PriceBoard(collectible_prices={0: 2.0, 1: 2.0}, floor_price=1.0)
     return pop, owner, board
 
@@ -167,7 +167,7 @@ class TestBreed:
         pop[2] = Collectible(2, (1, 1, 1, 1), None, 0, -1)
         pop[3] = Collectible(3, (2, 2, 2, 2), None, 0, -1)
         board.collectible_prices.update({2: 2.0, 3: 2.0})
-        owner.collectibles.update({2, 3})
+        owner.collectibles.update({2: pop[2], 3: pop[3]})
         rng = random.Random(0)
         a, _ = breed([0, 1], owner, pop, rules, board, rng, current_step=0)
         b, _ = breed([0, 2], owner, pop, rules, board, rng, current_step=0)
@@ -190,7 +190,7 @@ class TestBreed:
     def test_not_owned_rejected(self):
         rules = make_rules()
         pop, owner, board = genesis_pair(rules)
-        owner.collectibles.discard(1)
+        del owner.collectibles[1]
         with pytest.raises(RestrictionViolated, match="does not hold"):
             breed([0, 1], owner, pop, rules, board, random.Random(0), current_step=0)
 
@@ -212,7 +212,7 @@ class TestBreed:
         pop[2] = Collectible(2, (1, 0, 1, 0), None, 0, -1)
         pop[3] = Collectible(3, (0, 2, 0, 2), None, 0, -1)
         board.collectible_prices.update({2: 2.0, 3: 2.0})
-        owner.collectibles.update({2, 3})
+        owner.collectibles.update({2: pop[2], 3: pop[3]})
         rng = random.Random(7)
         for step in range(6):
             pairs = [
@@ -440,5 +440,5 @@ class TestChildId:
             breed([0, 1], owner, pop, rules, board, rng, current_step=0)
         assert list(pop) == [2, 0, 1]
         assert pop[0].breed_count == 0 and pop[1].breed_count == 0
-        assert owner.activity_balance == 100.0 and owner.collectibles == {0, 1}
+        assert owner.activity_balance == 100.0 and list(owner.collectibles) == [0, 1]
         assert rng.getstate() == state

@@ -294,7 +294,7 @@ class TestRunSimulation:
         config = mixed_config(steps=3)
         sim = GameSimulation(config)
         stolen = next(iter(sim.holdings[1].collectibles))
-        sim.holdings[4].collectibles.add(stolen)
+        sim.holdings[4].collectibles[stolen] = sim.population[stolen]
         with pytest.raises(SimulationInvariantError, match=f"collectible {stolen}"):
             sim._check_invariants(step=1)
 
@@ -588,17 +588,12 @@ class TestBreedingSearch:
             )
         h = sim.holdings[1]
         h.collectibles = {
-            tid for tid in range(size) if data.draw(st.booleans(), label=f"owns[{tid}]")
+            tid: sim.population[tid]
+            for tid in range(size)
+            if data.draw(st.booleans(), label=f"owns[{tid}]")
         }
         h.activity_balance = data.draw(AMOUNTS, label="activity_balance")
         h.market_balance = data.draw(AMOUNTS, label="market_balance")
-        # The state was written directly, so the candidate list is rebuilt
-        # from it: the holding's tokens with a charge left, in id order.
-        sim._candidates[1] = {
-            tid: sim.population[tid]
-            for tid in sorted(h.collectibles)
-            if sim.population[tid].breed_count < limit
-        }
         step = data.draw(st.integers(0, 6), label="step")
         assert sim._find_breeding_set(1, step) == reference_breeding_set(sim, 1, step)
 
@@ -653,10 +648,10 @@ class TestCandidates:
     )
     def test_follow_the_holdings_on_the_golden_cases(self, edit, seed, steps):
         sim = GameSimulation(baseline_config(edit, seed, steps))
-        check_candidates(sim)
+        check_holdings(sim)
         for step in range(1, steps + 1):
             sim.step(step)
-            check_candidates(sim)
+            check_holdings(sim)
 
     def test_a_parent_leaves_with_its_last_charge(self):
         config = SimConfig(
@@ -666,9 +661,11 @@ class TestCandidates:
         )
         sim = GameSimulation(config)
         sim.step(1)
-        # Tokens 0 and 1 bred their only time; the child 4 is appended.
-        assert list(sim._candidates[1]) == [2, 3, 4]
-        check_candidates(sim)
+        # Tokens 0 and 1 bred their only time; the child 4 is appended, and
+        # the search skips the spent parents.
+        assert list(sim.holdings[1].collectibles) == [0, 1, 2, 3, 4]
+        assert [c.id for c in sim._eligible_parents(1, 2)] == [2, 3, 4]
+        check_holdings(sim)
 
 
 class SearchEveryTurn(GameSimulation):
@@ -737,15 +734,12 @@ class SearchEveryTurn(GameSimulation):
         return best[1]
 
 
-def check_candidates(sim: GameSimulation) -> None:
-    """Each agent's breeding candidates are its collectibles with a charge
-    left, in ascending id order, and the population's own objects."""
-    limit = sim.rules.breed_limit
-    for agent_id, candidates in sim._candidates.items():
-        tokens = [sim.population[tid] for tid in sorted(sim.holdings[agent_id].collectibles)]
-        expected = [c for c in tokens if c.breed_count < limit]
-        assert [c.id for c in candidates.values()] == [c.id for c in expected]
-        assert all(c is sim.population[tid] for tid, c in candidates.items())
+def check_holdings(sim: GameSimulation) -> None:
+    """Every holding, the breeding search's candidates, is in ascending id
+    order and maps each id to the population's own object."""
+    for h in sim.holdings.values():
+        assert list(h.collectibles) == sorted(h.collectibles)
+        assert all(c is sim.population[tid] for tid, c in h.collectibles.items())
 
 
 @st.composite
@@ -846,11 +840,11 @@ class TestSearchOnDemand:
         on_demand = GameSimulation(config)
         searched = record_searches(on_demand)
         every_turn = SearchEveryTurn(config)
-        check_candidates(on_demand)
+        check_holdings(on_demand)
         for step in range(1, config.steps + 1):
             on_demand.step(step)
             every_turn.step(step)
-            check_candidates(on_demand)
+            check_holdings(on_demand)
         assert [asdict(e) for e in on_demand.events] == [asdict(e) for e in every_turn.events]
         assert on_demand.ruined_at == every_turn.ruined_at
         assert on_demand.action_counts == every_turn.action_counts
@@ -1380,13 +1374,13 @@ class TestAuditSchedule:
         sim = at_rest_sim()
         sim.step(1)
         if fault == "second holder":
-            sim.holdings[2].collectibles.add(0)
+            sim.holdings[2].collectibles[0] = sim.population[0]
         elif fault == "deleted price":
             del sim.board.collectible_prices[4]
         elif fault == "unminted price":
             sim.board.collectible_prices[999] = 3.0
         else:
-            sim.holdings[2].collectibles.discard(4)
+            del sim.holdings[2].collectibles[4]
         with pytest.raises(SimulationInvariantError, match=f"step 2: {message}") as caught:
             sim.step(2)
         assert caught.value.agent is None and caught.value.last_event is None
@@ -1406,8 +1400,8 @@ class TestAuditSchedule:
         )
         sim = GameSimulation(config)
         sim.step(1)
-        sim.holdings[2].collectibles.add(0)
-        sim.holdings[2].collectibles.discard(5)
+        sim.holdings[2].collectibles[0] = sim.population[0]
+        del sim.holdings[2].collectibles[5]
         with pytest.raises(SimulationInvariantError, match="step 2: collectible 0 held by both"):
             sim.step(2)
         assert [e.action for e in sim.events if e.step == 2] == ["breed", "pass"]
@@ -1808,6 +1802,18 @@ class TestConfigValidation:
                 steps=1,
                 board=PriceBoard(floor_price=2.0),
                 genesis_price=1.0,
+            )
+
+    @pytest.mark.parametrize("prices", [{0: 5.0}, {7: 5.0}], ids=["minted-id", "unminted-id"])
+    def test_rejects_a_price_table_genesis_would_overwrite(self, prices):
+        # Genesis prices every collectible, so a table in the config would
+        # be dropped (id 0) or fail the step-0 audit (id 7).
+        with pytest.raises(ValueError, match=r"board\.collectible_prices must be empty"):
+            SimConfig(
+                rules=GameRules(),
+                agents=(AgentSpec(id=1, collectibles=2),),
+                steps=2,
+                board=PriceBoard(collectible_prices=prices),
             )
 
     def test_fixed_mix_requires_mix(self):
