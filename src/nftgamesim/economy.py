@@ -4,9 +4,9 @@ Three token classes make up a game economy: unique collectibles priced
 individually, a fungible activity token, and a fungible marketplace token.
 All values are quoted in a single external numeraire (e.g. a stablecoin).
 Bid-offer spreads, order books, and partial liquidity are out of scope;
-every asset has one price. The collectible pool is summed in one place,
-the engine's snapshot; this module values the two fungible pools, totals
-the three and audits ownership and supply.
+every asset has one price. The collectible pool is the engine snapshot's
+exactly rounded sum of the agents' token values; this module values the
+two fungible pools, totals the three and audits ownership and supply.
 """
 from __future__ import annotations
 
@@ -166,25 +166,30 @@ def total_value(collectible_pool: float, activity_pool: float, market_pool: floa
 def check_ownership_partition(
     holdings_all: list[Holdings], population: dict[TokenId, Collectible]
 ) -> None:
-    """Every minted collectible is held by exactly one user.
+    """Every minted collectible is held by exactly one user, as the minted token.
 
     Raises ValueError naming the first offending token.
     """
-    # Disjoint holdings whose union is the population form a partition; the
-    # per-token pass runs only to name the offending token.
+    # Disjoint holdings whose merged map equals the population (dict equality
+    # tests each token's identity first) form a partition; the per-token pass
+    # runs only to name the offending token.
     held = [h.collectibles for h in holdings_all]
-    owned = set().union(*held)
-    if sum(map(len, held)) == len(owned) and population.keys() == owned:
+    merged: dict[TokenId, Collectible] = {}
+    for tokens in held:
+        merged.update(tokens)
+    if sum(map(len, held)) == len(merged) and merged == population:
         return
     seen: dict[TokenId, int] = {}
     for h in holdings_all:
-        for tid in h.collectibles:
+        for tid, token in h.collectibles.items():
             if tid in seen:
                 raise ValueError(
                     f"collectible {tid} held by both user {seen[tid]} and user {h.owner}"
                 )
             if tid not in population:
                 raise ValueError(f"user {h.owner} holds unminted collectible {tid}")
+            if token != population[tid]:
+                raise ValueError(f"user {h.owner}'s collectible {tid} is not the minted one")
             seen[tid] = h.owner
     if len(seen) != len(population):
         orphans = sorted(set(population) - set(seen))

@@ -9,13 +9,11 @@ A step costs what it changed. _do_breed and _update_prices write one
 change record per step: the ids minted, with their minters, and whether
 prices were rewritten (genesis counts as a rewrite). The audit reads it to
 choose its checks, then hands it to the kept valuations (_take_changes):
-- The collectible pool, summed only by a snapshot as one naive left-to-right
-  sum in ascending id order (not builtin sum, which compensates from Python
-  3.12 on), is extended by each minted price, the largest id being the last
-  term; a rewrite makes the next snapshot sum the population again.
-- Each agent's token value, an exactly rounded math.fsum, is kept until the
-  agent mints or prices are rewritten.
-Kept values equal fresh ones bit for bit.
+each agent's token value, an exactly rounded math.fsum, is kept until the
+agent mints or prices are rewritten. Kept values equal fresh ones bit for
+bit. The collectible pool is kept nowhere: a snapshot takes the fsum of the
+agents' token values, within 1.5 ulp of the exact sum of the prices in any
+order. An fsum that overflows reads inf, which the snapshot refuses.
 The audit's fixed part is one pass over the holdings, a tuple built after
 genesis since no owner joins later: it sums their sizes and both balances
 and tests each balance. The supply sums are naive loops, tested by
@@ -297,6 +295,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _fsum(prices) -> float:
+    """math.fsum of prices, or inf where it overflows, as a naive sum reads."""
+    try:
+        return math.fsum(prices)
+    except OverflowError:
+        return math.inf
+
+
 def derive_subseed(master_seed: int, trial: int) -> int:
     """Independent per-trial seed: first 8 little-endian bytes of
     SHA-256(master_seed as 8 LE bytes || trial as 8 LE bytes)."""
@@ -340,10 +346,8 @@ class GameSimulation:
         )
         self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
         self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
-        # Valuations kept between snapshots (see _take_changes): the
-        # collectible pool, None until summed or after a price rewrite, and
-        # each agent's token value, absent until valued or after a change.
-        self._pool: float | None = None
+        # Each agent's token value, kept between snapshots (see
+        # _take_changes): absent until valued or after a change.
         self._token_value: dict[int, float] = {}
         # The distinct collectible prices, built by the first forward-drift
         # update and kept from then on, and whether the last update moved
@@ -497,7 +501,7 @@ class GameSimulation:
         # fsum is exactly rounded, so neither the holding's order nor
         # when the value was taken matters while prices and holdings stay put.
         try:
-            tokens = math.fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
+            tokens = _fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
         except KeyError as exc:
             raise MissingPriceError(exc.args[0]) from None
         self._token_value[agent_id] = tokens
@@ -852,23 +856,16 @@ class GameSimulation:
             self._take_changes()
 
     def _take_changes(self) -> None:
-        """Apply the step's change record to the kept valuations, then start
-        a new record. A rewrite drops the pool sum and every token value.
-        Otherwise each minted id, in ascending order, extends the pool sum as
-        its last term and drops its minter's token value. No agent values its
-        own tokens after it breeds in a step, so the record can wait for the
-        audit."""
+        """Apply the step's change record to the kept token values, then start
+        a new record: a rewrite drops every value, a mint its minter's. No
+        agent values its own tokens after it breeds in a step, so the record
+        can wait for the audit."""
+        kept = self._token_value
         if self._rewritten:
-            self._pool = None
-            self._token_value.clear()
+            kept.clear()
             self._rewritten = False
-        else:
-            prices = self.board.collectible_prices
-            kept = self._token_value
-            for tid, agent_id in self._minted.items():
-                kept.pop(agent_id, None)
-                if self._pool is not None:
-                    self._pool += prices[tid]
+        for agent_id in self._minted.values():
+            kept.pop(agent_id, None)
         self._minted = {}
 
     def stream(self) -> Iterator[tuple[list[Event], EconomySnapshot]]:
@@ -885,22 +882,12 @@ class GameSimulation:
             self.events = []
 
     def snapshot(self, step: int) -> EconomySnapshot:
-        if self._pool is None:
-            # The sum needs no checks of its own: the audit before every
-            # snapshot proved that the holdings partition the population and
-            # that exactly its ids are priced, and population ids ascend.
-            self._pool = functools.reduce(
-                operator.add, map(self.board.collectible_prices.__getitem__, self.population), 0.0
-            )
-        phi = self._pool
-        psi, omega = fungible_pool_values(self.counters, self.board)
-        try:
-            # A finite total bounds every agent's wealth, so that is finite too.
-            total = total_value(phi, psi, omega)
-        except ValueError as exc:
-            raise SimulationInvariantError(step, str(exc)) from exc
         # Every agent valued as agent_wealth does, in one pass over the turn
-        # records, with the same kept token values.
+        # records, with the same kept token values. The loop leaves every
+        # agent's value kept, and only agents hold collectibles, so the pool
+        # is the fsum of the kept values: the audit before every snapshot
+        # proved that the holdings partition the population and that exactly
+        # its ids are priced.
         activity_price = self.board.activity_price
         market_price = self.board.market_price
         kept = self._token_value
@@ -912,6 +899,13 @@ class GameSimulation:
             wealth[agent_id] = (
                 tokens + h.activity_balance * activity_price + h.market_balance * market_price
             )
+        phi = _fsum(kept.values())
+        psi, omega = fungible_pool_values(self.counters, self.board)
+        try:
+            # A finite total bounds every agent's wealth, so that is finite too.
+            total = total_value(phi, psi, omega)
+        except ValueError as exc:
+            raise SimulationInvariantError(step, str(exc)) from exc
         return EconomySnapshot(step, phi, psi, omega, total, len(self.population), wealth)
 
 

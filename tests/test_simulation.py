@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +43,6 @@ from nftgamesim.simulation import (
     wilson_interval,
 )
 from test_breeding import reference_pairing_error
-from test_economy import reference_pool_value
 from test_golden import BASELINE, CASES
 
 
@@ -1086,8 +1086,9 @@ class TestPriceUpdate:
         sim = self.fixed_point_sim()
         sim.board.collectible_prices = prices = CountingReads(sim.board.collectible_prices)
         first = sim.snapshot(0)
-        # The pool sum and the agent's token value each read every price once.
-        assert prices.reads == 10
+        # The agent's token value reads every price once; the pool sums the
+        # token values.
+        assert prices.reads == 5
         prices.reads = 0
         sim.step(1)
         assert sim.snapshot(1) == replace(first, step=1)
@@ -1103,16 +1104,33 @@ def check_kept_valuations(config: SimConfig) -> None:
     sim = GameSimulation(config)
     board = sim.board
     for _, snap in sim.stream():
-        pool = reference_pool_value(list(sim.holdings.values()), board)
-        assert snap.collectible_pool.hex() == pool.hex()
+        prices = board.collectible_prices
+        tokens = {
+            agent_id: math.fsum(prices[t] for t in sim.holdings[agent_id].collectibles)
+            for agent_id in snap.agent_wealth
+        }
+        assert snap.collectible_pool.hex() == math.fsum(tokens.values()).hex()
         for agent_id, wealth in snap.agent_wealth.items():
             h = sim.holdings[agent_id]
             fresh = (
-                math.fsum(board.collectible_prices[t] for t in h.collectibles)
+                tokens[agent_id]
                 + h.activity_balance * board.activity_price
                 + h.market_balance * board.market_price
             )
             assert wealth.hex() == fresh.hex()
+
+
+def pool_error_ulps(config: SimConfig) -> float:
+    """The largest distance, over every snapshot, of the collectible pool
+    from the exact sum of the token prices, in ulps of the pool."""
+    sim = GameSimulation(config)
+    worst = 0.0
+    for _, snap in sim.stream():
+        prices = Counter(sim.board.collectible_prices.values())
+        exact = sum((Fraction(p) * n for p, n in prices.items()), Fraction(0))
+        phi = snap.collectible_pool
+        worst = max(worst, float(abs(Fraction(phi) - exact) / Fraction(math.ulp(phi))))
+    return worst
 
 
 @st.composite
@@ -1174,6 +1192,42 @@ class TestKeptValuations:
     @given(config=small_configs())
     def test_equal_a_fresh_valuation_on_drawn_economies(self, config):
         check_kept_valuations(config)
+
+
+class TestPoolSum:
+    """The collectible pool is an fsum of the agents' fsums: each is exactly
+    rounded, so the pool is within 0.5 ulp of the exact sum of the agents'
+    values, which are each within 0.5 ulp of their own exact sums; for
+    non-negative prices that totals at most 1.5 ulp of the pool."""
+
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES] + [(frozen, 5, 200)],
+        ids=[case[0] for case in CASES] + ["frozen-5-200"],
+    )
+    def test_within_one_and_a_half_ulp_of_the_exact_sum_on_the_golden_cases(
+        self, edit, seed, steps
+    ):
+        assert pool_error_ulps(baseline_config(edit, seed, steps)) <= 1.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs())
+    def test_within_one_and_a_half_ulp_of_the_exact_sum_on_drawn_economies(self, config):
+        assert pool_error_ulps(config) <= 1.5
+
+    def test_is_the_fsum_of_the_prices(self):
+        # Added left to right, each 1e-16 is lost against 1.0.
+        prices = [1.0] + [1e-16] * 10
+        config = SimConfig(
+            rules=base_rules(),
+            agents=(AgentSpec(id=1, collectibles=len(prices)),),
+            steps=1,
+            board=PriceBoard(floor_price=1e-16),
+        )
+        sim = GameSimulation(config)
+        sim.board.collectible_prices.update(enumerate(prices))
+        assert math.fsum(prices) != 1.0
+        assert sim.snapshot(0).collectible_pool == math.fsum(prices)
 
 
 class TestPopulationBound:
@@ -1405,6 +1459,17 @@ class TestAuditSchedule:
         with pytest.raises(SimulationInvariantError, match="step 2: collectible 0 held by both"):
             sim.step(2)
         assert [e.action for e in sim.events if e.step == 2] == ["breed", "pass"]
+
+    def test_a_held_token_that_is_not_the_minted_one_is_caught_at_the_next_mint_step(self):
+        # Agent 1 holds a copy of token 0 with every charge spent; the
+        # population's token 0 has bred once. Every id still matches.
+        sim = GameSimulation(baseline_config(None, 1, 10))
+        sim.step(1)
+        sim.holdings[1].collectibles[0] = replace(sim.population[0], breed_count=7)
+        message = "step 2: user 1's collectible 0 is not the minted one"
+        with pytest.raises(SimulationInvariantError, match=message):
+            sim.step(2)
+        assert (1, "breed") in [(e.agent, e.action) for e in sim.events if e.step == 2]
 
     def test_balance_failure_names_the_agent_and_its_last_event(self):
         sim = GameSimulation(mixed_config(steps=3))
@@ -1660,6 +1725,18 @@ class TestRuinProbability:
         estimate = ruin_probability(config, 1, trials=20)
         assert estimate.probability == 1.0
         assert estimate.stderr == 0.0
+
+    def test_a_token_value_that_overflows_is_read_as_inf(self):
+        # Growth maximizers value their tokens on every turn; at 1e308 each,
+        # two or more tokens overflow their fsum. ruin_probability takes no
+        # snapshot, so nothing refuses the run.
+        data = json.loads(BASELINE.read_text())
+        data["run"]["board"]["genesis_price"] = 1e308
+        config = replace(parse_scenario(data), steps=5)
+        assert GameSimulation(config).agent_wealth(6) == math.inf
+        estimate = ruin_probability(config, 5, 2)
+        assert isinstance(estimate, simulation.RuinEstimate)
+        assert estimate.trials == 2
 
     def test_passive_agent_with_funds_never_ruined(self):
         config = SimConfig(
