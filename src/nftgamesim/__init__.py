@@ -53,7 +53,6 @@ _EXPORTS = {
         "ImmatureParent",
         "InsufficientBalance",
         "RestrictionViolated",
-        "breed",
         "forward_price_step",
     ),
     "economy": (

@@ -12,10 +12,9 @@ Also here are the paper's three ways to extract value: tokens as outside
 collateral (collateral_loop), games between players of different risk
 appetite (the pooled lottery, the minority game, the lottery classifiers)
 and the two-envelopes swap across numeraires. So is the breeding toolbox:
-the arbitrage classifier, the charge lattice, the population bound and the
-forward-price path. The lottery classifiers value the engine's own
-settlement, activities.lottery_deltas, and the forward-price path iterates
-breeding.forward_price_step.
+the arbitrage classifier, the charge lattice and the population bound. The
+lottery classifiers value the engine's own settlement,
+activities.lottery_deltas.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .activities import LotterySpec, lottery_deltas
-from .breeding import GameRules, forward_price_step
+from .breeding import GameRules
 from .economy import PriceBoard
 
 if TYPE_CHECKING:
@@ -619,11 +618,3 @@ def max_population(initial: int, rules: GameRules, horizon: int) -> list[int]:
         counts.append(counts[-1] + births)
 
     return counts
-
-
-def iterate_forward_price(p0: float, d: int, step_cost_numeraire: float, steps: int) -> list[float]:
-    """Forward-price path p_0..p_steps under repeated application of the recursion."""
-    path = [p0]
-    for _ in range(steps):
-        path.append(forward_price_step(path[-1], d, step_cost_numeraire))
-    return path

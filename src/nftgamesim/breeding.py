@@ -6,15 +6,15 @@ breed when no two of them are the same token, parent and child, or
 siblings: can_pair answers that for one pair as a bool, and check_pairing
 raises the rule a list breaks. A breed is check_breed, which runs every
 check and returns the BreedCost, then mint, which draws the traits,
-creates the child and debits the owner; breed does both. The engine's
-search proves what check_breed checks, so the engine calls mint alone.
+creates the child and debits the owner. The engine's search proves what
+check_breed checks, so the engine calls mint alone.
 
 Because the supply of collectibles grows at a rate fixed by the breeding
 arity, their forward prices drift toward the per-breed cost: under
 forward_drift the engine takes one forward_price_step per step. The
 closed-form side of breeding (the arbitrage classifier, the charge
-lattice, the population bound and the forward-price path) lives in
-analytics, since no run calls it.
+lattice and the population bound) lives in analytics, since no run calls
+it.
 """
 from __future__ import annotations
 
@@ -244,24 +244,6 @@ def mint(
     population[child_id] = child
     owner.collectibles[child_id] = child
     return child
-
-
-def breed(
-    parent_ids: list[TokenId],
-    owner: Holdings,
-    population: dict[TokenId, Collectible],
-    rules: GameRules,
-    board: PriceBoard,
-    rng,
-    current_step: int = 0,
-) -> tuple[Collectible, BreedCost]:
-    """Check and mint a breed: check_breed, then mint at the cost it found.
-
-    Raises whatever check_breed raises, and mint's ValueError on a child id
-    that is already taken; in either case nothing changes.
-    """
-    cost = check_breed(parent_ids, owner, population, rules, board, current_step)
-    return mint(parent_ids, owner, population, rules, cost, rng, current_step), cost
 
 
 def forward_price_step(p_t: float, d: int, step_cost_numeraire: float) -> float:

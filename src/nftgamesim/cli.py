@@ -7,9 +7,8 @@ commands draw no random numbers: they accept --seed so existing scripts keep
 working, but it has no effect there.
 
 simulate writes events.jsonl and snapshots.csv as the run goes. Each event
-line's envelope is formatted directly and its payloads go through json's own
-compact C encoder, built once per run with the settings JSONEncoder.encode
-would use, so every line is what json.dumps writes for the event.
+line is the engine's own (simulation.Event.line), so the line format lives in
+one place; this module only joins the lines of a step and writes them.
 """
 from __future__ import annotations
 
@@ -17,11 +16,9 @@ import argparse
 import contextlib
 import csv
 import json
-import json.encoder
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .scenario import ScenarioError, load_scenario
@@ -65,33 +62,6 @@ def _matrix(text: str) -> list[list[float]]:
 # -- simulate ------------------------------------------------------------
 
 
-def _payload_encoder() -> Callable[[dict], str]:
-    """json's compact encoder for event payloads, built once per run.
-
-    JSONEncoder.encode builds a new C encoder on every call. This builds it
-    once, with the arguments iterencode passes for these settings (the
-    circular-reference check included), and calls it directly, so the text
-    is the same. Without the C accelerator it is encode itself.
-    """
-    settings = json.JSONEncoder(separators=(",", ":"))
-    make_encoder = json.encoder.c_make_encoder
-    if make_encoder is None:
-        return settings.encode
-    encoder = make_encoder(
-        {},  # the circular-reference check's markers
-        settings.default,
-        json.encoder.encode_basestring_ascii,
-        settings.indent,
-        settings.key_separator,
-        settings.item_separator,
-        settings.sort_keys,
-        settings.skipkeys,
-        settings.allow_nan,
-    )
-    join = "".join
-    return lambda payload: join(encoder(payload, 0))
-
-
 def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     """Write events.jsonl and snapshots.csv as the run goes; return the summary.
 
@@ -100,7 +70,6 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     """
     config = sim.config
     agent_ids = sorted(a.id for a in config.agents)
-    encode = _payload_encoder()
     first = last = None
     with open(out_dir / "snapshots.csv", "w", newline="") as snap_fh, open(
         out_dir / "events.jsonl", "w"
@@ -110,18 +79,7 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
         header += [f"agent{k}_wealth" for k in agent_ids]
         writer.writerow(header)
         for events, snap in sim.stream():
-            # step, agent and rng_draws are plain ints and every action name
-            # is an ASCII identifier, so the envelope is formatted directly,
-            # byte for byte as json writes it; the payloads go through json.
-            event_fh.write(
-                "".join(
-                    f'{{"step":{ev.step},"agent":{ev.agent},"action":"{ev.action}",'
-                    f'"inputs":{encode(ev.inputs) if ev.inputs else "{}"},'
-                    f'"outputs":{encode(ev.outputs) if ev.outputs else "{}"},'
-                    f'"rng_draws":{ev.rng_draws}}}\n'
-                    for ev in events
-                )
-            )
+            event_fh.write("".join([f"{ev.line()}\n" for ev in events]))
             row = [
                 snap.step,
                 snap.collectible_pool,
@@ -205,7 +163,7 @@ def cmd_simulate(args) -> int:
     except SimulationInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.agent is not None:
-            last = "none" if exc.last_event is None else json.dumps(asdict(exc.last_event))
+            last = "none" if exc.last_event is None else json.dumps(exc.last_event.as_dict())
             print(f"error: agent {exc.agent}, last event: {last}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 TokenId = int
 
@@ -194,23 +193,6 @@ def check_ownership_partition(
     if len(seen) != len(population):
         orphans = sorted(set(population) - set(seen))
         raise ValueError(f"minted collectibles with no owner: {orphans[:5]}")
-
-
-def check_supply_conservation(
-    holdings_all: list[Holdings],
-    counters: SupplyCounters,
-    rel_tol: float = _SUPPLY_REL_TOL,
-    scale: tuple[float, float] = (1.0, 1.0),
-) -> None:
-    """Supply counters must match the per-user balance sums (see
-    check_supply_sums)."""
-    check_supply_sums(
-        sum(map(attrgetter("activity_balance"), holdings_all)),
-        sum(map(attrgetter("market_balance"), holdings_all)),
-        counters,
-        rel_tol,
-        scale,
-    )
 
 
 def check_supply_sums(

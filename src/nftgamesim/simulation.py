@@ -17,14 +17,13 @@ order. An fsum that overflows reads inf, which the snapshot refuses.
 The audit's fixed part is one pass over the holdings, a tuple built after
 genesis since no owner joins later: it sums their sizes and both balances
 and tests each balance. The supply sums are naive loops, tested by
-economy.check_supply_sums, the test check_supply_conservation applies to
-builtin sums, which compensate from Python 3.12 on. Over non-negative
-balances the two sums differ by a few ulps, far inside the 1e-9 tolerance,
-and the audit only passes or raises, so no output byte depends on the
-choice. The checks that read every token (the ownership partition, each
-price, the floor against the lowest price, a price for exactly the minted
-ids) run at step 0, after a step whose record holds a mint or a rewrite,
-and when an O(agents) size check disagrees.
+economy.check_supply_sums. Builtin sums compensate from Python 3.12 on;
+over non-negative balances the two differ by a few ulps, far inside the
+1e-9 tolerance, and the audit only passes or raises, so no output byte
+depends on the choice. The checks that read every token (the ownership
+partition, each price, the floor against the lowest price, a price for
+exactly the minted ids) run at step 0, after a step whose record holds a
+mint or a rewrite, and when an O(agents) size check disagrees.
 The forward-drift update keeps the set of distinct collectible prices and
 steps only those. forward_price_step is pure, so once an update moves no
 price, the next ones do nothing until a newborn lists at a price outside
@@ -46,12 +45,14 @@ pairs with breeding.can_pair, a bool, so a refused pair raises nothing,
 and the set it finds passes every check of breeding.check_breed, so the
 engine mints it with breeding.mint without checking it again. Breeds are
 priced from a table of breeding.BreedCost built once per run, as the
-engine never writes the fungible prices. Each
-turn's event and each newborn are built positionally, and a snapshot
-values every agent in one pass over the turn records. Adventures, battles and
-lotteries settle through activities.scale_balance and
-activities.lottery_deltas; the engine holds no payoff arithmetic of its own
-beyond the growth maximizer's score.
+engine never writes the fungible prices. Each turn's event holds its
+payload as a tuple of values, and each newborn is built positionally. An
+event's events.jsonl line is rendered from PAYLOADS, the one copy of the
+payload schemas, only when Event.line is called, so ruin_probability
+renders none. A snapshot values every agent in one pass over the turn
+records. Adventures, battles and lotteries settle through
+activities.scale_balance and activities.lottery_deltas; the engine holds no
+payoff arithmetic of its own beyond the growth maximizer's score.
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
 random bits redrawn while the value is n or more, so the stream is the same.
 Monte Carlo experiments derive independent sub-seeds from the master seed
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -237,16 +239,77 @@ class SimConfig:
                 raise ValueError("run.trait_premiums entries must be non-negative")
 
 
+def _ids(ids) -> str:
+    return ",".join(map(str, ids))
+
+
+def _scaled(team_key: str):
+    """An adventure's or a battle's payload, its team under ``team_key``."""
+    return lambda num, team, before, after, minted: (
+        f'"inputs":{{"{team_key}":[{_ids(team)}],"activity_balance":{num(before)}}},'
+        f'"outputs":{{"activity_balance":{num(after)},"activity_minted":{num(minted)}}}'
+    )
+
+
+def _lottery(num, stake, lost, market, activity) -> str:
+    if lost:
+        outputs = f'"result":"loss","market_burned":{num(-market)}'
+    else:
+        outputs = f'"result":"win","market_minted":{num(market)},"activity_minted":{num(activity)}'
+    return f'"inputs":{{"stake":{num(stake)}}},"outputs":{{{outputs}}}'
+
+
+# The payload schemas, written once: each action's "inputs":...,"outputs":...
+# text from its Event's payload tuple, taken in this order. Ids are ints;
+# every other number is spelled by ``num``.
+PAYLOADS = {
+    "genesis": lambda num, token, traits: (
+        f'"inputs":{{}},"outputs":{{"collectible":{token},"traits":[{_ids(traits)}]}}'
+    ),
+    "breed": lambda num, parents, child, traits, activity_cost, market_cost: (
+        f'"inputs":{{"parents":[{_ids(parents)}]}},'
+        f'"outputs":{{"child":{child},"traits":[{_ids(traits)}],'
+        f'"activity_cost":{num(activity_cost)},"market_cost":{num(market_cost)}}}'
+    ),
+    "battle": _scaled("team"),
+    "adventure": _scaled("collectibles"),
+    "lottery": _lottery,
+    "pass": lambda num: '"inputs":{},"outputs":{}',
+}
+
+
 @dataclass
 class Event:
-    """One state transition: who did what, with what, and how many draws it took."""
+    """One state transition: who did what, with what, and how many draws it took.
+
+    ``payload`` holds the action's values in the order its PAYLOADS entry
+    takes them. Text is rendered only when asked for, so a run that drops
+    its events (ruin_probability) renders none.
+    """
 
     step: int
     agent: int
     action: str
-    inputs: dict
-    outputs: dict
+    payload: tuple
     rng_draws: int
+
+    def line(self, num=repr) -> str:
+        """The event's events.jsonl line, without the newline.
+
+        For ints and finite floats repr writes what json writes, so the line
+        is json.dumps(self.as_dict(), separators=(",", ":")); the audit
+        refuses a non-finite value before a step's events are handed on.
+        """
+        return (
+            f'{{"step":{self.step},"agent":{self.agent},"action":"{self.action}",'
+            f'{PAYLOADS[self.action](num, *self.payload)},"rng_draws":{self.rng_draws}}}'
+        )
+
+    def as_dict(self) -> dict:
+        """The event as json reads its line back. Numbers are spelled by
+        json.dumps here, so an event the audit refused, with an infinite
+        balance, still has a view, and json.dumps writes that as Infinity."""
+        return json.loads(self.line(json.dumps))
 
 
 @dataclass
@@ -323,7 +386,7 @@ class GameSimulation:
         self.holdings: dict[int, Holdings] = {TREASURY: Holdings(TREASURY)}
         self.board = replace(config.board, collectible_prices={})
         self.counters = SupplyCounters()
-        # Largest audited (activity, market) supply; see check_supply_conservation.
+        # Largest audited (activity, market) supply; see check_supply_sums.
         self._supply_scale = (1.0, 1.0)
         # Genesis events, then the current step's: stream() hands the list
         # on and starts a new one after each step, ruin_probability empties it.
@@ -410,14 +473,7 @@ class GameSimulation:
                 h.collectibles[next_id] = token
                 self.board.collectible_prices[next_id] = genesis_price
                 self.events.append(
-                    Event(
-                        0,
-                        spec.id,
-                        "genesis",
-                        {},
-                        {"collectible": next_id, "traits": list(traits)},
-                        self.rng.draws - before,
-                    )
+                    Event(0, spec.id, "genesis", (next_id, traits), self.rng.draws - before)
                 )
                 next_id += 1
         # No owner joins after genesis, so the audit walks this tuple.
@@ -543,24 +599,12 @@ class GameSimulation:
             step,
             agent_id,
             "breed",
-            {"parents": list(parent_ids)},
-            {
-                "child": child.id,
-                "traits": list(child.traits),
-                "activity_cost": cost.activity_amount,
-                "market_cost": cost.market_amount,
-            },
+            (parent_ids, child.id, child.traits, cost.activity_amount, cost.market_amount),
             rng.draws - before,
         )
 
     def _do_scaled(
-        self,
-        agent_id: int,
-        step: int,
-        action: str,
-        team_key: str,
-        team_size: int,
-        multiplier: float,
+        self, agent_id: int, step: int, action: str, team_size: int, multiplier: float
     ) -> Event:
         """An adventure or a battle: deploy the team, scale the committed
         activity balance. Resolved at the average multiplier, so no draw is made."""
@@ -570,14 +614,7 @@ class GameSimulation:
         after_balance, minted = activities.scale_balance(multiplier, before_balance)
         h.activity_balance = after_balance
         self.counters.activity_supply += minted
-        return Event(
-            step,
-            agent_id,
-            action,
-            {team_key: team, "activity_balance": before_balance},
-            {"activity_balance": after_balance, "activity_minted": minted},
-            0,
-        )
+        return Event(step, agent_id, action, (team, before_balance, after_balance, minted), 0)
 
     def _do_lottery(self, agent_id: int, step: int) -> Event:
         spec = self.config.lottery
@@ -589,16 +626,12 @@ class GameSimulation:
         h.activity_balance += activity
         self.counters.market_supply += market
         self.counters.activity_supply += activity
-        if lost:
-            outputs = {"result": "loss", "market_burned": -market}
-        else:
-            outputs = {"result": "win", "market_minted": market, "activity_minted": activity}
         return Event(
-            step, agent_id, "lottery", {"stake": spec.stake}, outputs, self.rng.draws - before
+            step, agent_id, "lottery", (spec.stake, lost, market, activity), self.rng.draws - before
         )
 
     def _pass_event(self, agent_id: int, step: int) -> Event:
-        return Event(step, agent_id, "pass", {}, {}, 0)
+        return Event(step, agent_id, "pass", (), 0)
 
     # -- strategy ------------------------------------------------------
 
@@ -697,14 +730,11 @@ class GameSimulation:
             return self._do_breed(agent_id, step, parents)
         if action == "battle":
             spec = self.config.battle
-            return self._do_scaled(
-                agent_id, step, "battle", "team", spec.team_size, spec.survival_fraction
-            )
+            return self._do_scaled(agent_id, step, "battle", spec.team_size, spec.survival_fraction)
         if action == "adventure":
             spec = self.config.adventure
             return self._do_scaled(
-                agent_id, step, "adventure", "collectibles",
-                spec.collectibles_required, spec.reward_multiplier,
+                agent_id, step, "adventure", spec.collectibles_required, spec.reward_multiplier
             )
         if action == "lottery":
             return self._do_lottery(agent_id, step)

@@ -61,8 +61,8 @@ class TestAdventure:
         spec = AdventureSpec(reward_multiplier=1.5, collectibles_required=2)
         sim, event = engine_turn("adventure", spec, held=3, before=2.0)
         assert event.action == "adventure"
-        assert event.inputs == {"collectibles": [0, 1], "activity_balance": 2.0}
-        assert event.outputs == {"activity_balance": 3.0, "activity_minted": 1.0}
+        assert event.as_dict()["inputs"] == {"collectibles": [0, 1], "activity_balance": 2.0}
+        assert event.as_dict()["outputs"] == {"activity_balance": 3.0, "activity_minted": 1.0}
         assert list(sim.holdings[1].collectibles) == [0, 1, 2]
 
     def test_wrong_collectible_count(self):
@@ -87,7 +87,7 @@ class TestBattle:
         spec = BattleSpec(team_size=3, survival_fraction=0.5)
         sim, event = engine_turn("battle", spec, held=3, before=0.0)
         assert event.action == "battle"
-        assert event.outputs == {"activity_balance": 0.0, "activity_minted": 0.0}
+        assert event.as_dict()["outputs"] == {"activity_balance": 0.0, "activity_minted": 0.0}
         assert list(sim.holdings[1].collectibles) == [0, 1, 2]
         assert sim.agent_wealth(1) == 3 * sim.board.floor_price
 
@@ -110,7 +110,10 @@ class TestEngineAgreement:
         sim, event = engine_turn(action, spec, deployed, before)
         assert event.action == action
         after = multiplier * before
-        assert event.outputs == {"activity_balance": after, "activity_minted": after - before}
+        assert event.as_dict()["outputs"] == {
+            "activity_balance": after,
+            "activity_minted": after - before,
+        }
         assert sim.holdings[1].activity_balance == after
         assert sim.counters.activity_supply == before + (after - before)
 
@@ -163,7 +166,7 @@ class TestEngineAgreement:
             sim.step(step)
             event = sim.events[-1]
             assert event.action == "lottery" and event.rng_draws == 1
-            lost = event.outputs["result"] == "loss"
+            lost = event.as_dict()["outputs"]["result"] == "loss"
             activity, market = lottery_deltas(spec, lost)
             assert (activity, market) == ((0.0, -stake) if lost else (win_game, win_market))
             assert (h.activity_balance, h.market_balance) == (
@@ -255,7 +258,7 @@ class TestLottery:
             rules=GameRules(), agents=(seeker,), steps=4000, seed=3, board=board, lottery=spec
         )
         result = run_simulation(config)
-        plays = [e.outputs for e in result.events if e.action == "lottery"]
+        plays = [e.as_dict()["outputs"] for e in result.events if e.action == "lottery"]
         n = len(plays)
         wins = sum(out["result"] == "win" for out in plays)
         assert n == 4000 and 0 < wins < n

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nftgamesim.analytics import (
     ArbitrageKind,
     classify_breeding_arbitrage,
-    iterate_forward_price,
     lattice_value,
     max_population,
 )
@@ -18,12 +17,28 @@ from nftgamesim.breeding import (
     ImmatureParent,
     InsufficientBalance,
     RestrictionViolated,
-    breed,
     can_pair,
+    check_breed,
     check_pairing,
     forward_price_step,
+    mint,
 )
 from nftgamesim.economy import Collectible, Holdings, PriceBoard
+
+
+def breed(parent_ids, owner, population, rules, board, rng, current_step=0):
+    """Check and mint a breed: check_breed, then mint at the cost it found.
+    Raises whatever check_breed raises, and then nothing has changed."""
+    cost = check_breed(parent_ids, owner, population, rules, board, current_step)
+    return mint(parent_ids, owner, population, rules, cost, rng, current_step), cost
+
+
+def iterate_forward_price(p0: float, d: int, step_cost_numeraire: float, steps: int) -> list[float]:
+    """Forward-price path p_0..p_steps under repeated forward_price_step."""
+    path = [p0]
+    for _ in range(steps):
+        path.append(forward_price_step(path[-1], d, step_cost_numeraire))
+    return path
 
 
 def make_rules(**kwargs) -> GameRules:

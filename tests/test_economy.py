@@ -10,10 +10,21 @@ from nftgamesim.economy import (
     PriceBoard,
     SupplyCounters,
     check_ownership_partition,
-    check_supply_conservation,
+    check_supply_sums,
     fungible_pool_values,
     total_value,
 )
+
+
+def check_supply_conservation(holdings_all, counters, scale=(1.0, 1.0)) -> None:
+    """The supply test on builtin sums of the balances, which compensate
+    from Python 3.12 on: an oracle for the engine's naive loops."""
+    check_supply_sums(
+        sum(h.activity_balance for h in holdings_all),
+        sum(h.market_balance for h in holdings_all),
+        counters,
+        scale=scale,
+    )
 
 
 class TestFungiblePools:

@@ -1,13 +1,14 @@
 import errno
 import json
-import json.encoder
 import math
 import os
 import re
-from dataclasses import asdict
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nftgamesim.analytics import optimal_fraction_1d
 from nftgamesim.breeding import MAX_BREED_LIMIT, MAX_TRAIT_COUNT, GameRules
@@ -16,6 +17,7 @@ from nftgamesim.scenario import ScenarioError, load_scenario, parse_scenario
 from nftgamesim.simulation import (
     MAX_AGENT_TURNS,
     MAX_GENESIS_COLLECTIBLES,
+    PAYLOADS,
     AgentSpec,
     Event,
     GameSimulation,
@@ -468,7 +470,7 @@ class TestSimulateCommand:
         assert "error: agent" not in err
         assert not (out / "events.jsonl").exists()
 
-        last = Event(step=4, agent=2, action="pass", inputs={}, outputs={}, rng_draws=0)
+        last = Event(step=4, agent=2, action="pass", payload=(), rng_draws=0)
 
         def explode_at_4_naming_agent_2(sim, step):
             if step == 4:
@@ -481,7 +483,8 @@ class TestSimulateCommand:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [
             "error: invariant violation at step 4: synthetic failure",
-            f"error: agent 2, last event: {json.dumps(asdict(last))}",
+            'error: agent 2, last event: {"step": 4, "agent": 2, "action": "pass", '
+            '"inputs": {}, "outputs": {}, "rng_draws": 0}',
         ]
         assert not (out / "events.jsonl").exists()
 
@@ -610,29 +613,73 @@ class TestSizeCaps:
 
 
 class RecordingSimulation(GameSimulation):
-    """Keeps every event it hands to the writer; ``extra`` events are
-    handed out after the genesis events."""
+    """Keeps every event it hands to the writer."""
 
-    def __init__(self, config, extra=()):
+    def __init__(self, config):
         super().__init__(config)
-        self.extra = list(extra)
         self.handed_out = []
 
     def stream(self):
         for events, snapshot in super().stream():
-            events.extend(self.extra)
-            self.extra = []
             self.handed_out.extend(events)
             yield events, snapshot
 
 
+def reference_payload(action: str, payload: tuple) -> tuple[dict, dict]:
+    """An event's inputs and outputs as dicts, written out as the engine
+    built them before its events held tuples: the second copy of
+    simulation.PAYLOADS' schemas, kept here as an oracle."""
+    if action == "genesis":
+        token, traits = payload
+        return {}, {"collectible": token, "traits": list(traits)}
+    if action == "breed":
+        parents, child, traits, activity_cost, market_cost = payload
+        return {"parents": list(parents)}, {
+            "child": child,
+            "traits": list(traits),
+            "activity_cost": activity_cost,
+            "market_cost": market_cost,
+        }
+    if action in ("battle", "adventure"):
+        team, before, after, minted = payload
+        team_key = "team" if action == "battle" else "collectibles"
+        return (
+            {team_key: list(team), "activity_balance": before},
+            {"activity_balance": after, "activity_minted": minted},
+        )
+    if action == "lottery":
+        stake, lost, market, activity = payload
+        if lost:
+            outputs = {"result": "loss", "market_burned": -market}
+        else:
+            outputs = {"result": "win", "market_minted": market, "activity_minted": activity}
+        return {"stake": stake}, outputs
+    assert (action, payload) == ("pass", ())
+    return {}, {}
+
+
+def reference_dict(ev: Event) -> dict:
+    inputs, outputs = reference_payload(ev.action, ev.payload)
+    return {
+        "step": ev.step,
+        "agent": ev.agent,
+        "action": ev.action,
+        "inputs": inputs,
+        "outputs": outputs,
+        "rng_draws": ev.rng_draws,
+    }
+
+
 def json_lines(events) -> str:
-    return "".join(json.dumps(asdict(ev), separators=(",", ":")) + "\n" for ev in events)
+    return "".join(
+        json.dumps(reference_dict(ev), separators=(",", ":")) + "\n" for ev in events
+    )
 
 
 class TestEventLines:
-    """events.jsonl formats the envelope itself; each line must still be
-    exactly what json.dumps writes for the event."""
+    """Each events.jsonl line is rendered by the engine from its payload
+    tuple; it must be exactly what json.dumps writes for the reference
+    dicts."""
 
     @pytest.mark.parametrize("variant", ["baseline", "treasury", "premiums"])
     def test_every_line_matches_json_dumps(self, tmp_path, variant):
@@ -644,7 +691,7 @@ class TestEventLines:
         sim = RecordingSimulation(parse_scenario(data))
         _write_outputs(tmp_path, sim)
         assert (tmp_path / "events.jsonl").read_text() == json_lines(sim.handed_out)
-        kinds = {(ev.action, ev.outputs.get("result")) for ev in sim.handed_out}
+        kinds = {(ev.action, reference_dict(ev)["outputs"].get("result")) for ev in sim.handed_out}
         assert kinds == {
             ("genesis", None),
             ("breed", None),
@@ -655,83 +702,55 @@ class TestEventLines:
             ("pass", None),
         }
 
-    def test_payload_needing_escapes_matches_json_dumps(self, tmp_path):
-        synthetic = Event(
-            step=0,
-            agent=1,
-            action="pass",
-            inputs={"quoted": 'a "b" \\ c\nd\te', "name": "caf\u00e9 \u2713 \U0001f40d"},
-            outputs={"zero": -0.0, "small": 1e-07, "large": 1e22, "nested": [{"k\u00fc": -0.0}]},
-            rng_draws=0,
-        )
-        sim = RecordingSimulation(parse_scenario(scenario_dict()), extra=[synthetic])
-        _write_outputs(tmp_path, sim)
-        lines = (tmp_path / "events.jsonl").read_text().splitlines(keepends=True)
-        assert "".join(lines) == json_lines(sim.handed_out)
-        line = lines[sim.handed_out.index(synthetic)]
-        assert line.isascii()
-        for text in ("-0.0", "1e-07", "1e+22", r"\u00e9", r'\"b\"'):
-            assert text in line
 
-
-def event_line_config(variant: str) -> SimConfig:
-    """TestEventLines' scenarios: the baseline, treasury burns, trait premiums."""
-    data = json.loads(BASELINE.read_text())
-    if variant == "treasury":
-        data["rules"]["burn_mode"] = "treasury"
-    if variant == "premiums":
-        data["run"]["trait_premiums"] = [0, 0.01, 0.03, 0.07, 0.15, 0.31]
-    return parse_scenario(data)
-
-
-ESCAPES = Event(
-    step=0,
-    agent=1,
-    action="pass",
-    inputs={"quoted": 'a "b" \\ c\nd\te', "name": "caf\u00e9 \u2713 \U0001f40d"},
-    outputs={"zero": -0.0, "small": 1e-07, "large": 1e22, "nested": [{"k\u00fc": -0.0}]},
-    rng_draws=0,
+# Numbers whose text is easy to get wrong: signed zeros, the smallest
+# subnormal, the exponent thresholds of float repr, the largest float and
+# floats that are whole numbers; ints stand where a scenario writes one.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-07, 1e-05, 1e16, 1e22, sys.float_info.max, 1.0, 3.0]
+NUMBERS = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**64), 2**64).map(float),
+    st.integers(0, 2**64),
+)
+IDS = st.integers(0, 2**64)
+ID_LISTS = st.lists(IDS, max_size=5)
+PAYLOAD_DRAWS = {
+    "genesis": st.tuples(IDS, ID_LISTS.map(tuple)),
+    "breed": st.tuples(ID_LISTS, IDS, ID_LISTS.map(tuple), NUMBERS, NUMBERS),
+    "battle": st.tuples(ID_LISTS, NUMBERS, NUMBERS, NUMBERS),
+    "adventure": st.tuples(ID_LISTS, NUMBERS, NUMBERS, NUMBERS),
+    "lottery": st.tuples(NUMBERS, st.booleans(), NUMBERS, NUMBERS),
+    "pass": st.just(()),
+}
+EVENTS = st.one_of(
+    [
+        st.builds(Event, IDS, IDS, st.just(action), payloads, IDS)
+        for action, payloads in PAYLOAD_DRAWS.items()
+    ]
 )
 
 
-def events_bytes(out_dir: Path, variant: str) -> bytes:
-    if variant == "escapes":
-        sim = RecordingSimulation(parse_scenario(scenario_dict()), extra=[ESCAPES])
-    else:
-        sim = GameSimulation(event_line_config(variant))
-    out_dir.mkdir()
-    _write_outputs(out_dir, sim)
-    return (out_dir / "events.jsonl").read_bytes()
+class TestPayloadRenderers:
+    """simulation.PAYLOADS against the reference dicts, on drawn values of
+    every action's payload, both lottery shapes included."""
 
+    @settings(max_examples=500, deadline=None)
+    @given(event=EVENTS)
+    def test_every_line_is_what_json_dumps_writes(self, event):
+        reference = reference_dict(event)
+        assert event.line() == json.dumps(reference, separators=(",", ":"))
+        assert event.as_dict() == reference
 
-class TestPayloadEncoder:
-    """The writer builds json's C encoder once per run and calls it
-    directly; without the C accelerator it uses JSONEncoder.encode."""
+    def test_every_action_has_a_renderer(self):
+        assert set(PAYLOADS) == set(PAYLOAD_DRAWS)
 
-    @pytest.mark.parametrize("variant", ["baseline", "treasury", "premiums", "escapes"])
-    def test_without_the_c_accelerator_the_bytes_are_the_same(self, tmp_path, monkeypatch, variant):
-        with_c = events_bytes(tmp_path / "c", variant)
-        # As on a build without _json: no C encoder and json's pure-Python
-        # string escaping.
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        monkeypatch.setattr(
-            json.encoder, "encode_basestring_ascii", json.encoder.py_encode_basestring_ascii
-        )
-        assert events_bytes(tmp_path / "python", variant) == with_c
-
-    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder here")
-    def test_one_c_encoder_per_run(self, tmp_path, monkeypatch):
-        made = []
-        make_encoder = json.encoder.c_make_encoder
-
-        def counting(*args):
-            made.append(args)
-            return make_encoder(*args)
-
-        monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
-        sim = GameSimulation(event_line_config("baseline"))
-        _write_outputs(tmp_path, sim)
-        assert len(made) == 1
+    def test_the_dict_view_spells_an_infinite_balance_as_json_does(self):
+        event = Event(2, 6, "adventure", ([0, 1], 8e301, math.inf, math.inf), 0)
+        view = event.as_dict()
+        assert view["outputs"] == {"activity_balance": math.inf, "activity_minted": math.inf}
+        assert json.dumps(view) == json.dumps(reference_dict(event))
+        assert '"activity_balance": Infinity' in json.dumps(view)
 
 
 class TestAnalyzeCommand:

@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,20 +13,10 @@ from hypothesis import strategies as st
 
 from nftgamesim import breeding
 from nftgamesim.activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
-from nftgamesim.analytics import (
-    CollateralSpec,
-    collateral_loop,
-    iterate_forward_price,
-    max_population,
-)
+from nftgamesim.analytics import CollateralSpec, collateral_loop, max_population
 from nftgamesim.breeding import BreedCost, GameRules, RestrictionViolated, check_pairing
 from nftgamesim import simulation
-from nftgamesim.economy import (
-    Collectible,
-    PriceBoard,
-    check_ownership_partition,
-    check_supply_conservation,
-)
+from nftgamesim.economy import Collectible, PriceBoard, check_ownership_partition
 from nftgamesim.scenario import parse_scenario
 from nftgamesim.simulation import (
     PRICE_UPDATES,
@@ -42,12 +32,13 @@ from nftgamesim.simulation import (
     run_simulation,
     wilson_interval,
 )
-from test_breeding import reference_pairing_error
+from test_breeding import iterate_forward_price, reference_pairing_error
+from test_economy import check_supply_conservation
 from test_golden import BASELINE, CASES
 
 
 def serialize(events) -> list[str]:
-    return [json.dumps(asdict(e), sort_keys=True) for e in events]
+    return [e.line() for e in events]
 
 
 def base_rules(**kwargs) -> GameRules:
@@ -165,8 +156,8 @@ class TestRunSimulation:
     def test_different_seed_changes_a_random_record(self):
         a = run_simulation(mixed_config(seed=1))
         b = run_simulation(mixed_config(seed=2))
-        random_a = [e for e in serialize(a.events) if '"rng_draws": 0' not in e]
-        random_b = [e for e in serialize(b.events) if '"rng_draws": 0' not in e]
+        random_a = [e for e in serialize(a.events) if not e.endswith('"rng_draws":0}')]
+        random_b = [e for e in serialize(b.events) if not e.endswith('"rng_draws":0}')]
         assert random_a != random_b
 
     def test_agents_act_in_id_order_once_per_step(self):
@@ -226,11 +217,12 @@ class TestRunSimulation:
         net_activity = 0.0
         net_market = 0.0
         for e in sim.events:
-            net_activity += e.outputs.get("activity_minted", 0.0)
-            net_activity -= e.outputs.get("activity_cost", 0.0)
-            net_market += e.outputs.get("market_minted", 0.0)
-            net_market -= e.outputs.get("market_burned", 0.0)
-            net_market -= e.outputs.get("market_cost", 0.0)
+            outputs = e.as_dict()["outputs"]
+            net_activity += outputs.get("activity_minted", 0.0)
+            net_activity -= outputs.get("activity_cost", 0.0)
+            net_market += outputs.get("market_minted", 0.0)
+            net_market -= outputs.get("market_burned", 0.0)
+            net_market -= outputs.get("market_cost", 0.0)
         assert sim.counters.activity_supply == pytest.approx(
             initial_activity + net_activity, rel=1e-9
         )
@@ -468,8 +460,9 @@ class TestStrategies:
         sim = GameSimulation(config)
         sim.step(1)
         breed_event = next(e for e in sim.events if e.action == "breed")
-        child_id = breed_event.outputs["child"]
-        traits = breed_event.outputs["traits"]
+        outputs = breed_event.as_dict()["outputs"]
+        child_id = outputs["child"]
+        traits = outputs["traits"]
         expected = 1.0 + sum((0.0, 0.5, 1.0)[t] for t in traits)
         assert sim.board.collectible_prices[child_id] == expected
 
@@ -830,7 +823,7 @@ class TestSearchOnDemand:
         config = baseline_config(edit, seed, steps)
         on_demand = run_steps(GameSimulation, config)
         every_turn = run_steps(SearchEveryTurn, config)
-        assert [asdict(e) for e in on_demand.events] == [asdict(e) for e in every_turn.events]
+        assert serialize(on_demand.events) == serialize(every_turn.events)
         assert on_demand.ruined_at == every_turn.ruined_at
         assert on_demand.action_counts == every_turn.action_counts
 
@@ -845,7 +838,7 @@ class TestSearchOnDemand:
             on_demand.step(step)
             every_turn.step(step)
             check_holdings(on_demand)
-        assert [asdict(e) for e in on_demand.events] == [asdict(e) for e in every_turn.events]
+        assert serialize(on_demand.events) == serialize(every_turn.events)
         assert on_demand.ruined_at == every_turn.ruined_at
         assert on_demand.action_counts == every_turn.action_counts
         assert max(Counter(searched).values(), default=1) == 1
@@ -876,7 +869,7 @@ class TestSearchOnDemand:
         assert sim.action_counts[1]["adventure"] == 8
         assert sim.action_counts[2]["breed"] == 5  # one per market token
         every_turn = run_steps(SearchEveryTurn, config)
-        assert [asdict(e) for e in sim.events] == [asdict(e) for e in every_turn.events]
+        assert serialize(sim.events) == serialize(every_turn.events)
 
     @pytest.mark.parametrize("battle, adventure", [(True, True), (True, False), (False, True)])
     def test_an_overflowed_score_is_kept_as_before(self, battle, adventure):
@@ -1264,7 +1257,8 @@ class CheckedBreeds(GameSimulation):
         )
         assert cost == self._breed_table[parents[0].breed_count]
         event = super()._do_breed(agent_id, step, parent_ids)
-        assert (event.outputs["activity_cost"], event.outputs["market_cost"]) == (
+        outputs = event.as_dict()["outputs"]
+        assert (outputs["activity_cost"], outputs["market_cost"]) == (
             cost.activity_amount, cost.market_amount
         )
         self.checked += 1
@@ -1737,6 +1731,25 @@ class TestRuinProbability:
         estimate = ruin_probability(config, 5, 2)
         assert isinstance(estimate, simulation.RuinEstimate)
         assert estimate.trials == 2
+
+    def test_renders_no_event_line(self, monkeypatch):
+        # Every action of the baseline runs in 20 steps; the events are
+        # dropped, so no payload is rendered. The same renderers serve a run
+        # whose lines are asked for.
+        rendered = Counter()
+        for action, render in simulation.PAYLOADS.items():
+
+            def counting(*args, action=action, render=render):
+                rendered[action] += 1
+                return render(*args)
+
+            monkeypatch.setitem(simulation.PAYLOADS, action, counting)
+        config = replace(parse_scenario(json.loads(BASELINE.read_text())), steps=20)
+        ruin_probability(config, 5, 2)
+        assert rendered == {}
+        for event in run_simulation(config).events:
+            event.line()
+        assert set(rendered) == set(simulation.PAYLOADS)
 
     def test_passive_agent_with_funds_never_ruined(self):
         config = SimConfig(
