@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nftgamesim import simulation
 from nftgamesim.analytics import optimal_fraction_1d
 from nftgamesim.breeding import MAX_BREED_LIMIT, MAX_TRAIT_COUNT, GameRules
 from nftgamesim.cli import _write_outputs, main
@@ -613,14 +614,18 @@ class TestSizeCaps:
 
 
 class RecordingSimulation(GameSimulation):
-    """Keeps every event it hands to the writer."""
+    """Keeps every event it hands to the writer; ``extra`` events are
+    handed out after the genesis events."""
 
-    def __init__(self, config):
+    def __init__(self, config, extra=()):
         super().__init__(config)
+        self.extra = list(extra)
         self.handed_out = []
 
     def stream(self):
         for events, snapshot in super().stream():
+            events.extend(self.extra)
+            self.extra = []
             self.handed_out.extend(events)
             yield events, snapshot
 
@@ -701,6 +706,33 @@ class TestEventLines:
             ("lottery", "loss"),
             ("pass", None),
         }
+
+    def test_numbers_hard_to_spell_are_written_as_json_dumps_writes(self, tmp_path):
+        synthetic = [
+            Event(0, 1, "breed", ([0, 2**64], 7, (1, 2), -0.0, 5e-324), 0),
+            Event(0, 2, "adventure", ([3], 1e-07, 1e22, sys.float_info.max), 0),
+            Event(0, 3, "lottery", (3.0, True, 1e16, 0.0), 0),
+            Event(0, 4, "lottery", (1e-05, False, 2**64, -0.0), 0),
+        ]
+        sim = RecordingSimulation(parse_scenario(scenario_dict()), extra=synthetic)
+        _write_outputs(tmp_path, sim)
+        lines = (tmp_path / "events.jsonl").read_text().splitlines(keepends=True)
+        assert "".join(lines) == json_lines(sim.handed_out)
+        written = "".join(lines[sim.handed_out.index(ev)] for ev in synthetic)
+        for text in ("-0.0", "5e-324", "1e-07", "1e+22", "1e+16", "1.7976931348623157e+308"):
+            assert text in written
+
+    def test_the_writer_renders_without_json(self, tmp_path, monkeypatch):
+        # Lines come from the engine's renderers alone; the dict view, the
+        # only user of json in the engine, is not on the writing path.
+        class NoJson:
+            def __getattr__(self, name):
+                raise AssertionError(f"json.{name} called while writing events")
+
+        monkeypatch.setattr(simulation, "json", NoJson())
+        sim = RecordingSimulation(parse_scenario(scenario_dict()))
+        _write_outputs(tmp_path, sim)
+        assert (tmp_path / "events.jsonl").read_text() == json_lines(sim.handed_out)
 
 
 # Numbers whose text is easy to get wrong: signed zeros, the smallest
