@@ -45,16 +45,7 @@ _EXPORTS = {
         "pseudo_inverse",
         "sharpe_ratio",
     ),
-    "breeding": (
-        "BreedCost",
-        "BreedingError",
-        "ExhaustedBreeder",
-        "GameRules",
-        "ImmatureParent",
-        "InsufficientBalance",
-        "RestrictionViolated",
-        "forward_price_step",
-    ),
+    "breeding": ("BreedCost", "GameRules", "forward_price_step"),
     "economy": (
         "Collectible",
         "Holdings",

@@ -3,11 +3,11 @@
 Breeding consumes fungible tokens and parent breed charges to mint a new
 collectible with partially inherited, partially random traits. Parents may
 breed when no two of them are the same token, parent and child, or
-siblings: can_pair answers that for one pair as a bool, and check_pairing
-raises the rule a list breaks. A breed is check_breed, which runs every
-check and returns the BreedCost, then mint, which draws the traits,
-creates the child and debits the owner. The engine's search proves what
-check_breed checks, so the engine calls mint alone.
+siblings, which can_pair answers for one pair as a bool. The engine's
+search proves every other rule of a breed (the arity, ownership, a breed
+charge left, maturity and a balance that covers the BreedCost), so mint
+checks nothing: it draws the traits, creates the child and debits the
+owner.
 
 Because the supply of collectibles grows at a rate fixed by the breeding
 arity, their forward prices drift toward the per-breed cost: under
@@ -25,26 +25,6 @@ from .economy import Collectible, Holdings, PriceBoard, TokenId
 # Size caps: genesis draws trait_count traits per token, breed_limit sizes the schedules.
 MAX_TRAIT_COUNT = 1024
 MAX_BREED_LIMIT = 1024
-
-
-class BreedingError(Exception):
-    """Base class for refused breeding attempts."""
-
-
-class RestrictionViolated(BreedingError):
-    """Parents violate a pairing rule (duplicate, parent/child, or siblings)."""
-
-
-class InsufficientBalance(BreedingError):
-    """Owner's fungible balances do not cover the breed cost."""
-
-
-class ExhaustedBreeder(BreedingError):
-    """A parent has used all of its breed charges."""
-
-
-class ImmatureParent(BreedingError):
-    """A parent is younger than the maturity delay."""
 
 
 @dataclass(frozen=True)
@@ -126,72 +106,6 @@ def can_pair(a: Collectible, b: Collectible) -> bool:
     return b.id not in pa and a.id not in pb and set(pa).isdisjoint(pb)
 
 
-def _pairing_error(a: Collectible, b: Collectible) -> RestrictionViolated:
-    """Name the rule a pair that fails can_pair breaks."""
-    if a.id == b.id:
-        return RestrictionViolated(f"collectible {a.id} listed twice as parent")
-    if (a.parents is not None and b.id in a.parents) or (
-        b.parents is not None and a.id in b.parents
-    ):
-        return RestrictionViolated(f"collectibles {a.id} and {b.id} are parent and child")
-    return RestrictionViolated(f"collectibles {a.id} and {b.id} are siblings")
-
-
-def check_pairing(parents: list[Collectible]) -> None:
-    """Raise RestrictionViolated if any two chosen parents may not breed."""
-    for i, a in enumerate(parents):
-        for b in parents[i + 1 :]:
-            if not can_pair(a, b):
-                raise _pairing_error(a, b)
-
-
-def check_breed(
-    parent_ids: list[TokenId],
-    owner: Holdings,
-    population: dict[TokenId, Collectible],
-    rules: GameRules,
-    board: PriceBoard,
-    current_step: int = 0,
-) -> BreedCost:
-    """The cost of breeding ``parent_ids`` (length = breed_arity), or the
-    BreedingError that refuses it. Changes nothing.
-
-    The first parent is the lead breeder; the cost index is its current
-    breed count. In order: the arity, the owner holds every parent, the
-    pairing rules, every parent has a charge left and is mature, and the
-    owner's balances cover the cost.
-    """
-    if len(parent_ids) != rules.breed_arity:
-        raise RestrictionViolated(
-            f"breeding needs {rules.breed_arity} parents, got {len(parent_ids)}"
-        )
-    parents = []
-    for pid in parent_ids:
-        if pid not in owner.collectibles:
-            raise RestrictionViolated(f"user {owner.owner} does not hold collectible {pid}")
-        parents.append(population[pid])
-
-    check_pairing(parents)
-
-    for p in parents:
-        if p.breed_count >= rules.breed_limit:
-            raise ExhaustedBreeder(
-                f"collectible {p.id} has used all {rules.breed_limit} breed charges"
-            )
-        if current_step - p.birth_step < rules.maturity_delay:
-            raise ImmatureParent(
-                f"collectible {p.id} (born step {p.birth_step}) is not mature at step {current_step}"
-            )
-
-    cost = BreedCost.at_index(rules, parents[0].breed_count, board)
-    if owner.activity_balance < cost.activity_amount or owner.market_balance < cost.market_amount:
-        raise InsufficientBalance(
-            f"user {owner.owner} cannot cover breed cost "
-            f"(needs {cost.activity_amount} activity + {cost.market_amount} market)"
-        )
-    return cost
-
-
 def mint(
     parent_ids: list[TokenId],
     owner: Holdings,
@@ -201,8 +115,8 @@ def mint(
     rng,
     current_step: int = 0,
 ) -> Collectible:
-    """Mint the child of ``parent_ids`` at ``cost``, checking nothing that
-    check_breed checks: the caller has proven the breed legal.
+    """Mint the child of ``parent_ids`` at ``cost``, checking none of the
+    breeding rules: the caller has proven the breed legal.
 
     Each child trait is inherited from a uniformly chosen parent with
     probability 1 - mutation_prob, otherwise drawn uniformly from the trait

@@ -42,15 +42,17 @@ kept in ascending id order because genesis and each mint append the new
 largest id, so nothing is sorted and the search skips a spent token as it
 skips an immature one. A breed is proven once, by the search: it tests
 pairs with breeding.can_pair, a bool, so a refused pair raises nothing,
-and the set it finds passes every check of breeding.check_breed, so the
-engine mints it with breeding.mint without checking it again. Breeds are
-priced from a table of breeding.BreedCost built once per run, as the
-engine never writes the fungible prices. Each turn's event holds its
-payload as a tuple of values, and each newborn is built positionally. An
-event's events.jsonl line is rendered from PAYLOADS, the one copy of the
-payload schemas, only when Event.line is called, so ruin_probability
-renders none. A snapshot values every agent in one pass over the turn
-records. Adventures, battles and lotteries settle through
+and the set it finds is of the rules' arity, held by the agent and
+validly paired, each parent has a charge left and is mature, and the
+agent can pay its lead's cost, so the engine mints it with breeding.mint
+without checking it again. Breeds are priced from a table of
+breeding.BreedCost built once per run, as the engine never writes the
+fungible prices. Each turn's event holds its payload as a tuple of
+values, and each newborn is built positionally. An event's events.jsonl
+line is rendered from PAYLOADS, the one copy of the payload schemas,
+only when Event.line is called, so ruin_probability renders none. A
+snapshot values every agent in one pass over the turn records.
+Adventures, battles and lotteries settle through
 activities.scale_balance and activities.lottery_deltas; the engine holds no
 payoff arithmetic of its own beyond the growth maximizer's score.
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
@@ -508,8 +510,8 @@ class GameSimulation:
         the agent cannot afford is skipped before any pairing check, and an
         agent priced out of every lead is refused before the parents are
         gathered. Pairs are tested with breeding.can_pair, so a refused pair
-        raises nothing. A set this returns passes breeding.check_breed at
-        this step (see _do_breed).
+        raises nothing. A set this returns is legal to breed at this step
+        (see _do_breed).
         """
         h = self.holdings[agent_id]
         if h.activity_balance < self._min_activity_cost or h.market_balance < self._min_market_cost:
@@ -578,9 +580,9 @@ class GameSimulation:
 
     def _do_breed(self, agent_id: int, step: int, parent_ids: list[int]) -> Event:
         """Mint the set _find_breeding_set found this turn. The search proved
-        every check of breeding.check_breed (ownership, arity, pairing,
-        charges, maturity, balances), and nothing changed state since, so
-        the breed is minted at the table's cost without checking it again."""
+        every rule of a breed (ownership, arity, pairing, charges, maturity,
+        balances), and nothing changed state since, so the breed is minted
+        at the table's cost without checking it again."""
         h = self.holdings[agent_id]
         population = self.population
         rng = self.rng
@@ -674,11 +676,16 @@ class GameSimulation:
         """Highest expected log-wealth change at current-board averages;
         ties resolved in the order breed < battle < adventure < pass.
 
-        Battle, adventure and pass are scored first. A breed's change is the
-        floor price less its cost, so unless this turn has searched already,
-        the search runs only if some entry of the cost table could still
-        win. Every distinct cost is tried, so nothing assumes that log1p is
-        monotone; a breed the table rules out could not have been chosen.
+        Battle, adventure and pass are scored first, so the score a breed
+        must reach is at most +0.0 (or a NaN, which nothing reaches). A
+        breed's change is the floor price less its cost, tested by the sign
+        of x = change / wealth: a non-zero x < 0 has log1p(x) < 0, so it
+        cannot win, and x >= 0 (-0.0 from underflow included) needs no test
+        of wealth + change > 0, as wealth > 0. Unless this turn has searched
+        already, the search runs only if some entry of the cost table could
+        still win. Every distinct cost with x >= 0 is scored, so nothing
+        assumes that log1p is monotone; a breed the table rules out could
+        not have been chosen.
         """
         agent_id = spec.id
         wealth = self.agent_wealth(agent_id)
@@ -709,15 +716,15 @@ class GameSimulation:
         floor = self.board.floor_price
         if parents is NOT_SEARCHED:
             for cost in self._distinct_breed_costs:
-                delta = floor - cost
-                if wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat:
+                x = (floor - cost) / wealth
+                if x >= 0 and -math.log1p(x) <= to_beat:
                     break
             else:
                 return best, None
             parents = self._find_breeding_set(agent_id, step)
         if parents is not None:
-            delta = floor - self._breed_costs[self.population[parents[0]].breed_count]
-            if wealth + delta > 0 and -math.log1p(delta / wealth) <= to_beat:
+            x = (floor - self._breed_costs[self.population[parents[0]].breed_count]) / wealth
+            if x >= 0 and -math.log1p(x) <= to_beat:
                 return "breed", parents
         return best, None
 

@@ -11,19 +11,71 @@ from nftgamesim.analytics import (
     lattice_value,
     max_population,
 )
-from nftgamesim.breeding import (
-    ExhaustedBreeder,
-    GameRules,
-    ImmatureParent,
-    InsufficientBalance,
-    RestrictionViolated,
-    can_pair,
-    check_breed,
-    check_pairing,
-    forward_price_step,
-    mint,
-)
+from nftgamesim.breeding import BreedCost, GameRules, can_pair, forward_price_step, mint
 from nftgamesim.economy import Collectible, Holdings, PriceBoard
+
+
+class BreedingError(Exception):
+    """Base class for refused breeding attempts."""
+
+
+class RestrictionViolated(BreedingError):
+    """Parents violate a pairing rule (duplicate, parent/child, or siblings)."""
+
+
+class InsufficientBalance(BreedingError):
+    """Owner's fungible balances do not cover the breed cost."""
+
+
+class ExhaustedBreeder(BreedingError):
+    """A parent has used all of its breed charges."""
+
+
+class ImmatureParent(BreedingError):
+    """A parent is younger than the maturity delay."""
+
+
+def check_breed(parent_ids, owner, population, rules, board, current_step=0) -> BreedCost:
+    """The breeding rules stated as refusals, the reference the engine's
+    search is tested against: the cost of breeding ``parent_ids``, or the
+    BreedingError that refuses it. Changes nothing.
+
+    The first parent is the lead breeder; the cost index is its current
+    breed count. In order: the arity, the owner holds every parent, the
+    pairing rules, every parent has a charge left and is mature, and the
+    owner's balances cover the cost.
+    """
+    if len(parent_ids) != rules.breed_arity:
+        raise RestrictionViolated(
+            f"breeding needs {rules.breed_arity} parents, got {len(parent_ids)}"
+        )
+    parents = []
+    for pid in parent_ids:
+        if pid not in owner.collectibles:
+            raise RestrictionViolated(f"user {owner.owner} does not hold collectible {pid}")
+        parents.append(population[pid])
+
+    message = reference_pairing_error(parents)
+    if message is not None:
+        raise RestrictionViolated(message)
+
+    for p in parents:
+        if p.breed_count >= rules.breed_limit:
+            raise ExhaustedBreeder(
+                f"collectible {p.id} has used all {rules.breed_limit} breed charges"
+            )
+        if current_step - p.birth_step < rules.maturity_delay:
+            raise ImmatureParent(
+                f"collectible {p.id} (born step {p.birth_step}) is not mature at step {current_step}"
+            )
+
+    cost = BreedCost.at_index(rules, parents[0].breed_count, board)
+    if owner.activity_balance < cost.activity_amount or owner.market_balance < cost.market_amount:
+        raise InsufficientBalance(
+            f"user {owner.owner} cannot cover breed cost "
+            f"(needs {cost.activity_amount} activity + {cost.market_amount} market)"
+        )
+    return cost
 
 
 def breed(parent_ids, owner, population, rules, board, rng, current_step=0):
@@ -60,7 +112,7 @@ def genesis_pair(rules: GameRules, traits_a=(0, 1, 2, 3), traits_b=(4, 3, 2, 1))
 
 
 def reference_pairing_error(parents: list[Collectible]) -> str | None:
-    """The pairing rules as first written: the message check_pairing raises
+    """The pairing rules as first written: the message check_breed raises
     for the first pair, in list order, that breaks a rule, or None."""
     for i, a in enumerate(parents):
         for b in parents[i + 1 :]:
@@ -97,18 +149,12 @@ def lineages(draw) -> list[Collectible]:
 class TestPairingRule:
     @settings(max_examples=300)
     @given(parents=lineages())
-    def test_check_pairing_raises_exactly_when_a_pair_fails_can_pair(self, parents):
+    def test_can_pair_fails_exactly_where_the_reference_names_a_rule(self, parents):
         expected = reference_pairing_error(parents)
         pairs = [(a, b) for i, a in enumerate(parents) for b in parents[i + 1 :]]
         assert all(can_pair(a, b) for a, b in pairs) == (expected is None)
         for a, b in pairs:
             assert can_pair(a, b) == (reference_pairing_error([a, b]) is None)
-        if expected is None:
-            check_pairing(parents)
-        else:
-            with pytest.raises(RestrictionViolated) as exc:
-                check_pairing(parents)
-            assert str(exc.value) == expected
 
 
 class TestBreed:

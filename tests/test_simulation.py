@@ -8,13 +8,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim import breeding
 from nftgamesim.activities import AdventureSpec, BattleSpec, LotterySpec, StrategyMix
 from nftgamesim.analytics import CollateralSpec, collateral_loop, max_population
-from nftgamesim.breeding import BreedCost, GameRules, RestrictionViolated, check_pairing
+from nftgamesim.breeding import BreedCost, GameRules
 from nftgamesim import simulation
 from nftgamesim.economy import Collectible, PriceBoard, check_ownership_partition
 from nftgamesim.scenario import parse_scenario
@@ -32,7 +32,7 @@ from nftgamesim.simulation import (
     run_simulation,
     wilson_interval,
 )
-from test_breeding import iterate_forward_price, reference_pairing_error
+from test_breeding import check_breed, iterate_forward_price, reference_pairing_error
 from test_economy import check_supply_conservation
 from test_golden import BASELINE, CASES
 
@@ -527,9 +527,7 @@ def reference_breeding_set(sim: GameSimulation, agent_id: int, step: int) -> lis
         return None
     h = sim.holdings[agent_id]
     for combo in itertools.combinations(eligible, sim.rules.breed_arity):
-        try:
-            check_pairing(list(combo))
-        except RestrictionViolated:
+        if reference_pairing_error(list(combo)) is not None:
             continue
         cost = BreedCost.at_index(sim.rules, combo[0].breed_count, sim.board)
         if h.activity_balance < cost.activity_amount:
@@ -915,6 +913,14 @@ class TestSearchOnDemand:
         sim.step(1)
         assert [e.action for e in sim.events if e.step == 1] == ["breed"]
 
+    @given(x=st.floats(min_value=-1.0, max_value=-0.0, exclude_min=True, exclude_max=True))
+    @example(x=-5e-324)
+    @example(x=math.nextafter(-1.0, 0.0))
+    def test_log1p_of_a_non_zero_x_in_minus_one_to_zero_is_negative(self, x):
+        # The growth maximizer refuses a breed by the sign of x, its change
+        # over wealth: such an x scores -log1p(x) > 0 and loses to pass.
+        assert math.log1p(x) < 0
+
     def test_breed_only_ruin_steps_come_from_the_search(self):
         # Agents 2 and 3 pass on every turn their cycle does not breed; only
         # the search tells the ruin test they can still afford to breed.
@@ -1238,24 +1244,22 @@ class TestPopulationBound:
 
 
 class CheckedBreeds(GameSimulation):
-    """The engine with every breed checked before it is minted: the pairing
-    rules as first written, then breeding.check_breed on the live state.
-    The engine mints what its search found without checking it again, so
-    neither may refuse a breed, and the cost check_breed finds must be the
-    one the engine's table charges."""
+    """The engine with every breed checked before it is minted by the
+    reference check_breed on the live state. The engine mints what its
+    search found without checking it again, so the reference may not refuse
+    a breed, and the cost it finds must be the one the engine's table
+    charges."""
 
     def __init__(self, config: SimConfig):
         self.checked = 0
         super().__init__(config)
 
     def _do_breed(self, agent_id: int, step: int, parent_ids: list[int]) -> Event:
-        parents = [self.population[pid] for pid in parent_ids]
-        assert reference_pairing_error(parents) is None
-        cost = breeding.check_breed(
+        cost = check_breed(
             parent_ids, self.holdings[agent_id], self.population, self.rules, self.board,
             current_step=step,
         )
-        assert cost == self._breed_table[parents[0].breed_count]
+        assert cost == self._breed_table[self.population[parent_ids[0]].breed_count]
         event = super()._do_breed(agent_id, step, parent_ids)
         outputs = event.as_dict()["outputs"]
         assert (outputs["activity_cost"], outputs["market_cost"]) == (

@@ -1,5 +1,7 @@
 """simulate streams its outputs, and neither simulate nor a
-ruin_probability run loads numpy or analytics."""
+ruin_probability run loads numpy or analytics, and src/ holds nothing
+that only the tests reach."""
+import ast
 import importlib
 import os
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 import nftgamesim
 from nftgamesim.cli import main
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
+ROOT = Path(__file__).resolve().parent.parent
+BASELINE = ROOT / "scenarios" / "baseline.json"
 
 
 def _simulate_peak_bytes(tmp_path, steps: int) -> int:
@@ -77,7 +80,7 @@ def test_ruin_path_loads_neither_analytics_nor_numpy():
     assert _loaded_after(code, ("nftgamesim.analytics", "numpy", "fractions")) == "[]"
 
 
-# The package's 55 exports, each loaded from its module on first access.
+# The package's 50 exports, each loaded from its module on first access.
 EXPORTS = {
     "activities": (
         "AdventureSpec BattleSpec LotterySpec StrategyMix lottery_deltas scale_balance"
@@ -90,10 +93,7 @@ EXPORTS = {
         "optimal_allocation optimal_fraction_1d pooled_lottery_game propitious_check "
         "pseudo_inverse sharpe_ratio"
     ),
-    "breeding": (
-        "BreedCost BreedingError ExhaustedBreeder GameRules ImmatureParent InsufficientBalance "
-        "RestrictionViolated forward_price_step"
-    ),
+    "breeding": "BreedCost GameRules forward_price_step",
     "economy": (
         "Collectible Holdings MissingPriceError PriceBoard SupplyCounters fungible_pool_values "
         "total_value"
@@ -107,7 +107,7 @@ EXPORTS = {
 
 def test_every_export_resolves_to_its_module_object():
     names = {name: module for module, text in EXPORTS.items() for name in text.split()}
-    assert len(names) == 55
+    assert len(names) == 50
     assert sorted(nftgamesim.__all__) == sorted(names)
     for name, module in names.items():
         assert getattr(nftgamesim, name) is getattr(importlib.import_module(f"nftgamesim.{module}"), name)
@@ -128,3 +128,29 @@ def test_engine_modules_do_not_reexport_the_analytics():
         if hasattr(importlib.import_module(f"nftgamesim.{module}"), name)
     ]
     assert shims == []
+
+
+def test_every_definition_in_src_is_named_by_the_package_its_scripts_or_its_exports():
+    # src/ holds what a command, a script or a run reaches. A top-level
+    # function or class that no code in src/ or scripts/ names, and that
+    # the package does not export, is reached by the tests alone and
+    # belongs in them. The interpreter calls the PEP 562 hooks.
+    src = sorted((ROOT / "src" / "nftgamesim").glob("*.py"))
+    assert ROOT / "src" / "nftgamesim" / "simulation.py" in src
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in src + scripts}
+    named = {"__getattr__", "__dir__", *nftgamesim.__all__}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unnamed = [
+        f"{path.stem}.{node.name}"
+        for path in src
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in named
+    ]
+    assert unnamed == []
