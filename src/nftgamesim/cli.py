@@ -8,13 +8,17 @@ working, but it has no effect there.
 
 simulate writes events.jsonl and snapshots.csv as the run goes. Each event
 line is the engine's own (simulation.Event.line), so the line format lives in
-one place; this module only joins the lines of a step and writes them.
+one place; this module only joins the lines of a step and writes them. Both
+files spell their numbers through one speller, repr with a bounded memo of
+float text (see _write_outputs), so the values a repeated game writes again
+and again are spelled once. snapshots.csv rows are written as text, not
+through the csv module: every cell is a number, which csv writes as repr
+does, unquoted.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -62,34 +66,52 @@ def _matrix(text: str) -> list[list[float]]:
 # -- simulate ------------------------------------------------------------
 
 
+# The memo of float text holds at most this many entries plus one step's
+# distinct floats. A memo kept for the whole run grows with the step count;
+# one cleared every step respells a long run's recurring values each step.
+SPELLED_FLOATS = 1024
+
+
 def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     """Write events.jsonl and snapshots.csv as the run goes; return the summary.
 
     Only the first and the latest snapshot are kept, so memory does not grow
-    with the step count.
+    with the step count. Numbers in both files are spelled by ``num``, which
+    is repr with a memo: it keeps the text of a non-zero float only, since
+    equal keys can spell differently (2 and 2.0, 0.0 and -0.0). The memo is
+    cleared at a step boundary once it holds more than SPELLED_FLOATS
+    entries.
     """
     config = sim.config
     agent_ids = sorted(a.id for a in config.agents)
     first = last = None
+    texts: dict[float, str] = {}
+    spelled = texts.get
+
+    def num(x) -> str:
+        if type(x) is float and x:
+            text = spelled(x)
+            if text is None:
+                text = texts[x] = repr(x)
+            return text
+        return repr(x)
+
     with open(out_dir / "snapshots.csv", "w", newline="") as snap_fh, open(
         out_dir / "events.jsonl", "w"
     ) as event_fh:
-        writer = csv.writer(snap_fh)
         header = ["step", "phi", "psi", "omega", "pi", "collectible_count"]
         header += [f"agent{k}_wealth" for k in agent_ids]
-        writer.writerow(header)
+        snap_fh.write(",".join(header) + "\r\n")
         for events, snap in sim.stream():
-            event_fh.write("".join([f"{ev.line()}\n" for ev in events]))
-            row = [
-                snap.step,
-                snap.collectible_pool,
-                snap.activity_pool,
-                snap.market_pool,
-                snap.total,
-                snap.collectible_count,
-            ]
-            row += [snap.agent_wealth[k] for k in agent_ids]
-            writer.writerow(row)
+            if len(texts) > SPELLED_FLOATS:
+                texts.clear()
+            event_fh.write("".join([f"{ev.line(num)}\n" for ev in events]))
+            wealth = snap.agent_wealth
+            snap_fh.write(
+                f"{snap.step},{num(snap.collectible_pool)},{num(snap.activity_pool)},"
+                f"{num(snap.market_pool)},{num(snap.total)},{snap.collectible_count},"
+                f"{','.join([num(wealth[k]) for k in agent_ids])}\r\n"
+            )
             if first is None:
                 first = snap
             last = snap

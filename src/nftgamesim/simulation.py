@@ -301,6 +301,9 @@ class Event:
         For ints and finite floats repr writes what json writes, so the line
         is json.dumps(self.as_dict(), separators=(",", ":")); the audit
         refuses a non-finite value before a step's events are handed on.
+        ``num`` spells every payload number but the ids; it may be any
+        function that gives repr's text, such as the writer's memo of float
+        text.
         """
         return (
             f'{{"step":{self.step},"agent":{self.agent},"action":"{self.action}",'

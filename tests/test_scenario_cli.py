@@ -1,9 +1,12 @@
+import csv
 import errno
+import io
 import json
 import math
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from nftgamesim.simulation import (
     MAX_GENESIS_COLLECTIBLES,
     PAYLOADS,
     AgentSpec,
+    EconomySnapshot,
     Event,
     GameSimulation,
     SimConfig,
@@ -722,6 +726,26 @@ class TestEventLines:
         for text in ("-0.0", "5e-324", "1e-07", "1e+22", "1e+16", "1.7976931348623157e+308"):
             assert text in written
 
+    def test_the_speller_keeps_apart_numbers_that_compare_equal(self, tmp_path):
+        # The writer spells both files through one memo of float text, so a
+        # number must not take the text of another that compares equal to
+        # it: 3 and 3.0 in either order, 0.0 and then -0.0. The step-0
+        # snapshot row repeats the float 7.5 and, as floats, the ints 50
+        # and 146 that one event carries before the row is written.
+        config = parse_scenario(scenario_dict())
+        snap = next(GameSimulation(config).stream())[1]
+        assert {7.5, 50.0, 146.0} <= set(snap.agent_wealth.values())
+        synthetic = [
+            Event(0, 1, "adventure", ([0], 3, 3.0, 0.0), 0),
+            Event(0, 2, "adventure", ([1], 3.0, 3, -0.0), 0),
+            Event(0, 3, "lottery", (50, False, 7.5, 146), 0),
+        ]
+        sim = RecordingSimulation(config, extra=synthetic)
+        _write_outputs(tmp_path, sim)
+        assert (tmp_path / "events.jsonl").read_text() == json_lines(sim.handed_out)
+        row = (tmp_path / "snapshots.csv").read_text().splitlines()[1].split(",")
+        assert row[6:] == [repr(snap.agent_wealth[k]) for k in sorted(snap.agent_wealth)]
+
     def test_the_writer_renders_without_json(self, tmp_path, monkeypatch):
         # Lines come from the engine's renderers alone; the dict view, the
         # only user of json in the engine, is not on the writing path.
@@ -783,6 +807,47 @@ class TestPayloadRenderers:
         assert view["outputs"] == {"activity_balance": math.inf, "activity_minted": math.inf}
         assert json.dumps(view) == json.dumps(reference_dict(event))
         assert '"activity_balance": Infinity' in json.dumps(view)
+
+
+# A snapshot row's float cells for scenario_dict()'s three agents.
+ROW = st.lists(NUMBERS.map(float), min_size=7, max_size=7)
+
+
+class DrawnSnapshots(GameSimulation):
+    """Hands the writer no events and one snapshot per drawn row, each row
+    the four pool values and then every agent's wealth in id order."""
+
+    def __init__(self, config, rows):
+        super().__init__(config)
+        self.rows = rows
+
+    def stream(self):
+        ids = sorted(self.ruined_at)
+        for step, row in enumerate(self.rows):
+            wealth = dict(zip(ids, row[4:]))
+            yield [], EconomySnapshot(step, *row[:4], step, wealth)
+
+
+class TestSnapshotRows:
+    """snapshots.csv is written as text, not through the csv module; its
+    bytes must be what csv.writer writes for the same cells."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(ROW, min_size=1, max_size=4))
+    def test_rows_are_what_csv_writer_writes(self, cells):
+        sim = DrawnSnapshots(parse_scenario(scenario_dict()), cells)
+        reference = io.StringIO()
+        writer = csv.writer(reference)
+        writer.writerow(
+            ["step", "phi", "psi", "omega", "pi", "collectible_count"]
+            + [f"agent{k}_wealth" for k in (1, 2, 3)]
+        )
+        for step, row in enumerate(cells):
+            writer.writerow([step, *row[:4], step, *row[4:]])
+        with tempfile.TemporaryDirectory() as out:
+            _write_outputs(Path(out), sim)
+            written = (Path(out) / "snapshots.csv").read_bytes()
+        assert written == reference.getvalue().encode()
 
 
 class TestAnalyzeCommand:

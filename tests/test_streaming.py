@@ -67,6 +67,11 @@ def test_package_and_cli_import_without_analytics():
     assert _loaded_after("import nftgamesim, nftgamesim.cli", modules) == "[]"
 
 
+def test_package_and_cli_import_without_csv():
+    # simulate writes snapshots.csv rows as text.
+    assert _loaded_after("import nftgamesim, nftgamesim.cli", ("csv", "_csv")) == "[]"
+
+
 def test_ruin_path_loads_neither_analytics_nor_numpy():
     # What perfbench/probe.py runs for its setup and ruin probes, cut to 5 steps.
     code = (
