@@ -7,11 +7,12 @@ commands draw no random numbers: they accept --seed so existing scripts keep
 working, but it has no effect there.
 
 simulate writes events.jsonl and snapshots.csv as the run goes. Each event
-line is the engine's own (simulation.Event.line), so the line format lives in
-one place; this module only joins the lines of a step and writes them. Both
-files spell their numbers through one speller, repr with a bounded memo of
-float text (see _write_outputs), so the values a repeated game writes again
-and again are spelled once. snapshots.csv rows are written as text, not
+line is the engine's own, one call of its simulation.PAYLOADS entry, so the
+line format lives in one place; this module only joins the lines of a step
+and writes them. Both files spell their numbers through one speller, repr
+with a bounded memo of float text, which also keeps the text of each tuple
+of ids (see _write_outputs), so the values and teams a repeated game writes
+again and again are spelled once. snapshots.csv rows are written as text, not
 through the csv module: every cell is a number, which csv writes as repr
 does, unquoted.
 """
@@ -26,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .scenario import ScenarioError, load_scenario
-from .simulation import GameSimulation, SimulationInvariantError
+from .simulation import PAYLOADS, GameSimulation, SimulationInvariantError, join_ids
 
 # The analyze and demo commands import what they use themselves, so
 # simulate never loads analytics (nor numpy).
@@ -66,9 +67,10 @@ def _matrix(text: str) -> list[list[float]]:
 # -- simulate ------------------------------------------------------------
 
 
-# The memo of float text holds at most this many entries plus one step's
-# distinct floats. A memo kept for the whole run grows with the step count;
-# one cleared every step respells a long run's recurring values each step.
+# The memo of float and team text holds at most this many entries plus one
+# step's distinct floats and teams. A memo kept for the whole run grows with
+# the step count; one cleared every step respells a long run's recurring
+# values each step.
 SPELLED_FLOATS = 1024
 
 
@@ -76,16 +78,19 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     """Write events.jsonl and snapshots.csv as the run goes; return the summary.
 
     Only the first and the latest snapshot are kept, so memory does not grow
-    with the step count. Numbers in both files are spelled by ``num``, which
-    is repr with a memo: it keeps the text of a non-zero float only, since
-    equal keys can spell differently (2 and 2.0, 0.0 and -0.0). The memo is
-    cleared at a step boundary once it holds more than SPELLED_FLOATS
-    entries.
+    with the step count. Each event line is one call of its PAYLOADS entry.
+    Numbers in both files are spelled by ``num``, which is repr with a memo:
+    it keeps the text of a non-zero float only, since equal keys can spell
+    differently (2 and 2.0, 0.0 and -0.0). Id sequences are spelled by
+    ``ids``, which keeps the text of a tuple, so an agent's kept team is
+    spelled once; a list may change, so it is spelled each time. Both share
+    one memo, which is cleared at a step boundary once it holds more than
+    SPELLED_FLOATS entries.
     """
     config = sim.config
     agent_ids = sorted(a.id for a in config.agents)
     first = last = None
-    texts: dict[float, str] = {}
+    texts: dict[float | tuple, str] = {}
     spelled = texts.get
 
     def num(x) -> str:
@@ -96,6 +101,14 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
             return text
         return repr(x)
 
+    def ids(seq) -> str:
+        if type(seq) is tuple:
+            text = spelled(seq)
+            if text is None:
+                text = texts[seq] = join_ids(seq)
+            return text
+        return join_ids(seq)
+
     with open(out_dir / "snapshots.csv", "w", newline="") as snap_fh, open(
         out_dir / "events.jsonl", "w"
     ) as event_fh:
@@ -105,7 +118,7 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
         for events, snap in sim.stream():
             if len(texts) > SPELLED_FLOATS:
                 texts.clear()
-            event_fh.write("".join([f"{ev.line(num)}\n" for ev in events]))
+            event_fh.write("".join([PAYLOADS[ev.action](ev, num, ids) for ev in events]))
             wealth = snap.agent_wealth
             snap_fh.write(
                 f"{snap.step},{num(snap.collectible_pool)},{num(snap.activity_pool)},"
@@ -149,11 +162,17 @@ def cmd_simulate(args) -> int:
         config = load_scenario(args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        if args.steps is not None:
-            config = replace(config, steps=args.steps)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.steps is not None:
+        try:
+            config = replace(config, steps=args.steps)
+        except ValueError as exc:
+            # The loaded config passed every other check, so only a step
+            # check refuses it, and the value came from the flag.
+            print(f"error: {str(exc).replace('run.steps', '--steps')}", file=sys.stderr)
+            return 2
 
     out_dir = Path(args.out)
     outputs = [out_dir / name for name in ("events.jsonl", "snapshots.csv", "summary.json")]

@@ -37,21 +37,24 @@ runs at most once per agent turn, and only where its result is read: when
 the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
 or when a growth maximizer's breed could still win: it scores battle,
 adventure and pass in place, in its tie order, then tries each distinct
-breed cost. The search and each play's team walk the agent's holding,
-kept in ascending id order because genesis and each mint append the new
-largest id, so nothing is sorted and the search skips a spent token as it
-skips an immature one. A breed is proven once, by the search: it tests
-pairs with breeding.can_pair, a bool, so a refused pair raises nothing,
-and the set it finds is of the rules' arity, held by the agent and
-validly paired, each parent has a charge left and is mature, and the
-agent can pay its lead's cost, so the engine mints it with breeding.mint
-without checking it again. Breeds are priced from a table of
+breed cost. The search walks the agent's holding, kept in ascending id
+order because genesis and each mint append the new largest id, so nothing
+is sorted and the search skips a spent token as it skips an immature one.
+An adventure's or a battle's team is the holding's first ids, kept as one
+tuple from the agent's first play of that kind: no token leaves a holding,
+so the team never changes. The chosen action is played through a table
+built once per run, one lookup per turn. A breed is proven once, by the
+search: it tests pairs with breeding.can_pair, a bool, so a refused pair
+raises nothing, and the set it finds is of the rules' arity, held by the
+agent and validly paired, each parent has a charge left and is mature, and
+the agent can pay its lead's cost, so the engine mints it with
+breeding.mint without checking it again. Breeds are priced from a table of
 breeding.BreedCost built once per run, as the engine never writes the
 fungible prices. Each turn's event holds its payload as a tuple of
 values, and each newborn is built positionally. An event's events.jsonl
-line is rendered from PAYLOADS, the one copy of the payload schemas,
-only when Event.line is called, so ruin_probability renders none. A
-snapshot values every agent in one pass over the turn records.
+line is rendered whole, in one call of its PAYLOADS entry, the one copy of
+the line schemas, and only when asked for, so ruin_probability renders
+none. A snapshot values every agent in one pass over the turn records.
 Adventures, battles and lotteries settle through
 activities.scale_balance and activities.lottery_deltas; the engine holds no
 payoff arithmetic of its own beyond the growth maximizer's score.
@@ -241,42 +244,68 @@ class SimConfig:
                 raise ValueError("run.trait_premiums entries must be non-negative")
 
 
-def _ids(ids) -> str:
+def join_ids(ids) -> str:
+    """A list or tuple of int ids as the text between a json array's brackets."""
     return ",".join(map(str, ids))
 
 
-def _scaled(team_key: str):
-    """An adventure's or a battle's payload, its team under ``team_key``."""
-    return lambda num, team, before, after, minted: (
-        f'"inputs":{{"{team_key}":[{_ids(team)}],"activity_balance":{num(before)}}},'
-        f'"outputs":{{"activity_balance":{num(after)},"activity_minted":{num(minted)}}}'
-    )
+def _scaled(action: str, team_key: str):
+    """An adventure's or a battle's line, its team under ``team_key``."""
+
+    def render(ev, num, ids) -> str:
+        team, before, after, minted = ev.payload
+        return (
+            f'{{"step":{ev.step},"agent":{ev.agent},"action":"{action}",'
+            f'"inputs":{{"{team_key}":[{ids(team)}],"activity_balance":{num(before)}}},'
+            f'"outputs":{{"activity_balance":{num(after)},"activity_minted":{num(minted)}}},'
+            f'"rng_draws":{ev.rng_draws}}}\n'
+        )
+
+    return render
 
 
-def _lottery(num, stake, lost, market, activity) -> str:
+def _lottery(ev, num, ids) -> str:
+    stake, lost, market, activity = ev.payload
     if lost:
         outputs = f'"result":"loss","market_burned":{num(-market)}'
     else:
         outputs = f'"result":"win","market_minted":{num(market)},"activity_minted":{num(activity)}'
-    return f'"inputs":{{"stake":{num(stake)}}},"outputs":{{{outputs}}}'
+    return (
+        f'{{"step":{ev.step},"agent":{ev.agent},"action":"lottery",'
+        f'"inputs":{{"stake":{num(stake)}}},"outputs":{{{outputs}}},"rng_draws":{ev.rng_draws}}}\n'
+    )
 
 
-# The payload schemas, written once: each action's "inputs":...,"outputs":...
-# text from its Event's payload tuple, taken in this order. Ids are ints;
-# every other number is spelled by ``num``.
+def _breed(ev, num, ids) -> str:
+    parents, child, traits, activity_cost, market_cost = ev.payload
+    return (
+        f'{{"step":{ev.step},"agent":{ev.agent},"action":"breed",'
+        f'"inputs":{{"parents":[{ids(parents)}]}},'
+        f'"outputs":{{"child":{child},"traits":[{ids(traits)}],'
+        f'"activity_cost":{num(activity_cost)},"market_cost":{num(market_cost)}}},'
+        f'"rng_draws":{ev.rng_draws}}}\n'
+    )
+
+
+# The line schemas, written once: each action's events.jsonl line, newline
+# included, from its Event in one call, render(event, num, ids). The payload
+# tuple is taken in the order shown. ``ids`` spells each sequence of ids
+# (a team, parents, traits), list or tuple; ``num`` every other number but
+# the ids.
 PAYLOADS = {
-    "genesis": lambda num, token, traits: (
-        f'"inputs":{{}},"outputs":{{"collectible":{token},"traits":[{_ids(traits)}]}}'
+    "genesis": lambda ev, num, ids: (
+        f'{{"step":{ev.step},"agent":{ev.agent},"action":"genesis","inputs":{{}},'
+        f'"outputs":{{"collectible":{ev.payload[0]},"traits":[{ids(ev.payload[1])}]}},'
+        f'"rng_draws":{ev.rng_draws}}}\n'
     ),
-    "breed": lambda num, parents, child, traits, activity_cost, market_cost: (
-        f'"inputs":{{"parents":[{_ids(parents)}]}},'
-        f'"outputs":{{"child":{child},"traits":[{_ids(traits)}],'
-        f'"activity_cost":{num(activity_cost)},"market_cost":{num(market_cost)}}}'
-    ),
-    "battle": _scaled("team"),
-    "adventure": _scaled("collectibles"),
+    "breed": _breed,
+    "battle": _scaled("battle", "team"),
+    "adventure": _scaled("adventure", "collectibles"),
     "lottery": _lottery,
-    "pass": lambda num: '"inputs":{},"outputs":{}',
+    "pass": lambda ev, num, ids: (
+        f'{{"step":{ev.step},"agent":{ev.agent},"action":"pass","inputs":{{}},"outputs":{{}},'
+        f'"rng_draws":{ev.rng_draws}}}\n'
+    ),
 }
 
 
@@ -296,19 +325,17 @@ class Event:
     rng_draws: int
 
     def line(self, num=repr) -> str:
-        """The event's events.jsonl line, without the newline.
+        """The event's events.jsonl line, without the newline, from its
+        PAYLOADS entry.
 
         For ints and finite floats repr writes what json writes, so the line
         is json.dumps(self.as_dict(), separators=(",", ":")); the audit
         refuses a non-finite value before a step's events are handed on.
         ``num`` spells every payload number but the ids; it may be any
-        function that gives repr's text, such as the writer's memo of float
-        text.
+        function that gives repr's text. The writer calls the entry itself,
+        with its memo of float and team text (see cli._write_outputs).
         """
-        return (
-            f'{{"step":{self.step},"agent":{self.agent},"action":"{self.action}",'
-            f'{PAYLOADS[self.action](num, *self.payload)},"rng_draws":{self.rng_draws}}}'
-        )
+        return PAYLOADS[self.action](self, num, join_ids)[:-1]
 
     def as_dict(self) -> dict:
         """The event as json reads its line back. Numbers are spelled by
@@ -448,6 +475,21 @@ class GameSimulation:
             (a.id, a, self.holdings[a.id], self.action_counts[a.id], choices[a.strategy])
             for a in self._agents
         )
+        # Each action's play, called as play(self, agent_id, step, parents);
+        # only a breed reads parents. It holds functions, not bound methods,
+        # so a run is no reference cycle and is freed as soon as it is
+        # dropped (ruin_probability drops one per trial).
+        self._plays = {
+            "breed": cls._do_breed,
+            "battle": cls._do_battle,
+            "adventure": cls._do_adventure,
+            "lottery": cls._do_lottery,
+            "pass": cls._pass_event,
+        }
+        # Each agent's adventure and battle team, kept from its first play
+        # of that kind (see _do_scaled).
+        self._kept_adventure_teams: dict[int, tuple[int, ...]] = {}
+        self._kept_battle_teams: dict[int, tuple[int, ...]] = {}
 
     # -- setup ---------------------------------------------------------
 
@@ -609,19 +651,43 @@ class GameSimulation:
         )
 
     def _do_scaled(
-        self, agent_id: int, step: int, action: str, team_size: int, multiplier: float
+        self, agent_id: int, step: int, action: str, team_size: int, multiplier: float,
+        teams: dict[int, tuple[int, ...]],
     ) -> Event:
         """An adventure or a battle: deploy the team, scale the committed
-        activity balance. Resolved at the average multiplier, so no draw is made."""
+        activity balance. Resolved at the average multiplier, so no draw is made.
+
+        The team is the holding's first team_size ids, kept in ``teams`` as
+        a tuple from the agent's first play of this kind; a play is only
+        chosen when the holding has that many. A token never leaves a
+        holding and each mint appends the largest id, so those ids never
+        change.
+        """
         h = self.holdings[agent_id]
-        team = list(itertools.islice(h.collectibles, team_size))
+        team = teams.get(agent_id)
+        if team is None:
+            team = teams[agent_id] = tuple(itertools.islice(h.collectibles, team_size))
         before_balance = h.activity_balance
         after_balance, minted = activities.scale_balance(multiplier, before_balance)
         h.activity_balance = after_balance
         self.counters.activity_supply += minted
         return Event(step, agent_id, action, (team, before_balance, after_balance, minted), 0)
 
-    def _do_lottery(self, agent_id: int, step: int) -> Event:
+    def _do_adventure(self, agent_id: int, step: int, parents) -> Event:
+        spec = self.config.adventure
+        return self._do_scaled(
+            agent_id, step, "adventure", spec.collectibles_required, spec.reward_multiplier,
+            self._kept_adventure_teams,
+        )
+
+    def _do_battle(self, agent_id: int, step: int, parents) -> Event:
+        spec = self.config.battle
+        return self._do_scaled(
+            agent_id, step, "battle", spec.team_size, spec.survival_fraction,
+            self._kept_battle_teams,
+        )
+
+    def _do_lottery(self, agent_id: int, step: int, parents) -> Event:
         spec = self.config.lottery
         h = self.holdings[agent_id]
         before = self.rng.draws
@@ -635,7 +701,7 @@ class GameSimulation:
             step, agent_id, "lottery", (spec.stake, lost, market, activity), self.rng.draws - before
         )
 
-    def _pass_event(self, agent_id: int, step: int) -> Event:
+    def _pass_event(self, agent_id: int, step: int, parents) -> Event:
         return Event(step, agent_id, "pass", (), 0)
 
     # -- strategy ------------------------------------------------------
@@ -736,27 +802,17 @@ class GameSimulation:
     def _execute(
         self, agent_id: int, action: str, step: int, parents: list[int] | None
     ) -> Event:
-        if action == "breed":
-            return self._do_breed(agent_id, step, parents)
-        if action == "battle":
-            spec = self.config.battle
-            return self._do_scaled(agent_id, step, "battle", spec.team_size, spec.survival_fraction)
-        if action == "adventure":
-            spec = self.config.adventure
-            return self._do_scaled(
-                agent_id, step, "adventure", spec.collectibles_required, spec.reward_multiplier
-            )
-        if action == "lottery":
-            return self._do_lottery(agent_id, step)
-        return self._pass_event(agent_id, step)
+        """Play the chosen action through the run's play table, as step does."""
+        return self._plays[action](self, agent_id, step, parents)
 
     def step(self, step: int) -> None:
         events = self.events
         ruined_at = self.ruined_at
         team = min(self._adventure_team, self._battle_team)
         stake = self._stake
+        plays = self._plays
         for agent_id, spec, h, counts, choose in self._turns:
-            # Nothing changes state before _execute, so one search serves the
+            # Nothing changes state before the play, so one search serves the
             # ruin test, the choice and the breed itself. It runs at most
             # once: when the ruin test finds no adventure, battle or lottery
             # affordable, on a fixed-mix breed turn, or when a growth
@@ -769,7 +825,7 @@ class GameSimulation:
                 if parents is None:
                     ruined_at[agent_id] = step
             action, parents = choose(self, spec, step, parents)
-            events.append(self._execute(agent_id, action, step, parents))
+            events.append(plays[action](self, agent_id, step, parents))
             counts[action] += 1
         self._update_prices()
         self._check_invariants(step)

@@ -7,13 +7,15 @@ import os
 import re
 import sys
 import tempfile
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nftgamesim import simulation
+from nftgamesim import cli, simulation
 from nftgamesim.analytics import optimal_fraction_1d
 from nftgamesim.breeding import MAX_BREED_LIMIT, MAX_TRAIT_COUNT, GameRules
 from nftgamesim.cli import _write_outputs, main
@@ -28,6 +30,7 @@ from nftgamesim.simulation import (
     GameSimulation,
     SimConfig,
     SimulationInvariantError,
+    join_ids,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -407,7 +410,7 @@ class TestSimulateCommand:
         "mutate, key, extra",
         [
             pytest.param(lambda d: d["run"].update(steps=0), "run.steps", (), id="steps"),
-            pytest.param(lambda d: None, "run.steps", ("--steps", "0"), id="steps_flag"),
+            pytest.param(lambda d: None, "--steps", ("--steps", "0"), id="steps_flag"),
             pytest.param(lambda d: d["run"].update(seed=2**64), "run.seed", (), id="seed"),
             pytest.param(
                 lambda d: d["run"].update(price_update="x"), "run.price_update", (), id="price_update"
@@ -492,6 +495,26 @@ class TestSimulateCommand:
             '"inputs": {}, "outputs": {}, "rng_draws": 0}',
         ]
         assert not (out / "events.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("0", "--steps must be >= 1"),
+            (
+                str(10**12),
+                "--steps times the number of agents must be <= 100000000, "
+                "got 1000000000000 steps x 3 agents",
+            ),
+        ],
+        ids=["zero", "over_the_turn_cap"],
+    )
+    def test_a_steps_flag_refusal_names_the_flag(self, tmp_path, capsys, steps, message):
+        # The scenario's own run.steps is valid; the value at fault came
+        # from the flag, so the message names --steps, not the file key.
+        code, out = self.run_simulate(tmp_path, scenario_dict(), extra=("--steps", steps))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_steps_flag_over_the_turn_cap_exits_2_with_key_name(self, tmp_path, capsys):
         code, out = self.run_simulate(tmp_path, scenario_dict(), extra=("--steps", str(10**12)))
@@ -746,6 +769,45 @@ class TestEventLines:
         row = (tmp_path / "snapshots.csv").read_text().splitlines()[1].split(",")
         assert row[6:] == [repr(snap.agent_wealth[k]) for k in sorted(snap.agent_wealth)]
 
+    def test_the_writer_renders_each_line_in_one_call(self, tmp_path, monkeypatch):
+        rendered = Counter()
+        for action, render in PAYLOADS.items():
+
+            def counting(*args, action=action, render=render):
+                rendered[action] += 1
+                return render(*args)
+
+            monkeypatch.setitem(PAYLOADS, action, counting)
+        sim = RecordingSimulation(parse_scenario(json.loads(BASELINE.read_text())))
+        _write_outputs(tmp_path, sim)
+        assert rendered == Counter(ev.action for ev in sim.handed_out)
+        assert set(rendered) == set(PAYLOADS)
+
+    @pytest.mark.parametrize("bound", [math.inf, 0], ids=["never_cleared", "cleared_each_step"])
+    def test_a_kept_team_is_spelled_once_per_memo(self, tmp_path, monkeypatch, bound):
+        # The ids of a team the engine keeps are joined once while the memo
+        # holds them: once in the run if it is never cleared, and once per
+        # play if it is cleared at every step boundary, as an agent plays
+        # once a step.
+        spelled = Counter()
+
+        def counting(seq):
+            if type(seq) is tuple:
+                spelled[seq] += 1
+            return join_ids(seq)
+
+        monkeypatch.setattr(cli, "join_ids", counting)
+        monkeypatch.setattr(cli, "SPELLED_FLOATS", bound)
+        config = replace(parse_scenario(json.loads(BASELINE.read_text())), steps=100)
+        sim = RecordingSimulation(config)
+        _write_outputs(tmp_path, sim)
+        assert (tmp_path / "events.jsonl").read_text() == json_lines(sim.handed_out)
+        plays = [ev for ev in sim.handed_out if ev.action in ("adventure", "battle")]
+        deployed = Counter(ev.payload[0] for ev in plays)
+        assert min(deployed.values()) > 10
+        expected = deployed if bound == 0 else dict.fromkeys(deployed, 1)
+        assert {team: spelled[team] for team in deployed} == expected
+
     def test_the_writer_renders_without_json(self, tmp_path, monkeypatch):
         # Lines come from the engine's renderers alone; the dict view, the
         # only user of json in the engine, is not on the writing path.
@@ -770,12 +832,14 @@ NUMBERS = st.one_of(
     st.integers(0, 2**64),
 )
 IDS = st.integers(0, 2**64)
-ID_LISTS = st.lists(IDS, max_size=5)
+# The engine hands out tuples (kept teams, traits) and lists (parents); a
+# hand-built event may carry either anywhere.
+ID_SEQUENCES = st.one_of(st.lists(IDS, max_size=5), st.lists(IDS, max_size=5).map(tuple))
 PAYLOAD_DRAWS = {
-    "genesis": st.tuples(IDS, ID_LISTS.map(tuple)),
-    "breed": st.tuples(ID_LISTS, IDS, ID_LISTS.map(tuple), NUMBERS, NUMBERS),
-    "battle": st.tuples(ID_LISTS, NUMBERS, NUMBERS, NUMBERS),
-    "adventure": st.tuples(ID_LISTS, NUMBERS, NUMBERS, NUMBERS),
+    "genesis": st.tuples(IDS, ID_SEQUENCES),
+    "breed": st.tuples(ID_SEQUENCES, IDS, ID_SEQUENCES, NUMBERS, NUMBERS),
+    "battle": st.tuples(ID_SEQUENCES, NUMBERS, NUMBERS, NUMBERS),
+    "adventure": st.tuples(ID_SEQUENCES, NUMBERS, NUMBERS, NUMBERS),
     "lottery": st.tuples(NUMBERS, st.booleans(), NUMBERS, NUMBERS),
     "pass": st.just(()),
 }
@@ -797,6 +861,40 @@ class TestPayloadRenderers:
         reference = reference_dict(event)
         assert event.line() == json.dumps(reference, separators=(",", ":"))
         assert event.as_dict() == reference
+
+    @pytest.mark.parametrize("action", sorted(PAYLOAD_DRAWS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_each_entry_writes_one_whole_line(self, action, data):
+        # Every entry writes its own envelope around the payload, and the
+        # newline; Event.line is that line without the newline.
+        event = Event(
+            data.draw(IDS), data.draw(IDS), action, data.draw(PAYLOAD_DRAWS[action]), data.draw(IDS)
+        )
+        line = PAYLOADS[action](event, repr, join_ids)
+        assert line == json.dumps(reference_dict(event), separators=(",", ":")) + "\n"
+        assert line == event.line() + "\n"
+        keys = ["step", "agent", "action", "inputs", "outputs", "rng_draws"]
+        assert list(json.loads(line)) == keys
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=st.lists(EVENTS, max_size=6))
+    def test_drawn_events_are_written_as_json_dumps_writes(self, drawn):
+        # Through the writer's memo: each drawn event is handed out twice,
+        # then once more with each id sequence a list where it was a tuple
+        # and a tuple where it was a list, so the memo serves a tuple's text
+        # again and a list's text never.
+        def flipped(x):
+            if type(x) is list:
+                return tuple(x)
+            return list(x) if type(x) is tuple else x
+
+        extra = drawn + drawn
+        extra += [replace(ev, payload=tuple(map(flipped, ev.payload))) for ev in drawn]
+        sim = RecordingSimulation(replace(parse_scenario(scenario_dict()), steps=1), extra=extra)
+        with tempfile.TemporaryDirectory() as out:
+            _write_outputs(Path(out), sim)
+            assert (Path(out) / "events.jsonl").read_text() == json_lines(sim.handed_out)
 
     def test_every_action_has_a_renderer(self):
         assert set(PAYLOADS) == set(PAYLOAD_DRAWS)

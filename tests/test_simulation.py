@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import math
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -1287,6 +1289,43 @@ class TestCheckedBreeds:
         assert sim.checked == sum(counts["breed"] for counts in sim.action_counts.values())
 
 
+class KeptTeams(GameSimulation):
+    """The engine with every adventure and battle checked against the live
+    holding. The engine keeps each agent's team from its first play of that
+    kind, so the kept tuple must still be the holding's first team-size ids
+    at every later play."""
+
+    def __init__(self, config: SimConfig):
+        self.checked = Counter()
+        self.first_team = {}
+        super().__init__(config)
+
+    def _do_scaled(self, agent_id, step, action, team_size, multiplier, teams):
+        spec = self.config.battle if action == "battle" else self.config.adventure
+        assert team_size == (spec.team_size if action == "battle" else spec.collectibles_required)
+        event = super()._do_scaled(agent_id, step, action, team_size, multiplier, teams)
+        team = event.payload[0]
+        assert type(team) is tuple
+        assert list(team) == list(itertools.islice(self.holdings[agent_id].collectibles, team_size))
+        # The same tuple serves every play of the agent's team.
+        assert team is self.first_team.setdefault((action, agent_id), team)
+        self.checked[action] += 1
+        return event
+
+
+class TestKeptTeams:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES] + [(None, 1, 2000)],
+        ids=[case[0] for case in CASES] + ["baseline-1-2000"],
+    )
+    def test_every_team_is_the_holdings_first_ids(self, edit, seed, steps):
+        sim = run_steps(KeptTeams, baseline_config(edit, seed, steps))
+        for action in ("adventure", "battle"):
+            played = sum(counts[action] for counts in sim.action_counts.values())
+            assert sim.checked[action] == played > 0
+
+
 def reference_audit(sim: GameSimulation) -> None:
     """The whole audit, every check on every token, from the economy functions."""
     holdings = list(sim.holdings.values())
@@ -1735,6 +1774,20 @@ class TestRuinProbability:
         estimate = ruin_probability(config, 5, 2)
         assert isinstance(estimate, simulation.RuinEstimate)
         assert estimate.trials == 2
+
+    def test_a_dropped_run_is_freed_by_reference_count(self):
+        # ruin_probability drops one run per trial; a run that held a
+        # reference cycle would wait for the cycle collector.
+        sim = GameSimulation(replace(parse_scenario(json.loads(BASELINE.read_text())), steps=5))
+        for step in range(1, 6):
+            sim.step(step)
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_renders_no_event_line(self, monkeypatch):
         # Every action of the baseline runs in 20 steps; the events are
