@@ -6,15 +6,15 @@ breed when no two of them are the same token, parent and child, or
 siblings, which can_pair answers for one pair as a bool. The engine's
 search proves every other rule of a breed (the arity, ownership, a breed
 charge left, maturity and a balance that covers the BreedCost), so mint
-checks nothing: it draws the traits, creates the child and debits the
-owner.
+checks only that it has a parent to draw from: it draws the traits
+straight from a random.Random, creates the child and debits the owner.
 
 Because the supply of collectibles grows at a rate fixed by the breeding
 arity, their forward prices drift toward the per-breed cost: under
-forward_drift the engine takes one forward_price_step per step. The
-closed-form side of breeding (the arbitrage classifier, the charge
-lattice and the population bound) lives in analytics, since no run calls
-it.
+forward_drift the engine takes one forward_price_step per step for each
+distinct price. The closed-form side of breeding (the arbitrage
+classifier, the charge lattice and the population bound) lives in
+analytics, since no run calls it.
 """
 from __future__ import annotations
 
@@ -124,31 +124,45 @@ def mint(
     balances and increments every parent's breed count; the caller settles
     supply counters according to ``rules.burn_mode``.
 
-    ``rng`` needs ``random()`` and ``randrange(n)``. Two draws are consumed
-    per trait (mutation test, then value) regardless of mutation_prob, so
-    replay streams stay aligned.
+    ``rng`` needs ``random()`` and ``getrandbits(k)``, as random.Random
+    has. Two draws are consumed per trait (mutation test, then value)
+    regardless of mutation_prob, so replay streams stay aligned. A value
+    below n is drawn by random.Random.randrange(n)'s own rule: take
+    n.bit_length() random bits, and draw again while the value is n or
+    more. So a random.Random gives the traits, and leaves the state, that
+    random() and randrange(n) would.
 
     The child id is one more than the population's last key, which is its
     largest as long as ids are added in ascending order (genesis and every
-    breed do so). If that id is already taken, ValueError is raised before
-    anything changes; an id is never reused.
+    breed do so). If that id is already taken, or ``parent_ids`` is empty,
+    ValueError is raised before anything changes; an id is never reused.
     """
     child_id = next(reversed(population)) + 1
     if child_id in population:
         raise ValueError(
             f"child id {child_id} is already minted: population ids were not added in ascending order"
         )
+    if not parent_ids:
+        # getrandbits(0) is always 0, so a parent would be drawn forever.
+        raise ValueError("a child needs at least one parent")
     parents = [population[pid] for pid in parent_ids]
-    draw, pick = rng.random, rng.randrange
+    draw, bits = rng.random, rng.getrandbits
     mutation_prob = rules.mutation_prob
     alphabet = rules.trait_alphabet
     n = len(parents)
+    alphabet_bits, parent_bits = alphabet.bit_length(), n.bit_length()
     traits = []
     for i in range(rules.trait_count):
         if draw() < mutation_prob:
-            traits.append(pick(alphabet))
+            r = bits(alphabet_bits)
+            while r >= alphabet:
+                r = bits(alphabet_bits)
+            traits.append(r)
         else:
-            traits.append(parents[pick(n)].traits[i])
+            r = bits(parent_bits)
+            while r >= n:
+                r = bits(parent_bits)
+            traits.append(parents[r].traits[i])
 
     child = Collectible(child_id, tuple(traits), tuple(parent_ids), 0, current_step + 1)
     owner.activity_balance -= cost.activity_amount

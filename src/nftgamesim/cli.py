@@ -10,9 +10,9 @@ simulate writes events.jsonl and snapshots.csv as the run goes. Each event
 line is the engine's own, one call of its simulation.PAYLOADS entry, so the
 line format lives in one place; this module only joins the lines of a step
 and writes them. Both files spell their numbers through one speller, repr
-with a bounded memo of float text, which also keeps the text of each tuple
-of ids (see _write_outputs), so the values and teams a repeated game writes
-again and again are spelled once. snapshots.csv rows are written as text, not
+with a bounded memo of float text, which also keeps the text of each
+adventure or battle team (see _write_outputs), so the values and teams a
+repeated game writes again and again are spelled once. snapshots.csv rows are written as text, not
 through the csv module: every cell is a number, which csv writes as repr
 does, unquoted.
 """
@@ -81,11 +81,13 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
     with the step count. Each event line is one call of its PAYLOADS entry.
     Numbers in both files are spelled by ``num``, which is repr with a memo:
     it keeps the text of a non-zero float only, since equal keys can spell
-    differently (2 and 2.0, 0.0 and -0.0). Id sequences are spelled by
-    ``ids``, which keeps the text of a tuple, so an agent's kept team is
-    spelled once; a list may change, so it is spelled each time. Both share
-    one memo, which is cleared at a step boundary once it holds more than
-    SPELLED_FLOATS entries.
+    differently (2 and 2.0, 0.0 and -0.0). Teams are spelled by ``ids``,
+    which keeps the text of a tuple, so an agent's kept team is spelled
+    once; a list may change, so it is spelled each time. Traits and parents
+    seldom repeat, so the PAYLOADS entries spell them with join_ids and
+    never through ``ids``: the memo keeps only what a game writes again.
+    Floats and teams share one memo, which is cleared at a step boundary
+    once it holds more than SPELLED_FLOATS entries.
     """
     config = sim.config
     agent_ids = sorted(a.id for a in config.agents)

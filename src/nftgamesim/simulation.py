@@ -24,10 +24,14 @@ depends on the choice. The checks that read every token (the ownership
 partition, each price, the floor against the lowest price, a price for
 exactly the minted ids) run at step 0, after a step whose record holds a
 mint or a rewrite, and when an O(agents) size check disagrees.
-The forward-drift update keeps the set of distinct collectible prices and
-steps only those. forward_price_step is pure, so once an update moves no
-price, the next ones do nothing until a newborn lists at a price outside
-the kept set: at the fixed point a step at rest costs O(agents) in all.
+The forward-drift update keeps the price classes, each distinct
+collectible price with the ids listed at it: grouped once, then each
+step's mints are added from the change record. It steps only the distinct
+prices and writes only the classes whose price moved, merging classes that
+step onto one price, so a step costs O(distinct prices) plus the ids it
+rewrites. forward_price_step is pure, so once an update moves no price, the
+next ones do nothing until a newborn lists outside the kept classes: at the
+fixed point a step at rest costs O(agents) in all.
 A turn does its work once. Each agent's turn record (its id, spec,
 holdings, action counts and strategy's choice) and what each activity needs
 (an adventure's or a battle's team size, the lottery stake, inf for an
@@ -40,6 +44,9 @@ adventure and pass in place, in its tie order, then tries each distinct
 breed cost. The search walks the agent's holding, kept in ascending id
 order because genesis and each mint append the new largest id, so nothing
 is sorted and the search skips a spent token as it skips an immature one.
+It walks the candidate sets once, in itertools.combinations order, skips a
+set whose lead the agent cannot afford, and tests a set's pairs through a
+tuple of index pairs built once per run.
 An adventure's or a battle's team is the holding's first ids, kept as one
 tuple from the agent's first play of that kind: no token leaves a holding,
 so the team never changes. The chosen action is played through a table
@@ -60,6 +67,8 @@ activities.scale_balance and activities.lottery_deltas; the engine holds no
 payoff arithmetic of its own beyond the growth maximizer's score.
 Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
 random bits redrawn while the value is n or more, so the stream is the same.
+A breed's traits are drawn by breeding.mint straight from the run's
+random.Random, and the engine counts the breed's 2 * trait_count draws once.
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -133,6 +142,8 @@ class CountingRng:
     ``randrange(n)`` draws by the rule random.Random.randrange(n) uses, so
     the stream is the same: take ``n.bit_length()`` random bits, and draw
     again while the value is ``n`` or more. It counts one draw per call.
+    A breed draws from the wrapped generator itself (see
+    GameSimulation._do_breed), which adds the breed's draws to ``draws``.
     """
 
     def __init__(self, seed: int):
@@ -280,8 +291,8 @@ def _breed(ev, num, ids) -> str:
     parents, child, traits, activity_cost, market_cost = ev.payload
     return (
         f'{{"step":{ev.step},"agent":{ev.agent},"action":"breed",'
-        f'"inputs":{{"parents":[{ids(parents)}]}},'
-        f'"outputs":{{"child":{child},"traits":[{ids(traits)}],'
+        f'"inputs":{{"parents":[{join_ids(parents)}]}},'
+        f'"outputs":{{"child":{child},"traits":[{join_ids(traits)}],'
         f'"activity_cost":{num(activity_cost)},"market_cost":{num(market_cost)}}},'
         f'"rng_draws":{ev.rng_draws}}}\n'
     )
@@ -289,13 +300,14 @@ def _breed(ev, num, ids) -> str:
 
 # The line schemas, written once: each action's events.jsonl line, newline
 # included, from its Event in one call, render(event, num, ids). The payload
-# tuple is taken in the order shown. ``ids`` spells each sequence of ids
-# (a team, parents, traits), list or tuple; ``num`` every other number but
-# the ids.
+# tuple is taken in the order shown. ``ids`` spells an adventure's or a
+# battle's team, list or tuple; traits and parents seldom repeat, so they
+# are spelled by join_ids itself. ``num`` spells every other number but the
+# ids.
 PAYLOADS = {
     "genesis": lambda ev, num, ids: (
         f'{{"step":{ev.step},"agent":{ev.agent},"action":"genesis","inputs":{{}},'
-        f'"outputs":{{"collectible":{ev.payload[0]},"traits":[{ids(ev.payload[1])}]}},'
+        f'"outputs":{{"collectible":{ev.payload[0]},"traits":[{join_ids(ev.payload[1])}]}},'
         f'"rng_draws":{ev.rng_draws}}}\n'
     ),
     "breed": _breed,
@@ -441,13 +453,16 @@ class GameSimulation:
         )
         self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
         self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
+        # The index pairs a breeding set's pairing test walks, in order.
+        self._parent_pairs = tuple(itertools.combinations(range(self.rules.breed_arity), 2))
         # Each agent's token value, kept between snapshots (see
         # _take_changes): absent until valued or after a change.
         self._token_value: dict[int, float] = {}
-        # The distinct collectible prices, built by the first forward-drift
-        # update and kept from then on, and whether the last update moved
-        # no price (see _update_prices).
-        self._distinct_prices: set[float] | None = None
+        # The price classes: each distinct collectible price with the ids
+        # listed at it, built by the first forward-drift update and kept
+        # from then on, and whether the last update moved no price (see
+        # _update_prices).
+        self._price_classes: dict[float, list[int]] | None = None
         self._prices_fixed = False
         # The step's change record: each id minted since the last audit with
         # its minter, and whether prices were rewritten. Genesis counts as a
@@ -551,30 +566,32 @@ class GameSimulation:
         whose breed could win (see _growth_choice). It changes no state and
         draws nothing, so skipping it changes no outcome.
 
-        The cost depends only on the lead parent's breed count, so a lead
+        The sets are walked once, in itertools.combinations order. The cost
+        depends only on the lead parent's breed count, so a set whose lead
         the agent cannot afford is skipped before any pairing check, and an
         agent priced out of every lead is refused before the parents are
-        gathered. Pairs are tested with breeding.can_pair, so a refused pair
-        raises nothing. A set this returns is legal to breed at this step
-        (see _do_breed).
+        gathered. A set's pairs are tested through the run's tuple of index
+        pairs with breeding.can_pair, so a refused pair raises nothing. A
+        set this returns is legal to breed at this step (see _do_breed).
         """
         h = self.holdings[agent_id]
-        if h.activity_balance < self._min_activity_cost or h.market_balance < self._min_market_cost:
-            return None
-        eligible = self._eligible_parents(agent_id, step)
-        arity = self.rules.breed_arity
-        if len(eligible) < arity:
+        activity, market = h.activity_balance, h.market_balance
+        if activity < self._min_activity_cost or market < self._min_market_cost:
             return None
         activity_costs = self.rules.activity_cost_schedule
         market_costs = self.rules.market_cost_schedule
-        for i, lead in enumerate(eligible):
-            k = lead.breed_count
-            if h.activity_balance < activity_costs[k] or h.market_balance < market_costs[k]:
+        pairs = self._parent_pairs
+        can_pair = breeding.can_pair
+        eligible = self._eligible_parents(agent_id, step)
+        for combo in itertools.combinations(eligible, self.rules.breed_arity):
+            k = combo[0].breed_count
+            if activity < activity_costs[k] or market < market_costs[k]:
                 continue
-            for rest in itertools.combinations(eligible[i + 1 :], arity - 1):
-                combo = (lead, *rest)
-                if all(itertools.starmap(breeding.can_pair, itertools.combinations(combo, 2))):
-                    return [c.id for c in combo]
+            for i, j in pairs:
+                if not can_pair(combo[i], combo[j]):
+                    break
+            else:
+                return [c.id for c in combo]
         return None
 
     def _can_adventure(self, agent_id: int) -> bool:
@@ -630,10 +647,12 @@ class GameSimulation:
         at the table's cost without checking it again."""
         h = self.holdings[agent_id]
         population = self.population
-        rng = self.rng
-        before = rng.draws
         cost = self._breed_table[population[parent_ids[0]].breed_count]
-        child = breeding.mint(parent_ids, h, population, self.rules, cost, rng, step)
+        # mint draws from the counting generator's random.Random itself, a
+        # mutation test and a value per trait, so they are counted here.
+        child = breeding.mint(parent_ids, h, population, self.rules, cost, self.rng._rng, step)
+        draws = 2 * self.rules.trait_count
+        self.rng.draws += draws
         if self.rules.burn_mode == "treasury":
             self.holdings[TREASURY].activity_balance += cost.activity_amount
             self.holdings[TREASURY].market_balance += cost.market_amount
@@ -647,7 +666,7 @@ class GameSimulation:
             agent_id,
             "breed",
             (parent_ids, child.id, child.traits, cost.activity_amount, cost.market_amount),
-            rng.draws - before,
+            draws,
         )
 
     def _do_scaled(
@@ -799,12 +818,6 @@ class GameSimulation:
 
     # -- stepping ------------------------------------------------------
 
-    def _execute(
-        self, agent_id: int, action: str, step: int, parents: list[int] | None
-    ) -> Event:
-        """Play the chosen action through the run's play table, as step does."""
-        return self._plays[action](self, agent_id, step, parents)
-
     def step(self, step: int) -> None:
         events = self.events
         ruined_at = self.ruined_at
@@ -834,35 +847,55 @@ class GameSimulation:
         if self.config.price_update != "forward_drift":
             return
         prices = self.board.collectible_prices
-        distinct = self._distinct_prices
-        if distinct is None:
-            distinct = self._distinct_prices = set(prices.values())
+        classes = self._price_classes
+        # The first update groups every id by its price; later ones add the
+        # ids minted since, from the change record.
+        if classes is None:
+            classes = self._price_classes = {}
+            listed = prices.items()
         else:
-            known = len(distinct)
-            distinct.update(map(prices.__getitem__, self._minted))
-            # forward_price_step is pure: if the last update moved no price
-            # and no newborn since listed outside the kept set, every price
-            # and the floor would map to themselves again.
-            if self._prices_fixed and len(distinct) == known:
-                return
+            listed = [(tid, prices[tid]) for tid in self._minted]
+        known = len(classes)
+        for tid, price in listed:
+            ids = classes.get(price)
+            if ids is None:
+                classes[price] = [tid]
+            else:
+                ids.append(tid)
+        # forward_price_step is pure: if the last update moved no price and
+        # no newborn since listed outside the kept classes, every price and
+        # the floor would map to themselves again.
+        if self._prices_fixed and len(classes) == known:
+            return
         cost = self._breed_costs[0]
         d = self.rules.breed_arity
         # Each price's next value depends on that price alone, so equal
         # prices share one step, and only the distinct ones are stepped.
+        floor = self.board.floor_price
         stepped = {
-            price: breeding.forward_price_step(price, d, cost)
-            for price in {*distinct, self.board.floor_price}
+            price: breeding.forward_price_step(price, d, cost) for price in {*classes, floor}
         }
         # At the fixed point p* = cost every price maps to itself, so there
         # is nothing to rewrite.
         moved = any(new != old for old, new in stepped.items())
         if moved:
-            for tid, price in prices.items():
-                prices[tid] = stepped[price]
-            self._distinct_prices = {stepped[price] for price in distinct}
+            # Only a class whose price moved is written; classes that step
+            # onto one price merge.
+            merged: dict[float, list[int]] = {}
+            for price, ids in classes.items():
+                new = stepped[price]
+                if new != price:
+                    for tid in ids:
+                        prices[tid] = new
+                into = merged.get(new)
+                if into is None:
+                    merged[new] = ids
+                else:
+                    into += ids
+            self._price_classes = merged
             self._rewritten = True
         self._prices_fixed = not moved
-        self.board.floor_price = stepped[self.board.floor_price]
+        self.board.floor_price = stepped[floor]
 
     def _check_invariants(self, step: int) -> None:
         """Audit the state after a step, then apply the step's change record

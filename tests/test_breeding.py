@@ -468,6 +468,60 @@ class TestLatticeValue:
         assert lattice_value(k, floor, child + bump, costs) >= lattice_value(k, floor, child, costs)
 
 
+def reference_traits(parents: list[Collectible], rules: GameRules, rng: random.Random) -> tuple:
+    """A child's traits drawn with random.Random's own random() and
+    randrange(n): per trait a mutation test, then a value from the alphabet
+    or the trait of a uniformly chosen parent."""
+    traits = []
+    for i in range(rules.trait_count):
+        if rng.random() < rules.mutation_prob:
+            traits.append(rng.randrange(rules.trait_alphabet))
+        else:
+            traits.append(parents[rng.randrange(len(parents))].traits[i])
+    return tuple(traits)
+
+
+class TestTraitDraws:
+    # Alphabets at and around the powers of two, where n.bit_length() and
+    # the rejection rate change, and a few far larger.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        trait_count=st.integers(1, 12),
+        alphabet=st.sampled_from([1, 2, 3, 255, 256, 257]) | st.integers(1, 2**70),
+        arity=st.integers(1, 3),
+        mutation_prob=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_mint_draws_as_random_random_does(self, seed, trait_count, alphabet, arity, mutation_prob):
+        rules = make_rules(
+            breed_arity=arity, trait_count=trait_count, trait_alphabet=alphabet,
+            mutation_prob=mutation_prob,
+        )
+        # Each parent's traits name the parent and the position, so an
+        # inherited trait shows which parent was drawn.
+        pop = {
+            tid: Collectible(tid, tuple(1000 * tid + i for i in range(trait_count)), None, 0, 0)
+            for tid in range(arity)
+        }
+        parents = [pop[tid] for tid in range(arity)]
+        owner = Holdings(owner=1, collectibles=dict(pop))
+        rng, reference = random.Random(seed), random.Random(seed)
+        child = mint(list(pop), owner, pop, rules, BreedCost(0.0, 0.0, 0.0), rng)
+        assert child.traits == reference_traits(parents, rules, reference)
+        # The same bits were consumed, so the streams stay aligned after it.
+        assert rng.getstate() == reference.getstate()
+
+    def test_no_parent_is_refused_before_any_change(self):
+        rules = make_rules()
+        pop, owner, _ = genesis_pair(rules)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="at least one parent"):
+            mint([], owner, pop, rules, BreedCost(0.0, 0.0, 0.0), rng)
+        assert list(pop) == [0, 1] and list(owner.collectibles) == [0, 1]
+        assert rng.getstate() == state
+
+
 class NoScanPopulation(dict):
     """A population that refuses to be iterated: breed must not scan it."""
 

@@ -808,6 +808,38 @@ class TestEventLines:
         expected = deployed if bound == 0 else dict.fromkeys(deployed, 1)
         assert {team: spelled[team] for team in deployed} == expected
 
+    def test_the_memo_holds_no_trait_tuple(self, tmp_path, monkeypatch):
+        # A crowd of baseline copies, never clearing the memo: every tuple
+        # the memo keeps is one the writer's ``ids`` joined, and those are
+        # the kept teams alone, never a genesis or breed trait tuple.
+        joined = set()
+
+        def recording(seq):
+            if type(seq) is tuple:
+                joined.add(seq)
+            return join_ids(seq)
+
+        monkeypatch.setattr(cli, "join_ids", recording)
+        monkeypatch.setattr(cli, "SPELLED_FLOATS", math.inf)
+        data = json.loads(BASELINE.read_text())
+        data["agents"] = [
+            {**agent, "id": copy * len(data["agents"]) + agent["id"]}
+            for copy in range(20)
+            for agent in data["agents"]
+        ]
+        sim = RecordingSimulation(parse_scenario(data))
+        _write_outputs(tmp_path, sim)
+        assert (tmp_path / "events.jsonl").read_text() == json_lines(sim.handed_out)
+        traits = {
+            ev.payload[1] if ev.action == "genesis" else ev.payload[2]
+            for ev in sim.handed_out
+            if ev.action in ("genesis", "breed")
+        }
+        teams = {*sim._kept_adventure_teams.values(), *sim._kept_battle_teams.values()}
+        assert len(traits) > 1000 and len(teams) > 50
+        assert joined == teams
+        assert not joined & traits
+
     def test_the_writer_renders_without_json(self, tmp_path, monkeypatch):
         # Lines come from the engine's renderers alone; the dict view, the
         # only user of json in the engine, is not on the writing path.

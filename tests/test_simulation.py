@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -330,6 +331,22 @@ class TestRunSimulation:
         for step in range(1, config.steps + 1):
             sim.step(step)
         assert sum(e.rng_draws for e in sim.events) == sim.rng.draws
+
+
+class TestBreedDraws:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_every_breed_takes_two_draws_per_trait(self, edit, seed, steps):
+        config = baseline_config(edit, seed, steps)
+        sim = GameSimulation(config)
+        events = [e for step_events, _ in sim.stream() for e in step_events]
+        breeds = [e for e in events if e.action == "breed"]
+        assert breeds
+        assert {e.rng_draws for e in breeds} == {2 * config.rules.trait_count}
+        assert sum(e.rng_draws for e in events) == sim.rng.draws
 
 
 class TestCountingRng:
@@ -679,7 +696,7 @@ class SearchEveryTurn(GameSimulation):
             if self.ruined_at[spec.id] is None and not affords:
                 self.ruined_at[spec.id] = step
             action = self.reference_choice(spec, step, parents)
-            event = self._execute(spec.id, action, step, parents)
+            event = self._plays[action](self, spec.id, step, parents)
             self.action_counts[spec.id][event.action] += 1
             self.events.append(event)
         self._update_prices()
@@ -974,13 +991,19 @@ class TestSearchOnDemand:
 
 
 class CountingPrices(dict):
-    """A price table that counts its writes."""
+    """A price table that counts its writes. dict.update skips __setitem__
+    on a subclass, so update counts its own."""
 
     writes = 0
 
     def __setitem__(self, key, value):
         self.writes += 1
         super().__setitem__(key, value)
+
+    def update(self, *args, **kwargs):
+        new = dict(*args, **kwargs)
+        self.writes += len(new)
+        super().update(new)
 
 
 class CountingReads(dict):
@@ -1022,12 +1045,40 @@ class TestPriceUpdate:
             sim.board.floor_price = 1.5
         sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
         sim.step(1)
-        assert prices.writes == 5
+        # Only the moved class is written: token 2 alone, or no token when
+        # only the floor moves.
+        assert prices.writes == (1 if moved == "token" else 0)
         expected = dict.fromkeys(range(5), 3.0)
         if moved == "token":
             expected[2] = breeding.forward_price_step(6.0, 2, 3.0)
             assert expected[2] != 6.0
         assert prices == expected
+
+    def test_classes_that_step_onto_one_price_merge(self):
+        # The step contracts by 2/3, so neighbouring floats can land on one
+        # price: 6.0 and the next float both step to 5.0, and the float
+        # after 3.0 steps onto the fixed point 3.0, whose class does not move.
+        above_3, above_6 = math.nextafter(3.0, math.inf), math.nextafter(6.0, math.inf)
+        step = functools.partial(breeding.forward_price_step, d=2, step_cost_numeraire=3.0)
+        assert step(6.0) == step(above_6) == 5.0 and step(above_3) == 3.0
+        sim = self.fixed_point_sim()
+        sim.board.collectible_prices.update({1: above_3, 2: 6.0, 3: above_6})
+        sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
+        sim.step(1)
+        # Each moved class is written once per id; the unmoved class is not.
+        assert prices.writes == 3
+        assert prices == {0: 3.0, 1: 3.0, 2: 5.0, 3: 5.0, 4: 3.0}
+        assert {p: sorted(ids) for p, ids in sim._price_classes.items()} == {
+            3.0: [0, 1, 4], 5.0: [2, 3],
+        }
+        # The merged class moves as one.
+        prices.writes = 0
+        sim.step(2)
+        assert prices.writes == 2
+        assert prices == {0: 3.0, 1: 3.0, 2: step(5.0), 3: step(5.0), 4: 3.0}
+        assert {p: sorted(ids) for p, ids in sim._price_classes.items()} == {
+            3.0: [0, 1, 4], step(5.0): [2, 3],
+        }
 
     @staticmethod
     def count_price_steps(monkeypatch) -> Counter:
@@ -1337,8 +1388,12 @@ def reference_audit(sim: GameSimulation) -> None:
     sim.board.validate()
     prices = sim.board.collectible_prices
     assert prices.keys() == sim.population.keys()
-    if sim._distinct_prices is not None:
-        assert sim._distinct_prices == set(prices.values())
+    if sim._price_classes is not None:
+        grouped = {}
+        for tid, price in prices.items():
+            grouped.setdefault(price, []).append(tid)
+        # Each kept class holds exactly the ids listed at its price, once each.
+        assert {price: sorted(ids) for price, ids in sim._price_classes.items()} == grouped
 
 
 def check_reference_audit(config: SimConfig) -> int:
@@ -1419,9 +1474,10 @@ class TestAuditSchedule:
     def test_a_step_at_rest_reads_no_token(self, monkeypatch, price_update):
         sim = at_rest_sim(price_update)
         counts = count_token_checks(monkeypatch, sim)
-        # The first forward-drift update builds the kept set of distinct prices.
+        # The first forward-drift update groups the ids into the kept price
+        # classes, walking the items once.
         sim.step(1)
-        assert counts["values"] == (price_update == "forward_drift")
+        assert (counts["values"], counts["items"]) == (0, price_update == "forward_drift")
         counts.clear()
         for step in range(2, 5):
             sim.step(step)
@@ -1440,14 +1496,15 @@ class TestAuditSchedule:
 
     def test_a_rewrite_step_runs_each_token_check_once(self, monkeypatch):
         sim = at_rest_sim()
-        sim.board.collectible_prices[2] = 6.0  # moves toward 3.0, so every price is rewritten
+        sim.board.collectible_prices[2] = 6.0  # moves toward 3.0, so its class is rewritten
         counts = count_token_checks(monkeypatch, sim)
         sim.step(1)
         assert 3.0 < sim.board.collectible_prices[2] < 6.0
-        # The update reads the values once to build the kept set and walks
-        # the items once to rewrite them; validate reads the values once.
+        # The update walks the items once to group the ids into price
+        # classes and writes the moved class without walking the table
+        # again; validate reads the values once.
         assert (counts["partition"], counts["validate"], counts["values"], counts["keys"]) == (
-            1, 1, 2, 1,
+            1, 1, 1, 1,
         )
         assert counts["items"] == 1
 
