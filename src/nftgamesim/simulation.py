@@ -1,6 +1,6 @@
 """Seed-deterministic, time-stepped game simulation and Monte Carlo ruin.
 
-One run owns a single counting generator; agents act in ascending id order
+One run owns a single random.Random; agents act in ascending id order
 within each step and every state transition is recorded as an event, so
 identical (config, seed) pairs reproduce byte-identical histories.
 GameSimulation.stream hands each step's events and snapshot to its caller
@@ -65,10 +65,10 @@ none. A snapshot values every agent in one pass over the turn records.
 Adventures, battles and lotteries settle through
 activities.scale_balance and activities.lottery_deltas; the engine holds no
 payoff arithmetic of its own beyond the growth maximizer's score.
-Trait draws take randrange(n) by random.Random's own rule, n.bit_length()
-random bits redrawn while the value is n or more, so the stream is the same.
-A breed's traits are drawn by breeding.mint straight from the run's
-random.Random, and the engine counts the breed's 2 * trait_count draws once.
+Genesis draws each trait with the run's randrange, a lottery its outcome
+with random(), and a breed's traits are drawn by breeding.mint from the same
+generator. An event's rng_draws is a constant of its action: trait_count for
+a genesis token, 1 for a lottery, 2 * trait_count for a breed, 0 otherwise.
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -134,37 +134,6 @@ class SimulationInvariantError(RuntimeError):
         self.step = step
         self.agent = agent
         self.last_event = last_event
-
-
-class CountingRng:
-    """random.Random wrapper that tallies draws for replay audits.
-
-    ``randrange(n)`` draws by the rule random.Random.randrange(n) uses, so
-    the stream is the same: take ``n.bit_length()`` random bits, and draw
-    again while the value is ``n`` or more. It counts one draw per call.
-    A breed draws from the wrapped generator itself (see
-    GameSimulation._do_breed), which adds the breed's draws to ``draws``.
-    """
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-        self._getrandbits = self._rng.getrandbits
-        self.draws = 0
-
-    def random(self) -> float:
-        self.draws += 1
-        return self._rng.random()
-
-    def randrange(self, n: int) -> int:
-        if n < 1:
-            # getrandbits(0) is always 0, so the rejection loop would never end.
-            raise ValueError(f"empty range for randrange({n})")
-        self.draws += 1
-        k = n.bit_length()
-        r = self._getrandbits(k)
-        while r >= n:
-            r = self._getrandbits(k)
-        return r
 
 
 @dataclass(frozen=True)
@@ -423,9 +392,12 @@ class GameSimulation:
     """Mutable run state; use run_simulation() or stream() unless stepping manually."""
 
     def __init__(self, config: SimConfig):
+        # Each table built here from a config value has a bound: the breed
+        # table breeding.MAX_BREED_LIMIT, genesis MAX_GENESIS_COLLECTIBLES
+        # tokens, and the parent pairs BREED_SEARCH_WINDOW.
         self.config = config
         self.rules = config.rules
-        self.rng = CountingRng(config.seed)
+        self.rng = random.Random(config.seed)
         self.population: dict[int, Collectible] = {}
         self.holdings: dict[int, Holdings] = {TREASURY: Holdings(TREASURY)}
         self.board = replace(config.board, collectible_prices={})
@@ -453,8 +425,10 @@ class GameSimulation:
         )
         self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
         self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
-        # The index pairs a breeding set's pairing test walks, in order.
-        self._parent_pairs = tuple(itertools.combinations(range(self.rules.breed_arity), 2))
+        # The index pairs a breeding set's pairing test walks, in order. A
+        # set is drawn from at most BREED_SEARCH_WINDOW eligible parents.
+        arity = min(self.rules.breed_arity, BREED_SEARCH_WINDOW)
+        self._parent_pairs = tuple(itertools.combinations(range(arity), 2))
         # Each agent's token value, kept between snapshots (see
         # _take_changes): absent until valued or after a change.
         self._token_value: dict[int, float] = {}
@@ -514,6 +488,8 @@ class GameSimulation:
             if self.config.genesis_price is not None
             else self.board.floor_price
         )
+        randrange = self.rng.randrange
+        alphabet, trait_count = self.rules.trait_alphabet, self.rules.trait_count
         next_id = 0
         for spec in self._agents:
             h = Holdings(
@@ -525,18 +501,12 @@ class GameSimulation:
             self.counters.activity_supply += spec.activity_balance
             self.counters.market_supply += spec.market_balance
             for _ in range(spec.collectibles):
-                before = self.rng.draws
-                traits = tuple(
-                    self.rng.randrange(self.rules.trait_alphabet)
-                    for _ in range(self.rules.trait_count)
-                )
+                traits = tuple(randrange(alphabet) for _ in range(trait_count))
                 token = Collectible(next_id, traits, None, 0, 1 - self.rules.maturity_delay)
                 self.population[next_id] = token
                 h.collectibles[next_id] = token
                 self.board.collectible_prices[next_id] = genesis_price
-                self.events.append(
-                    Event(0, spec.id, "genesis", (next_id, traits), self.rng.draws - before)
-                )
+                self.events.append(Event(0, spec.id, "genesis", (next_id, traits), trait_count))
                 next_id += 1
         # No owner joins after genesis, so the audit walks this tuple.
         self._holdings = tuple(self.holdings.values())
@@ -583,6 +553,9 @@ class GameSimulation:
         pairs = self._parent_pairs
         can_pair = breeding.can_pair
         eligible = self._eligible_parents(agent_id, step)
+        if len(eligible) < self.rules.breed_arity:
+            # combinations would size its index array by the arity first.
+            return None
         for combo in itertools.combinations(eligible, self.rules.breed_arity):
             k = combo[0].breed_count
             if activity < activity_costs[k] or market < market_costs[k]:
@@ -648,11 +621,7 @@ class GameSimulation:
         h = self.holdings[agent_id]
         population = self.population
         cost = self._breed_table[population[parent_ids[0]].breed_count]
-        # mint draws from the counting generator's random.Random itself, a
-        # mutation test and a value per trait, so they are counted here.
-        child = breeding.mint(parent_ids, h, population, self.rules, cost, self.rng._rng, step)
-        draws = 2 * self.rules.trait_count
-        self.rng.draws += draws
+        child = breeding.mint(parent_ids, h, population, self.rules, cost, self.rng, step)
         if self.rules.burn_mode == "treasury":
             self.holdings[TREASURY].activity_balance += cost.activity_amount
             self.holdings[TREASURY].market_balance += cost.market_amount
@@ -666,7 +635,7 @@ class GameSimulation:
             agent_id,
             "breed",
             (parent_ids, child.id, child.traits, cost.activity_amount, cost.market_amount),
-            draws,
+            2 * self.rules.trait_count,
         )
 
     def _do_scaled(
@@ -709,16 +678,13 @@ class GameSimulation:
     def _do_lottery(self, agent_id: int, step: int, parents) -> Event:
         spec = self.config.lottery
         h = self.holdings[agent_id]
-        before = self.rng.draws
         lost = self.rng.random() < spec.loss_prob
         activity, market = activities.lottery_deltas(spec, lost)
         h.market_balance += market
         h.activity_balance += activity
         self.counters.market_supply += market
         self.counters.activity_supply += activity
-        return Event(
-            step, agent_id, "lottery", (spec.stake, lost, market, activity), self.rng.draws - before
-        )
+        return Event(step, agent_id, "lottery", (spec.stake, lost, market, activity), 1)
 
     def _pass_event(self, agent_id: int, step: int, parents) -> Event:
         return Event(step, agent_id, "pass", (), 0)

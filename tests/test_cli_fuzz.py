@@ -19,7 +19,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.cli import main
@@ -132,9 +132,28 @@ def check_outputs(out_dir: Path) -> None:
     strict_json((out_dir / "summary.json").read_text())
 
 
+def value_at(path):
+    node = BASE_DOC
+    for key in path:
+        node = node[key]
+    return node
+
+
+def with_int_boundaries(test):
+    """Run ``test`` on every run, before anything drawn, with each integer of
+    the scenario set to 2**63 - 1, the largest C ssize_t, and to 2**64, which
+    no C integer holds."""
+    for path in PATHS:
+        if type(value_at(path)) is int:
+            for value in (2**63 - 1, 2**64):
+                test = example(mutations=[("set", path, value)], steps=10)(test)
+    return test
+
+
 class TestSimulateContract:
     @settings(max_examples=120, deadline=None)
     @given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3), steps=st.integers(1, 10))
+    @with_int_boundaries
     def test_mutated_baseline(self, mutations, steps):
         doc = copy.deepcopy(BASE_DOC)
         for mutation in mutations:

@@ -35,7 +35,12 @@ from nftgamesim.simulation import (
     run_simulation,
     wilson_interval,
 )
-from test_breeding import check_breed, iterate_forward_price, reference_pairing_error
+from test_breeding import (
+    check_breed,
+    iterate_forward_price,
+    reference_pairing_error,
+    reference_traits,
+)
 from test_economy import check_supply_conservation
 from test_golden import BASELINE, CASES
 
@@ -324,56 +329,6 @@ class TestRunSimulation:
         result = run_simulation(config)
         assert serialize(e for events, _ in handed for e in events) == serialize(result.events)
         assert [snap for _, snap in handed] == result.snapshots
-
-    def test_event_draw_counts_cover_all_draws(self):
-        config = mixed_config(steps=10)
-        sim = GameSimulation(config)
-        for step in range(1, config.steps + 1):
-            sim.step(step)
-        assert sum(e.rng_draws for e in sim.events) == sim.rng.draws
-
-
-class TestBreedDraws:
-    @pytest.mark.parametrize(
-        "edit, seed, steps",
-        [case[1:4] for case in CASES],
-        ids=[case[0] for case in CASES],
-    )
-    def test_every_breed_takes_two_draws_per_trait(self, edit, seed, steps):
-        config = baseline_config(edit, seed, steps)
-        sim = GameSimulation(config)
-        events = [e for step_events, _ in sim.stream() for e in step_events]
-        breeds = [e for e in events if e.action == "breed"]
-        assert breeds
-        assert {e.rng_draws for e in breeds} == {2 * config.rules.trait_count}
-        assert sum(e.rng_draws for e in events) == sim.rng.draws
-
-
-class TestCountingRng:
-    @pytest.mark.parametrize(
-        "n", [1, 2, 3, 6, 7, 1000, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 5]
-    )
-    @pytest.mark.parametrize("seed", [0, 1, 2026])
-    def test_randrange_matches_random_random(self, n, seed):
-        rng, reference = simulation.CountingRng(seed), random.Random(seed)
-        assert [rng.randrange(n) for _ in range(200)] == [reference.randrange(n) for _ in range(200)]
-        assert rng.draws == 200
-        # The same bits were consumed, so the streams stay aligned after it.
-        assert rng._rng.getstate() == reference.getstate()
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), sizes=st.lists(st.integers(1, 2**70), max_size=30))
-    def test_mixed_draws_match_random_random(self, seed, sizes):
-        rng, reference = simulation.CountingRng(seed), random.Random(seed)
-        for n in sizes:
-            assert rng.random() == reference.random()
-            assert rng.randrange(n) == reference.randrange(n)
-        assert rng.draws == 2 * len(sizes)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_empty_range_raises(self, n):
-        with pytest.raises(ValueError, match="empty range"):
-            simulation.CountingRng(0).randrange(n)
 
 
 class TestStrategies:
@@ -1037,7 +992,7 @@ class TestPriceUpdate:
         assert prices == dict.fromkeys(range(5), 3.0) and sim.board.floor_price == 3.0
 
     @pytest.mark.parametrize("moved", ["token", "floor"])
-    def test_any_moving_price_rewrites_every_token(self, moved):
+    def test_a_moving_price_rewrites_only_its_class(self, moved):
         sim = self.fixed_point_sim()
         if moved == "token":
             sim.board.collectible_prices[2] = 6.0
@@ -1229,6 +1184,91 @@ def small_configs(draw) -> SimConfig:
         battle=BattleSpec(team_size=2, survival_fraction=0.9),
         lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
     )
+
+
+class TalliedRandom:
+    """random.Random's random() and randrange(n), counting the calls."""
+
+    def __init__(self, seed: int):
+        self.generator = random.Random(seed)
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.generator.random()
+
+    def randrange(self, n: int) -> int:
+        self.calls += 1
+        return self.generator.randrange(n)
+
+
+def replay_draws(config: SimConfig) -> None:
+    """Run ``config`` and replay its draws from a fresh random.Random(seed)
+    in event order: each genesis token's traits are randrange(alphabet) per
+    trait, each lottery is lost exactly when random() < loss_prob, and each
+    breed's traits are reference_traits of the logged parents. Every event's
+    rng_draws is the number of draws its replay took, and the replay ends in
+    the run's generator state."""
+    sim = GameSimulation(config)
+    rules = config.rules
+    tokens: dict[int, Collectible] = {}
+    replay = TalliedRandom(config.seed)
+    for events, _ in sim.stream():
+        for event in events:
+            before = replay.calls
+            if event.action == "genesis":
+                token_id, traits = event.payload
+                assert traits == tuple(
+                    replay.randrange(rules.trait_alphabet) for _ in range(rules.trait_count)
+                )
+                tokens[token_id] = Collectible(token_id, traits, None, 0, 0)
+            elif event.action == "lottery":
+                assert event.payload[1] == (replay.random() < config.lottery.loss_prob)
+            elif event.action == "breed":
+                parent_ids, child, traits = event.payload[:3]
+                parents = [tokens[pid] for pid in parent_ids]
+                assert traits == reference_traits(parents, rules, replay)
+                tokens[child] = Collectible(child, traits, tuple(parent_ids), 0, 0)
+            assert event.rng_draws == replay.calls - before, event.line()
+    assert replay.generator.getstate() == sim.rng.getstate()
+
+
+def power_of_two_alphabet(data: dict) -> None:
+    # At a power of two, n.bit_length() exceeds (n - 1).bit_length(), so a
+    # draw taking one bit too few is seen.
+    data["rules"]["trait_alphabet"] = 8
+
+
+class TestDrawReplay:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES] + [(power_of_two_alphabet, 3, 50)],
+        ids=[case[0] for case in CASES] + ["alphabet-8-3-50"],
+    )
+    def test_replays_the_golden_cases(self, edit, seed, steps):
+        replay_draws(baseline_config(edit, seed, steps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs())
+    def test_replays_small_economies(self, config):
+        replay_draws(config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=breeding_economies(),
+        alphabet=st.sampled_from([1, 2, 3, 4, 6, 8, 255, 256, 257, 2**70]),
+    )
+    def test_replays_breeding_economies(self, config, alphabet):
+        replay_draws(replace(config, rules=replace(config.rules, trait_alphabet=alphabet)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2026])
+    def test_a_draw_equal_to_loss_prob_wins(self, seed):
+        # The lottery's loss probability is the run's first draw itself.
+        spec = LotterySpec(random.Random(seed).random(), stake=1.0, win_market_tokens=1.0)
+        seeker = AgentSpec(id=1, strategy="thrill_seeker", market_balance=5.0)
+        config = SimConfig(rules=base_rules(), agents=(seeker,), steps=3, seed=seed, lottery=spec)
+        replay_draws(config)
+        assert run_simulation(config).events[0].payload[1] is False
 
 
 class TestKeptValuations:
