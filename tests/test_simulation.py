@@ -330,6 +330,12 @@ class TestRunSimulation:
         assert serialize(e for events, _ in handed for e in events) == serialize(result.events)
         assert [snap for _, snap in handed] == result.snapshots
 
+    def test_event_draw_counts_cover_all_draws(self):
+        config = mixed_config(steps=10)
+        events = run_simulation(config).events
+        assert {e.action for e in events} >= {"genesis", "lottery", "breed"}
+        assert sum(e.rng_draws for e in events) == replay_draws(config)
+
 
 class TestStrategies:
     def test_fixed_mix_cycles_through_sequence(self):
@@ -1202,13 +1208,13 @@ class TalliedRandom:
         return self.generator.randrange(n)
 
 
-def replay_draws(config: SimConfig) -> None:
+def replay_draws(config: SimConfig) -> int:
     """Run ``config`` and replay its draws from a fresh random.Random(seed)
     in event order: each genesis token's traits are randrange(alphabet) per
     trait, each lottery is lost exactly when random() < loss_prob, and each
     breed's traits are reference_traits of the logged parents. Every event's
     rng_draws is the number of draws its replay took, and the replay ends in
-    the run's generator state."""
+    the run's generator state. Returns the number of draws replayed."""
     sim = GameSimulation(config)
     rules = config.rules
     tokens: dict[int, Collectible] = {}
@@ -1231,6 +1237,7 @@ def replay_draws(config: SimConfig) -> None:
                 tokens[child] = Collectible(child, traits, tuple(parent_ids), 0, 0)
             assert event.rng_draws == replay.calls - before, event.line()
     assert replay.generator.getstate() == sim.rng.getstate()
+    return replay.calls
 
 
 def power_of_two_alphabet(data: dict) -> None:
@@ -1269,6 +1276,46 @@ class TestDrawReplay:
         config = SimConfig(rules=base_rules(), agents=(seeker,), steps=3, seed=seed, lottery=spec)
         replay_draws(config)
         assert run_simulation(config).events[0].payload[1] is False
+
+
+class TestBreedDraws:
+    @pytest.mark.parametrize(
+        "edit, seed, steps",
+        [case[1:4] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_every_breed_takes_two_draws_per_trait(self, edit, seed, steps):
+        config = baseline_config(edit, seed, steps)
+        events = run_simulation(config).events
+        breeds = [e for e in events if e.action == "breed"]
+        assert breeds
+        assert {e.rng_draws for e in breeds} == {2 * config.rules.trait_count}
+        assert sum(e.rng_draws for e in events) == replay_draws(config)
+
+
+class TestGenesisDraws:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 6, 7, 1000, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 5]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2026])
+    def test_genesis_draws_as_randrange_does(self, n, seed):
+        # 20 tokens of 10 traits: 200 draws of randrange(n), taken from the
+        # run's own generator and leaving it where random.Random(seed) is.
+        holder = AgentSpec(id=1, strategy="passive", collectibles=20)
+        config = SimConfig(
+            rules=base_rules(trait_count=10, trait_alphabet=n),
+            agents=(holder,), steps=1, seed=seed,
+        )
+        sim, reference = GameSimulation(config), random.Random(seed)
+        traits = [t for e in sim.events for t in e.payload[1]]
+        assert traits == [reference.randrange(n) for _ in range(200)]
+        assert sum(e.rng_draws for e in sim.events) == 200
+        assert sim.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rules_refuse_an_empty_alphabet(self, n):
+        with pytest.raises(ValueError, match="trait_alphabet must be >= 1"):
+            base_rules(trait_alphabet=n)
 
 
 class TestKeptValuations:
