@@ -71,7 +71,7 @@ class GameRules:
                 object.__setattr__(self, name, (0.0,) * self.breed_limit)
             elif len(sched) != self.breed_limit:
                 raise ValueError(f"{name} must have length breed_limit={self.breed_limit}")
-            elif any(c < 0 for c in sched):
+            elif any(not c >= 0 for c in sched):  # NaN too: the costs are sorted
                 raise ValueError(f"{name} entries must be non-negative")
             else:
                 object.__setattr__(self, name, tuple(float(c) for c in sched))

@@ -105,19 +105,20 @@ class PriceBoard:
             raise ValueError("fungible token prices must be finite and positive")
         if not 0 < self.floor_price < math.inf:
             raise ValueError("floor price must be finite and positive")
-        # Tokens share few distinct prices, so test those; the per-token
-        # scan runs only to name the first bad id.
-        distinct = set(self.collectible_prices.values())
-        if not all(0 < p < math.inf for p in distinct):
+        # min and sum test every price: a zero, negative or -inf price fails
+        # the lowest, a NaN (which min may skip) or +inf the total. The scan
+        # runs only to name the first bad id; it finds none for finite
+        # prices whose total overflows.
+        prices = self.collectible_prices.values()
+        if not prices:
+            return
+        lowest = min(prices)
+        if not (0 < lowest and sum(prices) < math.inf):
             for tid, p in self.collectible_prices.items():
                 if not 0 < p < math.inf:
                     raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
-        if distinct:
-            lowest = min(distinct)
-            if self.floor_price > lowest:
-                raise ValueError(
-                    f"floor price {self.floor_price} exceeds lowest listed price {lowest}"
-                )
+        if self.floor_price > lowest:
+            raise ValueError(f"floor price {self.floor_price} exceeds lowest listed price {lowest}")
 
 
 @dataclass

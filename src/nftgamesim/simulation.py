@@ -40,24 +40,25 @@ strategy name and the ruin test reads two thresholds. The breeding search
 runs at most once per agent turn, and only where its result is read: when
 the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
 or when a growth maximizer's breed could still win: it scores battle,
-adventure and pass in place, in its tie order, then tries each distinct
-breed cost. The search walks the agent's holding, kept in ascending id
-order because genesis and each mint append the new largest id, so nothing
-is sorted and the search skips a spent token as it skips an immature one.
-It walks the candidate sets once, in itertools.combinations order, skips a
-set whose lead the agent cannot afford, and tests a set's pairs through a
-tuple of index pairs built once per run.
+adventure and pass in place, in its tie order, then tries the distinct
+breed costs in ascending order up to the first loss. The search walks the
+agent's holding, kept in ascending id order because genesis and each mint
+append the new largest id, so nothing is sorted and the search skips a
+spent token as it skips an immature one. It walks the candidate sets
+once, in itertools.combinations order, skips a set whose lead the agent
+cannot afford, and tests a set's pairs through a tuple of index pairs
+built once per run.
 An adventure's or a battle's team is the holding's first ids, kept as one
 tuple from the agent's first play of that kind: no token leaves a holding,
-so the team never changes. The chosen action is played through a table
-built once per run, one lookup per turn. A breed is proven once, by the
-search: it tests pairs with breeding.can_pair, a bool, so a refused pair
-raises nothing, and the set it finds is of the rules' arity, held by the
-agent and validly paired, each parent has a charge left and is mature, and
-the agent can pay its lead's cost, so the engine mints it with
-breeding.mint without checking it again. Breeds are priced from a table of
-breeding.BreedCost built once per run, as the engine never writes the
-fungible prices. Each turn's event holds its payload as a tuple of
+so the team never changes. A strategy's choice plays the turn's action
+itself and returns its event, so a turn is one call. A breed is proven
+once, by the search: it tests pairs with breeding.can_pair, a bool, so a
+refused pair raises nothing, and the set it finds is of the rules' arity,
+held by the agent and validly paired, each parent has a charge left and
+is mature, and the agent can pay its lead's cost, so the engine mints it
+with breeding.mint without checking it again. Breeds are priced from a
+table of breeding.BreedCost built once per run, as the engine never
+writes the fungible prices. Each turn's event holds its payload as a tuple of
 values, and each newborn is built positionally. An event's events.jsonl
 line is rendered whole, in one call of its PAYLOADS entry, the one copy of
 the line schemas, and only when asked for, so ruin_probability renders
@@ -65,10 +66,11 @@ none. A snapshot values every agent in one pass over the turn records.
 Adventures, battles and lotteries settle through
 activities.scale_balance and activities.lottery_deltas; the engine holds no
 payoff arithmetic of its own beyond the growth maximizer's score.
-Genesis draws each trait with the run's randrange, a lottery its outcome
-with random(), and a breed's traits are drawn by breeding.mint from the same
-generator. An event's rng_draws is a constant of its action: trait_count for
-a genesis token, 1 for a lottery, 2 * trait_count for a breed, 0 otherwise.
+Genesis draws each trait from the run's generator by breeding.mint's rule
+(randrange's own), a lottery its outcome with random(), and a breed's
+traits are drawn by breeding.mint from the same generator. An event's
+rng_draws is a constant of its action: trait_count for a genesis token, 1
+for a lottery, 2 * trait_count for a breed, 0 otherwise.
 Monte Carlo experiments derive independent sub-seeds from the master seed
 (SHA-256 over the little-endian 8-byte seed followed by the little-endian
 8-byte trial index; the first 8 digest bytes, little-endian, are the
@@ -424,7 +426,7 @@ class GameSimulation:
             for k in range(self.rules.breed_limit)
         )
         self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
-        self._distinct_breed_costs = tuple(dict.fromkeys(self._breed_costs))
+        self._distinct_breed_costs = tuple(sorted(set(self._breed_costs)))
         # The index pairs a breeding set's pairing test walks, in order. A
         # set is drawn from at most BREED_SEARCH_WINDOW eligible parents.
         arity = min(self.rules.breed_arity, BREED_SEARCH_WINDOW)
@@ -464,10 +466,10 @@ class GameSimulation:
             (a.id, a, self.holdings[a.id], self.action_counts[a.id], choices[a.strategy])
             for a in self._agents
         )
-        # Each action's play, called as play(self, agent_id, step, parents);
-        # only a breed reads parents. It holds functions, not bound methods,
-        # so a run is no reference cycle and is freed as soon as it is
-        # dropped (ruin_probability drops one per trial).
+        # Each action's play by name, called as play(self, agent_id, step,
+        # parents); only a breed reads parents. It holds functions, not bound
+        # methods, so a dropped run is freed at once (ruin_probability drops
+        # one per trial).
         self._plays = {
             "breed": cls._do_breed,
             "battle": cls._do_battle,
@@ -488,8 +490,8 @@ class GameSimulation:
             if self.config.genesis_price is not None
             else self.board.floor_price
         )
-        randrange = self.rng.randrange
         alphabet, trait_count = self.rules.trait_alphabet, self.rules.trait_count
+        bits, alphabet_bits = self.rng.getrandbits, alphabet.bit_length()
         next_id = 0
         for spec in self._agents:
             h = Holdings(
@@ -501,7 +503,12 @@ class GameSimulation:
             self.counters.activity_supply += spec.activity_balance
             self.counters.market_supply += spec.market_balance
             for _ in range(spec.collectibles):
-                traits = tuple(randrange(alphabet) for _ in range(trait_count))
+                drawn = []
+                while len(drawn) < trait_count:
+                    r = bits(alphabet_bits)
+                    if r < alphabet:
+                        drawn.append(r)
+                traits = tuple(drawn)
                 token = Collectible(next_id, traits, None, 0, 1 - self.rules.maturity_delay)
                 self.population[next_id] = token
                 h.collectibles[next_id] = token
@@ -703,30 +710,34 @@ class GameSimulation:
             return "breed"
         return "battle" if i < mix.breed + mix.battle else "adventure"
 
-    # Each strategy's choice of the turn's action and, for a breed, its
-    # parents. ``parents`` is the turn's search result, or NOT_SEARCHED if
-    # the ruin test did not search.
+    # Each strategy's choice: it picks the turn's action, plays it and
+    # returns the turn's event, one call per turn. ``parents`` is the turn's
+    # search result, or NOT_SEARCHED if the ruin test did not search.
 
-    def _pass_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, None]:
-        return "pass", None
+    def _pass_choice(self, spec: AgentSpec, step: int, parents) -> Event:
+        return Event(step, spec.id, "pass", (), 0)
 
-    def _lottery_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, None]:
-        return ("lottery" if self._can_lottery(spec.id) else "pass"), None
+    def _lottery_choice(self, spec: AgentSpec, step: int, parents) -> Event:
+        if self.holdings[spec.id].market_balance >= self._stake:
+            return self._do_lottery(spec.id, step, None)
+        return Event(step, spec.id, "pass", (), 0)
 
-    def _cycle_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, list[int] | None]:
+    def _cycle_choice(self, spec: AgentSpec, step: int, parents) -> Event:
         """The cycle's entry if the agent can afford it, else pass."""
+        agent_id = spec.id
         action = self._cycle_action(spec, step)
         if action == "breed":
             if parents is NOT_SEARCHED:
-                parents = self._find_breeding_set(spec.id, step)
-            return ("pass", None) if parents is None else ("breed", parents)
-        if action == "battle" and not self._can_battle(spec.id):
-            return "pass", None
-        if action == "adventure" and not self._can_adventure(spec.id):
-            return "pass", None
-        return action, None
+                parents = self._find_breeding_set(agent_id, step)
+            if parents is not None:
+                return self._do_breed(agent_id, step, parents)
+        elif action != "pass" and len(self.holdings[agent_id].collectibles) >= (
+            self._battle_team if action == "battle" else self._adventure_team
+        ):
+            return self._plays[action](self, agent_id, step, None)
+        return Event(step, agent_id, "pass", (), 0)
 
-    def _growth_choice(self, spec: AgentSpec, step: int, parents) -> tuple[str, list[int] | None]:
+    def _growth_choice(self, spec: AgentSpec, step: int, parents) -> Event:
         """Highest expected log-wealth change at current-board averages;
         ties resolved in the order breed < battle < adventure < pass.
 
@@ -737,14 +748,17 @@ class GameSimulation:
         cannot win, and x >= 0 (-0.0 from underflow included) needs no test
         of wealth + change > 0, as wealth > 0. Unless this turn has searched
         already, the search runs only if some entry of the cost table could
-        still win. Every distinct cost with x >= 0 is scored, so nothing
-        assumes that log1p is monotone; a breed the table rules out could
-        not have been chosen.
+        still win: the distinct costs, sorted ascending (the rules refuse a
+        NaN cost), are tried up to the first x below zero, as rounded
+        subtraction and division by a positive wealth are monotone, so every
+        larger cost has x < 0 too; an x of -0.0 or NaN goes on. Each cost
+        tried is scored, so nothing assumes that log1p is monotone; a breed
+        the table rules out could not have been chosen.
         """
         agent_id = spec.id
         wealth = self.agent_wealth(agent_id)
         if wealth <= 0:
-            return "pass", None
+            return Event(step, agent_id, "pass", (), 0)
         h = self.holdings[agent_id]
         held = len(h.collectibles)
         balance = h.activity_balance
@@ -769,18 +783,19 @@ class GameSimulation:
         # at most to_beat.
         floor = self.board.floor_price
         if parents is NOT_SEARCHED:
+            parents = None
             for cost in self._distinct_breed_costs:
                 x = (floor - cost) / wealth
-                if x >= 0 and -math.log1p(x) <= to_beat:
+                if x < 0:
                     break
-            else:
-                return best, None
-            parents = self._find_breeding_set(agent_id, step)
+                if -math.log1p(x) <= to_beat:
+                    parents = self._find_breeding_set(agent_id, step)
+                    break
         if parents is not None:
             x = (floor - self._breed_costs[self.population[parents[0]].breed_count]) / wealth
             if x >= 0 and -math.log1p(x) <= to_beat:
-                return "breed", parents
-        return best, None
+                return self._do_breed(agent_id, step, parents)
+        return self._plays[best](self, agent_id, step, None)
 
     # -- stepping ------------------------------------------------------
 
@@ -789,7 +804,6 @@ class GameSimulation:
         ruined_at = self.ruined_at
         team = min(self._adventure_team, self._battle_team)
         stake = self._stake
-        plays = self._plays
         for agent_id, spec, h, counts, choose in self._turns:
             # Nothing changes state before the play, so one search serves the
             # ruin test, the choice and the breed itself. It runs at most
@@ -803,9 +817,9 @@ class GameSimulation:
                 parents = self._find_breeding_set(agent_id, step)
                 if parents is None:
                     ruined_at[agent_id] = step
-            action, parents = choose(self, spec, step, parents)
-            events.append(plays[action](self, agent_id, step, parents))
-            counts[action] += 1
+            event = choose(self, spec, step, parents)
+            events.append(event)
+            counts[event.action] += 1
         self._update_prices()
         self._check_invariants(step)
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.economy import (
@@ -229,6 +229,14 @@ def economies(draw):
     return holdings, population, board
 
 
+def priced(prices: list[float]):
+    """An economy of no holdings whose board lists ``prices`` in order, at a
+    floor of 1e-3."""
+    board = PriceBoard(floor_price=1e-3)
+    board.collectible_prices = dict(enumerate(prices))
+    return [], {}, board
+
+
 class TestFastChecksMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(economy=economies())
@@ -240,6 +248,13 @@ class TestFastChecksMatchReference:
 
     @settings(max_examples=300, deadline=None)
     @given(economy=economies())
+    # validate tests the lowest price and the total: min skips a NaN after
+    # a finite price, which the total catches; finite prices whose total
+    # overflows pass; -0.0 and a leading -inf fail the lowest.
+    @example(economy=priced([1.0, math.nan]))
+    @example(economy=priced([1e308, 1e308]))
+    @example(economy=priced([1.0, -0.0]))
+    @example(economy=priced([-math.inf, 1.0]))
     def test_validate(self, economy):
         _, _, board = economy
         assert outcome(board.validate) == outcome(reference_validate, board)

@@ -791,6 +791,10 @@ def run_steps(cls, config: SimConfig) -> GameSimulation:
     return sim
 
 
+# The float just above a floor price of 1.0.
+ABOVE_1 = math.nextafter(1.0, 2.0)
+
+
 class TestSearchOnDemand:
     @pytest.mark.parametrize(
         "edit, seed, steps",
@@ -865,13 +869,14 @@ class TestSearchOnDemand:
             if adventure else None,
             battle=BattleSpec(team_size=2, survival_fraction=0.5) if battle else None,
         )
-        sim = SearchEveryTurn(config)
         spec = config.agents[0]
-        assert sim.agent_wealth(1) == math.inf
         expected = "battle" if battle else "adventure"
-        assert sim.reference_choice(spec, 1, None) == expected
-        assert sim._growth_choice(spec, 1, None) == (expected, None)
-        assert sim._growth_choice(spec, 1, simulation.NOT_SEARCHED) == (expected, None)
+        # The choice plays its action, so each call gets a fresh run.
+        for parents in (None, simulation.NOT_SEARCHED):
+            sim = SearchEveryTurn(config)
+            assert sim.agent_wealth(1) == math.inf
+            assert sim.reference_choice(spec, 1, None) == expected
+            assert sim._growth_choice(spec, 1, parents).action == expected
 
     def test_every_distinct_cost_is_tried(self):
         # A first breed costs 3.0 and loses to an adventure that changes
@@ -892,6 +897,54 @@ class TestSearchOnDemand:
             token.breed_count = 1
         sim.step(1)
         assert [e.action for e in sim.events if e.step == 1] == ["breed"]
+
+    @pytest.mark.parametrize(
+        "schedule, balance, breeds",
+        [
+            ([3.0, ABOVE_1, 7.0, 1.0], 5.0, [False, False, False, True]),
+            ([3.0, ABOVE_1, 7.0, 1.0], 1e308, [False, True, False, True]),
+            ([ABOVE_1, 0.5, 3.0, 7.0], 5.0, [False, True, False, False]),
+            ([ABOVE_1, 0.5, 3.0, 7.0], 1e308, [True, True, False, False]),
+            ([7.0, ABOVE_1, 3.0, 1.5], 5.0, [False, False, False, False]),
+            ([7.0, ABOVE_1, 3.0, 1.5], 1e308, [False, True, False, False]),
+        ],
+        ids=["unsorted-5", "unsorted-1e308", "sorted-5", "sorted-1e308",
+             "cheapest-above-floor-5", "cheapest-above-floor-1e308"],
+    )
+    def test_the_breed_gate_stops_only_below_zero(self, schedule, balance, breeds):
+        # A breed at the cost just above the floor of 1.0 changes wealth by
+        # -2.2e-16: x is negative at a balance of 5.0 but underflows to -0.0
+        # at 1e308, where the breed ties with an adventure that changes
+        # nothing and wins the tie. The gate walks the distinct costs in
+        # ascending order and may stop only at an x below zero, never at
+        # -0.0, which decides the gate where that cost is the cheapest. The
+        # lead's breed count picks the entry a breed costs, so each count in
+        # turn runs from genesis, against a search on every turn.
+        config = SimConfig(
+            rules=base_rules(breed_limit=4, activity_cost_schedule=schedule,
+                             market_cost_schedule=[0.0] * 4),
+            agents=(AgentSpec(id=1, strategy="growth_maximizer", collectibles=4,
+                              activity_balance=balance),),
+            steps=3,
+            adventure=AdventureSpec(reward_multiplier=1.0, collectibles_required=1),
+        )
+        firsts = []
+        for count in range(4):
+            on_demand, every_turn = GameSimulation(config), SearchEveryTurn(config)
+            for sim in (on_demand, every_turn):
+                for token in sim.population.values():
+                    token.breed_count = count
+                for step in range(1, config.steps + 1):
+                    sim.step(step)
+            assert serialize(on_demand.events) == serialize(every_turn.events)
+            firsts.append(next(e.action for e in on_demand.events if e.step == 1))
+        assert firsts == ["breed" if b else "adventure" for b in breeds]
+
+    @pytest.mark.parametrize("name", ["activity_cost_schedule", "market_cost_schedule"])
+    def test_rules_refuse_a_nan_cost(self, name):
+        # The gate sorts the costs, and a NaN would leave them out of order.
+        with pytest.raises(ValueError, match=f"{name} entries must be non-negative"):
+            base_rules(breed_limit=2, **{name: [1.0, math.nan]})
 
     @given(x=st.floats(min_value=-1.0, max_value=-0.0, exclude_min=True, exclude_max=True))
     @example(x=-5e-324)
