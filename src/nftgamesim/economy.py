@@ -200,7 +200,6 @@ def check_supply_sums(
     act: float,
     mkt: float,
     counters: SupplyCounters,
-    rel_tol: float = _SUPPLY_REL_TOL,
     scale: tuple[float, float] = (1.0, 1.0),
 ) -> None:
     """Supply counters must match the activity and market balance sums
@@ -212,11 +211,11 @@ def check_supply_sums(
     to the larger of the sum and ``scale``: per token, the largest supply
     audited before (at least 1).
     """
-    if abs(act - counters.activity_supply) > rel_tol * max(scale[0], abs(act)):
+    if abs(act - counters.activity_supply) > _SUPPLY_REL_TOL * max(scale[0], abs(act)):
         raise ValueError(
             f"activity supply {counters.activity_supply} != user balance sum {act}"
         )
-    if abs(mkt - counters.market_supply) > rel_tol * max(scale[1], abs(mkt)):
+    if abs(mkt - counters.market_supply) > _SUPPLY_REL_TOL * max(scale[1], abs(mkt)):
         raise ValueError(
             f"market supply {counters.market_supply} != user balance sum {mkt}"
         )

@@ -454,7 +454,9 @@ class GameSimulation:
         self._stake = math.inf if config.lottery is None else config.lottery.stake
         self._genesis()
         # One turn record per agent, in id order: what step reads of the
-        # agent on every turn, and its strategy's choice.
+        # agent on every turn, and its strategy's choice, a function, not a
+        # bound method, so a dropped run is freed at once (ruin_probability
+        # drops one per trial).
         cls = type(self)
         choices = {
             "passive": cls._pass_choice,
@@ -466,17 +468,6 @@ class GameSimulation:
             (a.id, a, self.holdings[a.id], self.action_counts[a.id], choices[a.strategy])
             for a in self._agents
         )
-        # Each action's play by name, called as play(self, agent_id, step,
-        # parents); only a breed reads parents. It holds functions, not bound
-        # methods, so a dropped run is freed at once (ruin_probability drops
-        # one per trial).
-        self._plays = {
-            "breed": cls._do_breed,
-            "battle": cls._do_battle,
-            "adventure": cls._do_adventure,
-            "lottery": cls._do_lottery,
-            "pass": cls._pass_event,
-        }
         # Each agent's adventure and battle team, kept from its first play
         # of that kind (see _do_scaled).
         self._kept_adventure_teams: dict[int, tuple[int, ...]] = {}
@@ -574,15 +565,6 @@ class GameSimulation:
                 return [c.id for c in combo]
         return None
 
-    def _can_adventure(self, agent_id: int) -> bool:
-        return len(self.holdings[agent_id].collectibles) >= self._adventure_team
-
-    def _can_battle(self, agent_id: int) -> bool:
-        return len(self.holdings[agent_id].collectibles) >= self._battle_team
-
-    def _can_lottery(self, agent_id: int) -> bool:
-        return self.holdings[agent_id].market_balance >= self._stake
-
     def _list_price(self, traits: tuple[int, ...]) -> float:
         if self.config.trait_premiums is None:
             return self.board.floor_price
@@ -668,21 +650,21 @@ class GameSimulation:
         self.counters.activity_supply += minted
         return Event(step, agent_id, action, (team, before_balance, after_balance, minted), 0)
 
-    def _do_adventure(self, agent_id: int, step: int, parents) -> Event:
+    def _do_adventure(self, agent_id: int, step: int) -> Event:
         spec = self.config.adventure
         return self._do_scaled(
             agent_id, step, "adventure", spec.collectibles_required, spec.reward_multiplier,
             self._kept_adventure_teams,
         )
 
-    def _do_battle(self, agent_id: int, step: int, parents) -> Event:
+    def _do_battle(self, agent_id: int, step: int) -> Event:
         spec = self.config.battle
         return self._do_scaled(
             agent_id, step, "battle", spec.team_size, spec.survival_fraction,
             self._kept_battle_teams,
         )
 
-    def _do_lottery(self, agent_id: int, step: int, parents) -> Event:
+    def _do_lottery(self, agent_id: int, step: int) -> Event:
         spec = self.config.lottery
         h = self.holdings[agent_id]
         lost = self.rng.random() < spec.loss_prob
@@ -692,9 +674,6 @@ class GameSimulation:
         self.counters.market_supply += market
         self.counters.activity_supply += activity
         return Event(step, agent_id, "lottery", (spec.stake, lost, market, activity), 1)
-
-    def _pass_event(self, agent_id: int, step: int, parents) -> Event:
-        return Event(step, agent_id, "pass", (), 0)
 
     # -- strategy ------------------------------------------------------
 
@@ -710,16 +689,17 @@ class GameSimulation:
             return "breed"
         return "battle" if i < mix.breed + mix.battle else "adventure"
 
-    # Each strategy's choice: it picks the turn's action, plays it and
-    # returns the turn's event, one call per turn. ``parents`` is the turn's
-    # search result, or NOT_SEARCHED if the ruin test did not search.
+    # Each strategy's choice: it picks the turn's action, calls that play
+    # directly (or builds the pass event) and returns the turn's event, one
+    # call per turn. ``parents`` is the turn's search result, or
+    # NOT_SEARCHED if the ruin test did not search.
 
     def _pass_choice(self, spec: AgentSpec, step: int, parents) -> Event:
         return Event(step, spec.id, "pass", (), 0)
 
     def _lottery_choice(self, spec: AgentSpec, step: int, parents) -> Event:
         if self.holdings[spec.id].market_balance >= self._stake:
-            return self._do_lottery(spec.id, step, None)
+            return self._do_lottery(spec.id, step)
         return Event(step, spec.id, "pass", (), 0)
 
     def _cycle_choice(self, spec: AgentSpec, step: int, parents) -> Event:
@@ -731,10 +711,12 @@ class GameSimulation:
                 parents = self._find_breeding_set(agent_id, step)
             if parents is not None:
                 return self._do_breed(agent_id, step, parents)
-        elif action != "pass" and len(self.holdings[agent_id].collectibles) >= (
-            self._battle_team if action == "battle" else self._adventure_team
-        ):
-            return self._plays[action](self, agent_id, step, None)
+        elif action == "battle":
+            if len(self.holdings[agent_id].collectibles) >= self._battle_team:
+                return self._do_battle(agent_id, step)
+        elif action == "adventure":
+            if len(self.holdings[agent_id].collectibles) >= self._adventure_team:
+                return self._do_adventure(agent_id, step)
         return Event(step, agent_id, "pass", (), 0)
 
     def _growth_choice(self, spec: AgentSpec, step: int, parents) -> Event:
@@ -795,7 +777,11 @@ class GameSimulation:
             x = (floor - self._breed_costs[self.population[parents[0]].breed_count]) / wealth
             if x >= 0 and -math.log1p(x) <= to_beat:
                 return self._do_breed(agent_id, step, parents)
-        return self._plays[best](self, agent_id, step, None)
+        if best == "battle":
+            return self._do_battle(agent_id, step)
+        if best == "adventure":
+            return self._do_adventure(agent_id, step)
+        return Event(step, agent_id, "pass", (), 0)
 
     # -- stepping ------------------------------------------------------
 

@@ -30,6 +30,12 @@ def _premiums(data: dict) -> None:
     data["run"]["trait_premiums"] = [0, 0.01, 0.03, 0.07, 0.15, 0.31]
 
 
+def frozen(data: dict) -> None:
+    # SimConfig's default: no forward-drift update runs, no price classes are
+    # built, and kept valuations survive every step.
+    data["run"]["price_update"] = "frozen"
+
+
 # (case id, scenario edit, seed, steps, events.jsonl SHA-256, snapshots.csv SHA-256)
 CASES = [
     (
@@ -63,6 +69,14 @@ CASES = [
         200,
         "fb7f5869fa40e6267091fffd15df9b72f7aaf6d2a596c1c518dee20d7532cb3d",
         "4830fde0231770441f75b1990948b273fd621d3d68bc1a79a97afda028c0c9b9",
+    ),
+    (
+        "frozen-5-200",
+        frozen,
+        5,
+        200,
+        "f95d5e6cc3e44df9e46565f1ef2a4200637ae2631d57eeaec348aad86edc3c95",
+        "2cfd591e2bb9fcdfeed8ff190b8144eeb94ed9ba801f80d454009fc294dae075",
     ),
 ]
 

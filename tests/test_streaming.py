@@ -139,7 +139,9 @@ def test_every_definition_in_src_is_named_by_the_package_its_scripts_or_its_expo
     # src/ holds what a command, a script or a run reaches. A top-level
     # function or class that no code in src/ or scripts/ names, and that
     # the package does not export, is reached by the tests alone and
-    # belongs in them. The interpreter calls the PEP 562 hooks.
+    # belongs in them; so does a method of a class in src/ that no code in
+    # src/ or scripts/ names. The interpreter calls the PEP 562 hooks and
+    # the dunders.
     src = sorted((ROOT / "src" / "nftgamesim").glob("*.py"))
     assert ROOT / "src" / "nftgamesim" / "simulation.py" in src
     scripts = sorted((ROOT / "scripts").glob("*.py"))
@@ -151,11 +153,21 @@ def test_every_definition_in_src_is_named_by_the_package_its_scripts_or_its_expo
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unnamed = [
         f"{path.stem}.{node.name}"
         for path in src
         for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in named
+        if isinstance(node, defs) and node.name not in named
+    ]
+    unnamed += [
+        f"{path.stem}.{node.name}.{method.name}"
+        for path in src
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, defs)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and method.name not in named
     ]
     assert unnamed == []
