@@ -49,7 +49,6 @@ _EXPORTS = {
     "economy": (
         "Collectible",
         "Holdings",
-        "MissingPriceError",
         "PriceBoard",
         "SupplyCounters",
         "fungible_pool_values",

@@ -21,9 +21,9 @@ class AdventureSpec:
 
     def __post_init__(self) -> None:
         if self.reward_multiplier < 1.0:
-            raise ValueError("adventure reward multiplier must be >= 1")
+            raise ValueError("reward_multiplier must be >= 1")
         if self.collectibles_required < 1:
-            raise ValueError("adventure needs at least one collectible")
+            raise ValueError("collectibles_required must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class BattleSpec:
 
     def __post_init__(self) -> None:
         if self.team_size < 2:
-            raise ValueError("battle team size must be >= 2")
+            raise ValueError("team_size must be >= 2")
         if self.survival_fraction < 0:
-            raise ValueError("survival fraction must be >= 0")
+            raise ValueError("survival_fraction must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,13 @@ class LotterySpec:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError("loss probability must be in [0, 1]")
+            raise ValueError("loss_prob must be a probability in [0, 1]")
         if self.stake <= 0:
             raise ValueError("stake must be positive")
-        if self.win_game_tokens < 0 or self.win_market_tokens < 0:
-            raise ValueError("win amounts must be non-negative")
+        if self.win_game_tokens < 0:
+            raise ValueError("win_game_tokens must be non-negative")
+        if self.win_market_tokens < 0:
+            raise ValueError("win_market_tokens must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class StrategyMix:
 
     def __post_init__(self) -> None:
         if self.breed < 0 or self.battle < 0 or self.adventure < 0:
-            raise ValueError("activity counts must be non-negative")
+            raise ValueError("activity counts breed, battle and adventure must be non-negative")
 
 
 def scale_balance(multiplier: float, balance: float) -> tuple[float, float]:

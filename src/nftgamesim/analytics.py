@@ -543,9 +543,9 @@ def lattice_value(
             f"breeds_remaining {breeds_remaining} outside [0, {len(cost_schedule_numeraire)}]"
         )
     if floor_price <= 0:
-        raise ValueError("floor price must be positive")
+        raise ValueError("floor_price must be positive")
     if expected_child_value < 0:
-        raise ValueError("expected child value must be non-negative")
+        raise ValueError("expected_child_value must be non-negative")
     value = floor_price
     for k in range(1, breeds_remaining + 1):
         value += max(0.0, expected_child_value - cost_schedule_numeraire[k - 1])
@@ -592,11 +592,11 @@ def max_population(initial: int, rules: GameRules, horizon: int) -> list[int]:
             eligible_total += sum(n for used, n in c.blocks if used < limit)
         births = eligible_total // d
 
+        # The mature cohorts come first and hold at least ``take`` eligible
+        # tokens, so take is 0 before the loop reaches an immature cohort.
         take = births * d
         for c in cohorts:
             if take == 0:
-                break
-            if step - c.birth_step < rules.maturity_delay:
                 break
             new_blocks: list[list[int]] = []
             for used, n in c.blocks:

@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 from .simulation import PAYLOADS, GameSimulation, SimulationInvariantError, join_ids
 
 # The analyze and demo commands import what they use themselves, so
@@ -160,13 +160,10 @@ def _write_outputs(out_dir: Path, sim: GameSimulation) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_scenario(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # A refused scenario raises ValueError, which main reports.
+    config = load_scenario(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     if args.steps is not None:
         try:
             config = replace(config, steps=args.steps)

@@ -22,17 +22,6 @@ TREASURY = 0
 _SUPPLY_REL_TOL = 1e-9
 
 
-class MissingPriceError(KeyError):
-    """An owned collectible has no price on the board."""
-
-    def __init__(self, token_id: TokenId):
-        super().__init__(token_id)
-        self.token_id = token_id
-
-    def __str__(self) -> str:
-        return f"no price on board for collectible {self.token_id}"
-
-
 @dataclass
 class Collectible:
     """A unique token with traits, lineage, and remaining breed charges.

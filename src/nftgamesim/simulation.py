@@ -1,80 +1,15 @@
 """Seed-deterministic, time-stepped game simulation and Monte Carlo ruin.
 
-One run owns a single random.Random; agents act in ascending id order
-within each step and every state transition is recorded as an event, so
-identical (config, seed) pairs reproduce byte-identical histories.
-GameSimulation.stream hands each step's events and snapshot to its caller
-as the run goes, so a caller that writes them out keeps nothing.
-A step costs what it changed. _do_breed and _update_prices write one
-change record per step: the ids minted, with their minters, and whether
-prices were rewritten (genesis counts as a rewrite). The audit reads it to
-choose its checks, then hands it to the kept valuations (_take_changes):
-each agent's token value, an exactly rounded math.fsum, is kept until the
-agent mints or prices are rewritten. Kept values equal fresh ones bit for
-bit. The collectible pool is kept nowhere: a snapshot takes the fsum of the
-agents' token values, within 1.5 ulp of the exact sum of the prices in any
-order. An fsum that overflows reads inf, which the snapshot refuses.
-The audit's fixed part is one pass over the holdings, a tuple built after
-genesis since no owner joins later: it sums their sizes and both balances
-and tests each balance. The supply sums are naive loops, tested by
-economy.check_supply_sums. Builtin sums compensate from Python 3.12 on;
-over non-negative balances the two differ by a few ulps, far inside the
-1e-9 tolerance, and the audit only passes or raises, so no output byte
-depends on the choice. The checks that read every token (the ownership
-partition, each price, the floor against the lowest price, a price for
-exactly the minted ids) run at step 0, after a step whose record holds a
-mint or a rewrite, and when an O(agents) size check disagrees.
-The forward-drift update keeps the price classes, each distinct
-collectible price with the ids listed at it: grouped once, then each
-step's mints are added from the change record. It steps only the distinct
-prices and writes only the classes whose price moved, merging classes that
-step onto one price, so a step costs O(distinct prices) plus the ids it
-rewrites. forward_price_step is pure, so once an update moves no price, the
-next ones do nothing until a newborn lists outside the kept classes: at the
-fixed point a step at rest costs O(agents) in all.
-A turn does its work once. Each agent's turn record (its id, spec,
-holdings, action counts and strategy's choice) and what each activity needs
-(an adventure's or a battle's team size, the lottery stake, inf for an
-absent activity) are built once per run, so a turn dispatches on no
-strategy name and the ruin test reads two thresholds. The breeding search
-runs at most once per agent turn, and only where its result is read: when
-the ruin test finds nothing cheaper affordable, on a fixed-mix breed turn,
-or when a growth maximizer's breed could still win: it scores battle,
-adventure and pass in place, in its tie order, then tries the distinct
-breed costs in ascending order up to the first loss. The search walks the
-agent's holding, kept in ascending id order because genesis and each mint
-append the new largest id, so nothing is sorted and the search skips a
-spent token as it skips an immature one. It walks the candidate sets
-once, in itertools.combinations order, skips a set whose lead the agent
-cannot afford, and tests a set's pairs through a tuple of index pairs
-built once per run.
-An adventure's or a battle's team is the holding's first ids, kept as one
-tuple from the agent's first play of that kind: no token leaves a holding,
-so the team never changes. A strategy's choice plays the turn's action
-itself and returns its event, so a turn is one call. A breed is proven
-once, by the search: it tests pairs with breeding.can_pair, a bool, so a
-refused pair raises nothing, and the set it finds is of the rules' arity,
-held by the agent and validly paired, each parent has a charge left and
-is mature, and the agent can pay its lead's cost, so the engine mints it
-with breeding.mint without checking it again. Breeds are priced from a
-table of breeding.BreedCost built once per run, as the engine never
-writes the fungible prices. Each turn's event holds its payload as a tuple of
-values, and each newborn is built positionally. An event's events.jsonl
-line is rendered whole, in one call of its PAYLOADS entry, the one copy of
-the line schemas, and only when asked for, so ruin_probability renders
-none. A snapshot values every agent in one pass over the turn records.
-Adventures, battles and lotteries settle through
-activities.scale_balance and activities.lottery_deltas; the engine holds no
-payoff arithmetic of its own beyond the growth maximizer's score.
-Genesis draws each trait from the run's generator by breeding.mint's rule
-(randrange's own), a lottery its outcome with random(), and a breed's
-traits are drawn by breeding.mint from the same generator. An event's
-rng_draws is a constant of its action: trait_count for a genesis token, 1
-for a lottery, 2 * trait_count for a breed, 0 otherwise.
-Monte Carlo experiments derive independent sub-seeds from the master seed
-(SHA-256 over the little-endian 8-byte seed followed by the little-endian
-8-byte trial index; the first 8 digest bytes, little-endian, are the
-sub-seed).
+One run owns a single random.Random: genesis draws each token's traits from
+it, a lottery its outcome and a breed its child's traits; an event's
+rng_draws is a constant of its action (trait_count for a genesis token, 1
+for a lottery, 2 * trait_count for a breed, 0 otherwise). Agents act in
+ascending id order within each step and every state transition is recorded
+as one event, so identical (config, seed) pairs reproduce byte-identical
+histories. GameSimulation.stream hands each step's events and snapshot to
+its caller as the run goes, so a caller that writes them out keeps nothing.
+Monte Carlo trials run under independent sub-seeds derived from the master
+seed (see derive_subseed).
 """
 from __future__ import annotations
 
@@ -94,7 +29,6 @@ from .economy import (
     TREASURY,
     Collectible,
     Holdings,
-    MissingPriceError,
     PriceBoard,
     SupplyCounters,
     check_ownership_partition,
@@ -157,15 +91,19 @@ class AgentSpec:
         if self.id < 1:
             raise ValueError("agent ids start at 1 (0 is the treasury)")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(
+                f"strategy must be one of {', '.join(STRATEGIES)}, got {self.strategy!r}"
+            )
         if self.strategy == "fixed_mix" and self.mix is None:
             raise ValueError("fixed_mix strategy needs a StrategyMix")
         if self.strategy != "fixed_mix" and self.mix is not None:
             raise ValueError(f"mix is only read by the fixed_mix strategy, not {self.strategy!r}")
         if self.collectibles < 0:
-            raise ValueError("genesis collectible count must be non-negative")
-        if self.activity_balance < 0 or self.market_balance < 0:
-            raise ValueError("initial balances must be non-negative")
+            raise ValueError("collectibles must be non-negative")
+        if self.activity_balance < 0:
+            raise ValueError("activity_balance must be non-negative")
+        if self.market_balance < 0:
+            raise ValueError("market_balance must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -454,7 +392,8 @@ class GameSimulation:
         self._stake = math.inf if config.lottery is None else config.lottery.stake
         self._genesis()
         # One turn record per agent, in id order: what step reads of the
-        # agent on every turn, and its strategy's choice, a function, not a
+        # agent on every turn, and its strategy's choice, so a turn
+        # dispatches on no strategy name. The choice is a function, not a
         # bound method, so a dropped run is freed at once (ruin_probability
         # drops one per trial).
         cls = type(self)
@@ -481,6 +420,9 @@ class GameSimulation:
             if self.config.genesis_price is not None
             else self.board.floor_price
         )
+        # Each trait is drawn as breeding.mint draws one, by
+        # random.Random.randrange's own rule, so a seed gives the traits
+        # randrange would.
         alphabet, trait_count = self.rules.trait_alphabet, self.rules.trait_count
         bits, alphabet_bits = self.rng.getrandbits, alphabet.bit_length()
         next_id = 0
@@ -513,6 +455,8 @@ class GameSimulation:
     # -- feasibility ---------------------------------------------------
 
     def _eligible_parents(self, agent_id: int, step: int) -> list[Collectible]:
+        # The holding is in ascending id order (see Holdings), oldest first,
+        # so nothing is sorted: a spent token is skipped as an immature one is.
         out = []
         delay = self.rules.maturity_delay
         limit = self.rules.breed_limit
@@ -582,10 +526,7 @@ class GameSimulation:
         """Sum the agent's token prices and keep the sum (see _token_value)."""
         # fsum is exactly rounded, so neither the holding's order nor
         # when the value was taken matters while prices and holdings stay put.
-        try:
-            tokens = _fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
-        except KeyError as exc:
-            raise MissingPriceError(exc.args[0]) from None
+        tokens = _fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
         self._token_value[agent_id] = tokens
         return tokens
 
@@ -677,18 +618,6 @@ class GameSimulation:
 
     # -- strategy ------------------------------------------------------
 
-    def _cycle_action(self, spec: AgentSpec, step: int) -> str:
-        """A fixed-mix agent repeats a cycle of mix.breed breeds, then
-        mix.battle battles, then mix.adventure adventures, one per step."""
-        mix = spec.mix
-        period = mix.breed + mix.battle + mix.adventure
-        if not period:
-            return "pass"
-        i = (step - 1) % period
-        if i < mix.breed:
-            return "breed"
-        return "battle" if i < mix.breed + mix.battle else "adventure"
-
     # Each strategy's choice: it picks the turn's action, calls that play
     # directly (or builds the pass event) and returns the turn's event, one
     # call per turn. ``parents`` is the turn's search result, or
@@ -703,19 +632,24 @@ class GameSimulation:
         return Event(step, spec.id, "pass", (), 0)
 
     def _cycle_choice(self, spec: AgentSpec, step: int, parents) -> Event:
-        """The cycle's entry if the agent can afford it, else pass."""
+        """A fixed-mix agent repeats a cycle of mix.breed breeds, then
+        mix.battle battles, then mix.adventure adventures, one per step. It
+        plays the cycle's entry if it can afford it, else passes; so does an
+        empty cycle."""
         agent_id = spec.id
-        action = self._cycle_action(spec, step)
-        if action == "breed":
-            if parents is NOT_SEARCHED:
-                parents = self._find_breeding_set(agent_id, step)
-            if parents is not None:
-                return self._do_breed(agent_id, step, parents)
-        elif action == "battle":
-            if len(self.holdings[agent_id].collectibles) >= self._battle_team:
-                return self._do_battle(agent_id, step)
-        elif action == "adventure":
-            if len(self.holdings[agent_id].collectibles) >= self._adventure_team:
+        mix = spec.mix
+        period = mix.breed + mix.battle + mix.adventure
+        if period:
+            i = (step - 1) % period
+            if i < mix.breed:
+                if parents is NOT_SEARCHED:
+                    parents = self._find_breeding_set(agent_id, step)
+                if parents is not None:
+                    return self._do_breed(agent_id, step, parents)
+            elif i < mix.breed + mix.battle:
+                if len(self.holdings[agent_id].collectibles) >= self._battle_team:
+                    return self._do_battle(agent_id, step)
+            elif len(self.holdings[agent_id].collectibles) >= self._adventure_team:
                 return self._do_adventure(agent_id, step)
         return Event(step, agent_id, "pass", (), 0)
 
@@ -810,6 +744,10 @@ class GameSimulation:
         self._check_invariants(step)
 
     def _update_prices(self) -> None:
+        """One forward-drift step of every collectible price and the floor.
+        A step costs O(distinct prices) plus the ids it rewrites; at the
+        fixed point it steps nothing until a newborn lists outside the kept
+        price classes."""
         if self.config.price_update != "forward_drift":
             return
         prices = self.board.collectible_prices
@@ -889,6 +827,10 @@ class GameSimulation:
         every minted collectible, and nothing else, has a price.
         """
         holdings = self._holdings
+        # Naive sums: builtin sum compensates from Python 3.12 on, but over
+        # non-negative balances the two differ by a few ulps, far inside
+        # check_supply_sums' 1e-9 tolerance, and the audit only passes or
+        # raises, so no output byte depends on the choice.
         held = 0
         activity = market = 0.0
         balances_ok = True
@@ -982,7 +924,10 @@ class GameSimulation:
         # agent's value kept, and only agents hold collectibles, so the pool
         # is the fsum of the kept values: the audit before every snapshot
         # proved that the holdings partition the population and that exactly
-        # its ids are priced.
+        # its ids are priced. No pool sum is kept. Both sums are exactly
+        # rounded, so the pool is within 1.5 ulp of the exact sum of the
+        # prices in any order. An fsum that overflows reads inf, which
+        # total_value refuses.
         activity_price = self.board.activity_price
         market_price = self.board.market_price
         kept = self._token_value

@@ -31,6 +31,7 @@ from nftgamesim.analytics import (
 )
 from nftgamesim.breeding import GameRules, forward_price_step
 from nftgamesim.cli import main
+from test_breeding import population_bound_oracle
 
 BASELINE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 
@@ -97,23 +98,6 @@ def test_criterion_04_forward_price_convergence():
             assert iterations is not None, f"no convergence from {p0}"
 
 
-def _population_oracle(initial: int, rules: GameRules, horizon: int) -> list[int]:
-    herd = [{"birth": -rules.maturity_delay, "used": 0} for _ in range(initial)]
-    counts = [initial]
-    for t in range(horizon):
-        eligible = [
-            c
-            for c in herd
-            if t - c["birth"] >= rules.maturity_delay and c["used"] < rules.breed_limit
-        ]
-        births = len(eligible) // rules.breed_arity
-        for c in eligible[: births * rules.breed_arity]:
-            c["used"] += 1
-        herd.extend({"birth": t + 1, "used": 0} for _ in range(births))
-        counts.append(counts[-1] + births)
-    return counts
-
-
 def test_criterion_05_population_bounds():
     with criterion(5, "population bound: Fibonacci for d=1 (20 terms), oracle match for d=2 (12 steps)"):
         solo = GameRules(breed_arity=1, breed_limit=25)
@@ -122,7 +106,7 @@ def test_criterion_05_population_bounds():
         assert max_population(1, solo, 19) == fibonacci
 
         pairs = GameRules(breed_arity=2, breed_limit=20)
-        assert max_population(2, pairs, 12) == _population_oracle(2, pairs, 12)
+        assert max_population(2, pairs, 12) == population_bound_oracle(2, pairs, 12)
 
 
 def test_criterion_06_minority_settlement():

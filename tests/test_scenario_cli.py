@@ -429,6 +429,115 @@ class TestSimulateCommand:
             ),
             pytest.param(lambda d: d["agents"][1].update(id=1), "agents", (), id="duplicate_ids"),
             pytest.param(lambda d: d.update(agents=[]), "agents", (), id="no_agents"),
+            pytest.param(
+                lambda d: d["agents"][0].update(collectibles=-1),
+                "agents[0]: collectibles",
+                (),
+                id="collectibles",
+            ),
+            pytest.param(
+                lambda d: d["agents"][0].update(activity_balance=-1),
+                "agents[0]: activity_balance",
+                (),
+                id="activity_balance",
+            ),
+            pytest.param(
+                lambda d: d["agents"][0].update(market_balance=-1),
+                "agents[0]: market_balance",
+                (),
+                id="market_balance",
+            ),
+            pytest.param(
+                lambda d: d["agents"][0]["mix"].update(battle=-1),
+                "agents[0].mix: activity counts breed, battle and adventure",
+                (),
+                id="mix",
+            ),
+            pytest.param(
+                lambda d: d["run"].update(trait_premiums=[0.1, 0, 0, 0, 0, -0.1]),
+                "run.trait_premiums",
+                (),
+                id="negative_premium",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["adventure"].update(reward_multiplier=0.5),
+                "specs.adventure: reward_multiplier",
+                (),
+                id="reward_multiplier",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["adventure"].update(collectibles_required=0),
+                "specs.adventure: collectibles_required",
+                (),
+                id="collectibles_required",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["battle"].update(team_size=1),
+                "specs.battle: team_size",
+                (),
+                id="team_size",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["battle"].update(survival_fraction=-0.1),
+                "specs.battle: survival_fraction",
+                (),
+                id="survival_fraction",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["lottery"].update(loss_prob=1.5),
+                "specs.lottery: loss_prob",
+                (),
+                id="loss_prob",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["lottery"].update(stake=0),
+                "specs.lottery: stake",
+                (),
+                id="stake",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["lottery"].update(win_game_tokens=-1),
+                "specs.lottery: win_game_tokens",
+                (),
+                id="win_game_tokens",
+            ),
+            pytest.param(
+                lambda d: d["specs"]["lottery"].update(win_market_tokens=-1),
+                "specs.lottery: win_market_tokens",
+                (),
+                id="win_market_tokens",
+            ),
+            pytest.param(
+                lambda d: d["rules"].update(breed_limit=0),
+                "rules: breed_limit",
+                (),
+                id="breed_limit",
+            ),
+            pytest.param(
+                lambda d: d["rules"].update(maturity_delay=-1),
+                "rules: maturity_delay",
+                (),
+                id="maturity_delay",
+            ),
+            pytest.param(
+                lambda d: d["rules"].update(mutation_prob=1.5),
+                "rules: mutation_prob",
+                (),
+                id="mutation_prob",
+            ),
+            pytest.param(
+                lambda d: d["rules"].update(burn_mode="x"),
+                "rules: burn_mode",
+                (),
+                id="burn_mode",
+            ),
+            pytest.param(
+                lambda d: d["agents"][2].update(strategy="x"),
+                "agents[2]: strategy",
+                (),
+                id="strategy",
+            ),
+            pytest.param(lambda d: d.update(agents={}), "scenario.agents", (), id="agents_object"),
         ],
     )
     def test_refused_config_exits_2_with_key_name(self, tmp_path, capsys, mutate, key, extra):
@@ -440,6 +549,14 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {key}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["abc", str(2**64)], ids=["not_an_integer", "too_large"])
+    def test_refused_seed_flag_exits_2_with_flag_name(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            self.run_simulate(tmp_path, scenario_dict(), extra=("--seed", seed))
+        assert exc.value.code == 2
+        assert "error: argument --seed: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
     def test_example_scenarios_run(self, tmp_path, path):
@@ -1090,6 +1207,19 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {field} is not finite\n"
+
+    @pytest.mark.parametrize(
+        "floor, child, field",
+        [("0", "2", "floor_price"), ("1", "-1", "expected_child_value")],
+        ids=["floor", "child_value"],
+    )
+    def test_refused_lattice_input_exits_2_with_its_name(self, capsys, floor, child, field):
+        argv = ["analyze", "lattice", "--breeds-remaining", "1", "--floor", floor,
+                "--child-value", child, "--costs", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
 
     def test_non_finite_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

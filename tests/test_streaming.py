@@ -85,7 +85,7 @@ def test_ruin_path_loads_neither_analytics_nor_numpy():
     assert _loaded_after(code, ("nftgamesim.analytics", "numpy", "fractions")) == "[]"
 
 
-# The package's 50 exports, each loaded from its module on first access.
+# The package's 49 exports, each loaded from its module on first access.
 EXPORTS = {
     "activities": (
         "AdventureSpec BattleSpec LotterySpec StrategyMix lottery_deltas scale_balance"
@@ -100,8 +100,7 @@ EXPORTS = {
     ),
     "breeding": "BreedCost GameRules forward_price_step",
     "economy": (
-        "Collectible Holdings MissingPriceError PriceBoard SupplyCounters fungible_pool_values "
-        "total_value"
+        "Collectible Holdings PriceBoard SupplyCounters fungible_pool_values total_value"
     ),
     "scenario": "ScenarioError load_scenario parse_scenario",
     "simulation": (
@@ -112,7 +111,7 @@ EXPORTS = {
 
 def test_every_export_resolves_to_its_module_object():
     names = {name: module for module, text in EXPORTS.items() for name in text.split()}
-    assert len(names) == 50
+    assert len(names) == 49
     assert sorted(nftgamesim.__all__) == sorted(names)
     for name, module in names.items():
         assert getattr(nftgamesim, name) is getattr(importlib.import_module(f"nftgamesim.{module}"), name)
