@@ -145,7 +145,7 @@ def mint(
     if not parent_ids:
         # getrandbits(0) is always 0, so a parent would be drawn forever.
         raise ValueError("a child needs at least one parent")
-    parents = [population[pid] for pid in parent_ids]
+    parents = list(map(population.__getitem__, parent_ids))
     draw, bits = rng.random, rng.getrandbits
     mutation_prob = rules.mutation_prob
     alphabet = rules.trait_alphabet

@@ -41,7 +41,7 @@ class Collectible:
             raise ValueError("collectible id must be non-negative")
         if self.breed_count < 0:
             raise ValueError("breed_count must be non-negative")
-        if any(t < 0 for t in self.traits):
+        if self.traits and min(self.traits) < 0:
             raise ValueError("traits must be non-negative")
 
 
@@ -90,10 +90,19 @@ class PriceBoard:
         self.validate()
 
     def validate(self) -> None:
-        if not (0 < self.activity_price < math.inf and 0 < self.market_price < math.inf):
-            raise ValueError("fungible token prices must be finite and positive")
-        if not 0 < self.floor_price < math.inf:
-            raise ValueError("floor price must be finite and positive")
+        if not (
+            0 < self.activity_price < math.inf
+            and 0 < self.market_price < math.inf
+            and 0 < self.floor_price < math.inf
+        ):
+            # The field to name is looked up only on the way to the raise, so
+            # a passing audit pays nothing for it.
+            name = next(
+                name
+                for name in ("activity_price", "market_price", "floor_price")
+                if not 0 < getattr(self, name) < math.inf
+            )
+            raise ValueError(f"{name} must be finite and positive")
         # min and sum test every price: a zero, negative or -inf price fails
         # the lowest, a NaN (which min may skip) or +inf the total. The scan
         # runs only to name the first bad id; it finds none for finite

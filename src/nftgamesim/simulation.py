@@ -365,10 +365,12 @@ class GameSimulation:
         )
         self._breed_costs = tuple(cost.numeraire_total for cost in self._breed_table)
         self._distinct_breed_costs = tuple(sorted(set(self._breed_costs)))
-        # The index pairs a breeding set's pairing test walks, in order. A
+        # The index pairs a breeding set's pairing test walks, in order, and
+        # those among a lead row's fixed parents (see _find_breeding_set). A
         # set is drawn from at most BREED_SEARCH_WINDOW eligible parents.
         arity = min(self.rules.breed_arity, BREED_SEARCH_WINDOW)
         self._parent_pairs = tuple(itertools.combinations(range(arity), 2))
+        self._lead_pairs = tuple(itertools.combinations(range(arity - 1), 2))
         # Each agent's token value, kept between snapshots (see
         # _take_changes): absent until valued or after a change.
         self._token_value: dict[int, float] = {}
@@ -454,23 +456,9 @@ class GameSimulation:
 
     # -- feasibility ---------------------------------------------------
 
-    def _eligible_parents(self, agent_id: int, step: int) -> list[Collectible]:
-        # The holding is in ascending id order (see Holdings), oldest first,
-        # so nothing is sorted: a spent token is skipped as an immature one is.
-        out = []
-        delay = self.rules.maturity_delay
-        limit = self.rules.breed_limit
-        for c in self.holdings[agent_id].collectibles.values():
-            if c.breed_count >= limit or step - c.birth_step < delay:
-                continue
-            out.append(c)
-            if len(out) >= BREED_SEARCH_WINDOW:
-                break
-        return out
-
     def _find_breeding_set(self, agent_id: int, step: int) -> list[int] | None:
         """First affordable, validly paired set in lexicographic order of
-        the eligible parents, or None.
+        the oldest BREED_SEARCH_WINDOW eligible parents, or None.
 
         step runs this at most once per agent turn, and only when the
         result is read: on a fixed-mix breed turn, by the ruin test when no
@@ -478,27 +466,71 @@ class GameSimulation:
         whose breed could win (see _growth_choice). It changes no state and
         draws nothing, so skipping it changes no outcome.
 
-        The sets are walked once, in itertools.combinations order. The cost
-        depends only on the lead parent's breed count, so a set whose lead
-        the agent cannot afford is skipped before any pairing check, and an
-        agent priced out of every lead is refused before the parents are
-        gathered. A set's pairs are tested through the run's tuple of index
-        pairs with breeding.can_pair, so a refused pair raises nothing. A
-        set this returns is legal to breed at this step (see _do_breed).
+        The holding is in ascending id order (see Holdings), oldest first,
+        so nothing is sorted: a spent token is skipped as an immature one
+        is. The sets are tried in itertools.combinations order, and the
+        first of them form the lead row: the oldest arity - 1 eligible
+        parents with one later parent (with arity 1, each parent alone).
+        Every row set shares its lead, and so its cost, and the pairs among
+        its fixed parents, so these are tested once, when the fixed parents
+        are gathered; each later parent then tests only its own pairs, as it
+        is gathered. A search that succeeds in the row reads the holding
+        only that deep; only if no row set is usable are the rest of the
+        window's combinations walked, past the row. The cost depends only
+        on the lead parent's breed count, so a set whose lead the agent
+        cannot afford is skipped before any pairing check, and an agent
+        priced out of every lead is refused before any parent is gathered.
+        Pairs are tested with breeding.can_pair, which raises nothing for a
+        refused pair. A set this returns is legal to breed at this step
+        (see _do_breed).
         """
         h = self.holdings[agent_id]
         activity, market = h.activity_balance, h.market_balance
         if activity < self._min_activity_cost or market < self._min_market_cost:
             return None
-        activity_costs = self.rules.activity_cost_schedule
-        market_costs = self.rules.market_cost_schedule
-        pairs = self._parent_pairs
+        rules = self.rules
+        activity_costs = rules.activity_cost_schedule
+        market_costs = rules.market_cost_schedule
+        arity, limit, delay = rules.breed_arity, rules.breed_limit, rules.maturity_delay
+        fixed = arity - 1
         can_pair = breeding.can_pair
-        eligible = self._eligible_parents(agent_id, step)
-        if len(eligible) < self.rules.breed_arity:
+        eligible: list[Collectible] = []
+        n = 0
+        lead = None  # the row's fixed parents, once they can lead a usable set
+        for c in h.collectibles.values():
+            if c.breed_count >= limit or step - c.birth_step < delay:
+                continue
+            eligible.append(c)
+            n += 1
+            if n == fixed:
+                k = eligible[0].breed_count
+                if activity >= activity_costs[k] and market >= market_costs[k]:
+                    for i, j in self._lead_pairs:
+                        if not can_pair(eligible[i], eligible[j]):
+                            break
+                    else:
+                        lead = tuple(eligible)
+            elif n > fixed:
+                if not fixed:
+                    # Arity 1: each parent is a set of its own, and its lead.
+                    k = c.breed_count
+                    if activity >= activity_costs[k] and market >= market_costs[k]:
+                        return [c.id]
+                elif lead is not None:
+                    for x in lead:
+                        if not can_pair(x, c):
+                            break
+                    else:
+                        return [x.id for x in (*lead, c)]
+            if n >= BREED_SEARCH_WINDOW:
+                break
+        if n < arity:
             # combinations would size its index array by the arity first.
             return None
-        for combo in itertools.combinations(eligible, self.rules.breed_arity):
+        # No row set was usable: walk the rest of the window, past the row's
+        # n - arity + 1 sets.
+        pairs = self._parent_pairs
+        for combo in itertools.islice(itertools.combinations(eligible, arity), n - fixed, None):
             k = combo[0].breed_count
             if activity < activity_costs[k] or market < market_costs[k]:
                 continue
@@ -522,19 +554,21 @@ class GameSimulation:
 
     # -- wealth --------------------------------------------------------
 
-    def _value_tokens(self, agent_id: int, h: Holdings) -> float:
-        """Sum the agent's token prices and keep the sum (see _token_value)."""
+    def _value_tokens(self, agent_id: int, held, price) -> float:
+        """Sum the prices of the agent's ``held`` ids, read through ``price``
+        (the price table's getter), and keep the sum (see _token_value)."""
         # fsum is exactly rounded, so neither the holding's order nor
         # when the value was taken matters while prices and holdings stay put.
-        tokens = _fsum(map(self.board.collectible_prices.__getitem__, h.collectibles))
-        self._token_value[agent_id] = tokens
+        tokens = self._token_value[agent_id] = _fsum(map(price, held))
         return tokens
 
     def agent_wealth(self, agent_id: int) -> float:
         h = self.holdings[agent_id]
         tokens = self._token_value.get(agent_id)
         if tokens is None:
-            tokens = self._value_tokens(agent_id, h)
+            tokens = self._value_tokens(
+                agent_id, h.collectibles, self.board.collectible_prices.__getitem__
+            )
         return (
             tokens
             + h.activity_balance * self.board.activity_price
@@ -920,22 +954,25 @@ class GameSimulation:
 
     def snapshot(self, step: int) -> EconomySnapshot:
         # Every agent valued as agent_wealth does, in one pass over the turn
-        # records, with the same kept token values. The loop leaves every
-        # agent's value kept, and only agents hold collectibles, so the pool
-        # is the fsum of the kept values: the audit before every snapshot
-        # proved that the holdings partition the population and that exactly
-        # its ids are priced. No pool sum is kept. Both sums are exactly
-        # rounded, so the pool is within 1.5 ulp of the exact sum of the
-        # prices in any order. An fsum that overflows reads inf, which
+        # records, with the same kept token values; an empty holding is
+        # worth 0.0 (the fsum of no prices) and is not kept. The loop leaves
+        # every other agent's value kept, and only agents hold collectibles,
+        # so the pool is the fsum of the kept values: the audit before every
+        # snapshot proved that the holdings partition the population and
+        # that exactly its ids are priced. No pool sum is kept. Both sums are
+        # exactly rounded, so the pool is within 1.5 ulp of the exact sum of
+        # the prices in any order. An fsum that overflows reads inf, which
         # total_value refuses.
         activity_price = self.board.activity_price
         market_price = self.board.market_price
+        price = self.board.collectible_prices.__getitem__
         kept = self._token_value
         wealth = {}
         for agent_id, _, h, _, _ in self._turns:
             tokens = kept.get(agent_id)
             if tokens is None:
-                tokens = self._value_tokens(agent_id, h)
+                held = h.collectibles
+                tokens = self._value_tokens(agent_id, held, price) if held else 0.0
             wealth[agent_id] = (
                 tokens + h.activity_balance * activity_price + h.market_balance * market_price
             )

@@ -96,6 +96,27 @@ class TestInvariants:
         with pytest.raises(ValueError):
             PriceBoard(collectible_prices={0: -1.0}, floor_price=0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(id=-1, traits=(0,)), "collectible id must be non-negative"),
+            (dict(id=0, traits=(0,), breed_count=-1), "breed_count must be non-negative"),
+            (dict(id=0, traits=(-1,)), "traits must be non-negative"),
+            (dict(id=0, traits=(0, 3, -1)), "traits must be non-negative"),
+        ],
+        ids=["id", "breed-count", "trait", "trait-after-valid-ones"],
+    )
+    def test_collectible_refuses_negative_fields(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Collectible(**fields)
+
+    def test_collectible_accepts_no_traits(self):
+        assert Collectible(id=0, traits=()).traits == ()
+
+    def test_holdings_refuse_a_negative_owner(self):
+        with pytest.raises(ValueError, match="^owner index must be non-negative$"):
+            Holdings(owner=-1)
+
     def test_holdings_reject_negative_balances(self):
         with pytest.raises(ValueError):
             Holdings(owner=1, activity_balance=-1.0)
@@ -170,10 +191,12 @@ def reference_partition(holdings_all, population) -> None:
 
 
 def reference_validate(board: PriceBoard) -> None:
-    if not (0 < board.activity_price < math.inf and 0 < board.market_price < math.inf):
-        raise ValueError("fungible token prices must be finite and positive")
+    if not 0 < board.activity_price < math.inf:
+        raise ValueError("activity_price must be finite and positive")
+    if not 0 < board.market_price < math.inf:
+        raise ValueError("market_price must be finite and positive")
     if not 0 < board.floor_price < math.inf:
-        raise ValueError("floor price must be finite and positive")
+        raise ValueError("floor_price must be finite and positive")
     for tid, p in board.collectible_prices.items():
         if not 0 < p < math.inf:
             raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")

@@ -6,6 +6,7 @@ alters behaviour on purpose updates them once and says why in CHANGES.md.
 ``ruin_probability``, which steps without snapshots and writes nothing, is
 pinned by its estimate and each trial's ruin step.
 """
+import copy
 import hashlib
 import json
 from dataclasses import replace
@@ -105,6 +106,33 @@ def test_simulate_outputs_match_golden_digests(
     capsys.readouterr()
     assert _sha256(out / "events.jsonl") == events_digest
     assert _sha256(out / "snapshots.csv") == snapshots_digest
+
+
+def test_crowd_outputs_match_golden_digests(tmp_path, capsys):
+    # The benchmark's crowd scenario, built here: the baseline's agents
+    # copied 40 times with ids 1..400, at seed 1 for the baseline's 50 steps.
+    # It is kept out of CASES, so the tests parametrized over CASES still
+    # run 10 agents.
+    data = json.loads(BASELINE.read_text())
+    crowd = []
+    for _ in range(40):
+        for agent in data["agents"]:
+            clone = copy.deepcopy(agent)
+            clone["id"] = len(crowd) + 1
+            crowd.append(clone)
+    data["agents"] = crowd
+    config = tmp_path / "crowd.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(config), "--seed", "1", "--steps", "50", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(out / "events.jsonl") == (
+        "1fa39f518edbe954abd7056a08b63dedf6f4305a2e1ba11366f262e0e0902864"
+    )
+    assert _sha256(out / "snapshots.csv") == (
+        "e250096478818b152e0770fb8e186e85b101293d0a515d335ed7be62973fc4cb"
+    )
 
 
 def test_ruin_probability_matches_golden_trials(monkeypatch):

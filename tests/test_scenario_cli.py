@@ -537,6 +537,24 @@ class TestSimulateCommand:
                 (),
                 id="strategy",
             ),
+            pytest.param(
+                lambda d: d["run"]["board"].update(activity_price=0),
+                "run.board: activity_price",
+                (),
+                id="activity_price",
+            ),
+            pytest.param(
+                lambda d: d["run"]["board"].update(market_price=0),
+                "run.board: market_price",
+                (),
+                id="market_price",
+            ),
+            pytest.param(
+                lambda d: d["run"]["board"].update(floor_price=0),
+                "run.board: floor_price",
+                (),
+                id="floor_price",
+            ),
             pytest.param(lambda d: d.update(agents={}), "scenario.agents", (), id="agents_object"),
         ],
     )

@@ -521,9 +521,102 @@ def reference_breeding_set(sim: GameSimulation, agent_id: int, step: int) -> lis
 AMOUNTS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 4.0])
 
 
+class Drawn:
+    """Stands in for st.data() in an @example: a draw with a label returns
+    the value given for that label, and a draw without one returns the next
+    of ``unlabelled``, whatever the strategy."""
+
+    def __init__(self, labelled: dict, unlabelled):
+        self.labelled = labelled
+        self.unlabelled = iter(unlabelled)
+
+    def draw(self, strategy, label=None):
+        if label is None:
+            return next(self.unlabelled)
+        return self.labelled[label]
+
+    def __repr__(self) -> str:
+        return f"Drawn({self.labelled!r})"
+
+
+def holding_example(arity: int, tokens, activity=0.0, costs=(0.0,), founders=16) -> Drawn:
+    """The draws of test_matches_reference_on_random_holdings for one
+    holding: ``tokens`` gives each token's (parents or None, breed_count,
+    owned). Every token is born at step 0 and searched for at step 1 with
+    no maturity delay; ``costs`` is the activity cost schedule, and the
+    market costs and balance are 0."""
+    limit = len(costs)
+    labelled = {
+        "breed_limit": limit,
+        "arity": arity,
+        "maturity_delay": 0,
+        "activity_costs": list(costs),
+        "market_costs": [0.0] * limit,
+        "population": len(tokens),
+        "founders": founders,
+        "activity_balance": activity,
+        "market_balance": 0.0,
+        "step": 1,
+    }
+    for tid, (parents, breed_count, owned) in enumerate(tokens):
+        if parents is not None:
+            labelled[f"parents[{tid}]"] = list(parents)
+        labelled[f"breed_count[{tid}]"] = breed_count
+        labelled[f"birth_step[{tid}]"] = 0
+        labelled[f"owns[{tid}]"] = owned
+    return Drawn(labelled, [parents is not None for parents, _, _ in tokens[1:]])
+
+
+class ReadCounted(dict):
+    """A holding that counts the walks over its ids or tokens."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.reads += 1
+        return super().keys()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
 class TestBreedingSearch:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    # With arity 1 each token leads its own set: token 0's second breed
+    # costs 4.0, so the first set the agent affords is token 1 alone.
+    @example(
+        data=holding_example(1, [(None, 1, True), (None, 0, True)], activity=2.0, costs=(1.0, 4.0))
+    )
+    # Token 2 shares a parent with every later token, so the lead row fails
+    # through the whole window (tokens 2 to 13) before (3, 4) succeeds; the
+    # genesis token 14, which would pair with 2, lies outside the window.
+    @example(
+        data=holding_example(
+            2,
+            [(None, 0, False), (None, 0, False), ((0, 1), 0, True)]
+            + [((tid % 2,), 0, True) for tid in range(3, 14)]
+            + [(None, 0, True)],
+            founders=2,
+        )
+    )
+    # With arity 3 a row set's last parent must pair with every fixed
+    # parent: token 2 is token 1's child, so (0, 1, 2) fails on its second
+    # pair and (0, 1, 3) is found.
+    @example(
+        data=holding_example(
+            3, [(None, 0, True), (None, 0, True), ((1,), 0, True), (None, 0, True)]
+        )
+    )
     def test_matches_reference_on_random_holdings(self, data):
         limit = data.draw(st.integers(1, 4), label="breed_limit")
         costs = st.lists(AMOUNTS, min_size=limit, max_size=limit)
@@ -598,16 +691,9 @@ class TestBreedingSearch:
         sim.population[0].breed_count = 1
         h = sim.holdings[1]
         h.activity_balance, h.market_balance = activity, market
-        calls = []
-        eligible = sim._eligible_parents
-
-        def counting(agent_id, step):
-            calls.append((agent_id, step))
-            return eligible(agent_id, step)
-
-        sim._eligible_parents = counting
+        h.collectibles = ReadCounted(h.collectibles)
         found = sim._find_breeding_set(1, 1)
-        assert calls == ([(1, 1)] if searched else [])
+        assert (h.collectibles.reads > 0) == searched
         assert found == ([0, 1] if searched else None)
 
 
@@ -633,9 +719,9 @@ class TestCandidates:
         sim = GameSimulation(config)
         sim.step(1)
         # Tokens 0 and 1 bred their only time; the child 4 is appended, and
-        # the search skips the spent parents.
+        # the search skips the spent parents, so it leads with token 2.
         assert list(sim.holdings[1].collectibles) == [0, 1, 2, 3, 4]
-        assert [c.id for c in sim._eligible_parents(1, 2)] == [2, 3, 4]
+        assert sim._find_breeding_set(1, 2) == [2, 3]
         check_holdings(sim)
 
 
