@@ -31,6 +31,13 @@ def _premiums(data: dict) -> None:
     data["run"]["trait_premiums"] = [0, 0.01, 0.03, 0.07, 0.15, 0.31]
 
 
+def _drifting_floor(data: dict) -> None:
+    # At floor 1.0, the first breed's cost, the floor is the drift's fixed
+    # point and never moves. At 0.8 it drifts every step (85 distinct values
+    # in 200 steps), so newborns list at the run's moving floor.
+    data["run"]["board"]["floor_price"] = 0.8
+
+
 def frozen(data: dict) -> None:
     # SimConfig's default: no forward-drift update runs, no price classes are
     # built, and kept valuations survive every step.
@@ -78,6 +85,14 @@ CASES = [
         200,
         "f95d5e6cc3e44df9e46565f1ef2a4200637ae2631d57eeaec348aad86edc3c95",
         "2cfd591e2bb9fcdfeed8ff190b8144eeb94ed9ba801f80d454009fc294dae075",
+    ),
+    (
+        "drifting-floor-3-200",
+        _drifting_floor,
+        3,
+        200,
+        "54eb1b3ce81c055cfc3487a7bebfa5e25ee1543b99bdc5d68f476ca38ac845ed",
+        "8ae9a703aa3b7e0f6993ef90ffddf88f2f4aa31a469e313970abd26e116e2ef1",
     ),
 ]
 

@@ -1120,6 +1120,52 @@ class TestAnalyzeCommand:
         assert main(argv) == 0
         return json.loads(capsys.readouterr().out)
 
+    # README's six analyze examples, then one with its flags reordered and
+    # --seed given: "inputs" lists each flag in its parser's order.
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                "sharpe --excess 0.05 --vol 0.2 --horizon 4",
+                '{"inputs": {"excess": 0.05, "vol": 0.2, "horizon": 4.0}, "sharpe_ratio": 0.125}',
+            ),
+            (
+                "allocate --mu 0.10,0.05 --riskless 0.02 --vol 0.2,0;0,0.1",
+                '{"inputs": {"mu": [0.1, 0.05], "riskless": 0.02, "vol": [[0.2, 0.0], [0.0, 0.1]]},'
+                ' "optimal_allocation": [2.0, 3.0000000000000004]}',
+            ),
+            (
+                "envelope --up 2 --down 0.5 --prob 0.5",
+                '{"inputs": {"up": 2.0, "down": 0.5, "prob": 0.5},'
+                ' "gain_player1": 0.25, "gain_player2": 0.25}',
+            ),
+            (
+                "arbitrage --capital 100 --growth 0.05 --cost 5",
+                '{"inputs": {"capital": 100.0, "growth": 0.05, "cost": 5.0},'
+                ' "verdict": "NoArbitrage", "magnitude": 0.0}',
+            ),
+            (
+                "lattice --breeds-remaining 2 --floor 1 --child-value 2 --costs 1.5,1.5",
+                '{"inputs": {"breeds_remaining": 2, "floor": 1.0, "child_value": 2.0,'
+                ' "costs": [1.5, 1.5]}, "lattice_value": 2.0}',
+            ),
+            (
+                "propitious --seeker-exponent 8",
+                '{"inputs": {"seeker_exponent": 8.0}, "per_player": [true, true, true, true,'
+                ' true, true, true, true, true, true, true], "average_mode": true}',
+            ),
+            (
+                "lattice --seed 7 --costs 1.5,1.5 --child-value 2 --floor 1 --breeds-remaining 2",
+                '{"inputs": {"breeds_remaining": 2, "floor": 1.0, "child_value": 2.0,'
+                ' "costs": [1.5, 1.5]}, "lattice_value": 2.0}',
+            ),
+        ],
+        ids=["sharpe", "allocate", "envelope", "arbitrage", "lattice", "propitious", "reordered"],
+    )
+    def test_readme_examples_print_their_pinned_line(self, capsys, argv, stdout):
+        assert main(["analyze", *argv.split()]) == 0
+        assert capsys.readouterr().out == stdout + "\n"
+
     def test_envelope(self, capsys):
         got = self.get_json(
             capsys, ["analyze", "envelope", "--up", "2", "--down", "0.5", "--prob", "0.5"]

@@ -1835,7 +1835,7 @@ class TestAuditSchedule:
     # Steps at rest in each case, so both audit schedules are exercised.
     @pytest.mark.parametrize(
         "edit, seed, steps, at_rest",
-        [(*case[1:4], rest) for case, rest in zip(CASES, (0, 234, 54, 0, 54))],
+        [(*case[1:4], rest) for case, rest in zip(CASES, (0, 234, 54, 0, 54, 54))],
         ids=[case[0] for case in CASES],
     )
     def test_reference_audit_passes_after_every_step_of_the_golden_cases(
