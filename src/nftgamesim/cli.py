@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .scenario import load_scenario
-from .simulation import PAYLOADS, GameSimulation, SimulationInvariantError, join_ids
+from .simulation import MAX_SEED, PAYLOADS, GameSimulation, SimulationInvariantError, join_ids
 
 # The analyze and demo commands import what they use themselves, so
 # simulate never loads analytics (nor numpy).
@@ -48,7 +48,7 @@ def _u64(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 0 <= value < 2**64:
+    if not 0 <= value < MAX_SEED:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 
@@ -219,7 +219,18 @@ def cmd_simulate(args) -> int:
 # -- analyze -------------------------------------------------------------
 
 
-def _emit(payload: dict) -> int:
+# What an analyze command's namespace holds besides its inputs.
+_NOT_INPUTS = {"command", "operation", "seed", "func"}
+
+
+def _emit(args, results: dict) -> int:
+    """Print the command's flags as "inputs", then its results, on one line.
+
+    argparse keeps a subcommand's flags in add_argument order, whatever
+    order the command line gives them, so "inputs" lists them in that order.
+    """
+    payload = {"inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}}
+    payload.update(results)
     # Strict JSON: an overflowed result exits 2 naming its field.
     for key, value in payload.items():
         try:
@@ -233,13 +244,7 @@ def _emit(payload: dict) -> int:
 def cmd_analyze_sharpe(args) -> int:
     from .analytics import sharpe_ratio
 
-    value = sharpe_ratio(args.excess, 0.0, args.vol, args.horizon)
-    return _emit(
-        {
-            "inputs": {"excess": args.excess, "vol": args.vol, "horizon": args.horizon},
-            "sharpe_ratio": value,
-        }
-    )
+    return _emit(args, {"sharpe_ratio": sharpe_ratio(args.excess, 0.0, args.vol, args.horizon)})
 
 
 def cmd_analyze_allocate(args) -> int:
@@ -254,25 +259,14 @@ def cmd_analyze_allocate(args) -> int:
         weights = optimal_allocation(model)
     except ValueError as exc:
         raise ValueError(f"{exc} (--vol)") from None
-    return _emit(
-        {
-            "inputs": {"mu": args.mu, "riskless": args.riskless, "vol": args.vol},
-            "optimal_allocation": [float(w) for w in weights],
-        }
-    )
+    return _emit(args, {"optimal_allocation": [float(w) for w in weights]})
 
 
 def cmd_analyze_envelope(args) -> int:
     from .analytics import envelope_expected_gain
 
     gain1, gain2 = envelope_expected_gain(args.up, args.down, args.prob)
-    return _emit(
-        {
-            "inputs": {"up": args.up, "down": args.down, "prob": args.prob},
-            "gain_player1": gain1,
-            "gain_player2": gain2,
-        }
-    )
+    return _emit(args, {"gain_player1": gain1, "gain_player2": gain2})
 
 
 def cmd_analyze_propitious(args) -> int:
@@ -280,43 +274,21 @@ def cmd_analyze_propitious(args) -> int:
 
     game = pooled_lottery_game(UtilitySpec("power", exponent=args.seeker_exponent))
     per_player, average_mode = propitious_check(game)
-    return _emit(
-        {
-            "inputs": {"seeker_exponent": args.seeker_exponent},
-            "per_player": per_player,
-            "average_mode": average_mode,
-        }
-    )
+    return _emit(args, {"per_player": per_player, "average_mode": average_mode})
 
 
 def cmd_analyze_lattice(args) -> int:
     from .analytics import lattice_value
 
     value = lattice_value(args.breeds_remaining, args.floor, args.child_value, args.costs)
-    return _emit(
-        {
-            "inputs": {
-                "breeds_remaining": args.breeds_remaining,
-                "floor": args.floor,
-                "child_value": args.child_value,
-                "costs": args.costs,
-            },
-            "lattice_value": value,
-        }
-    )
+    return _emit(args, {"lattice_value": value})
 
 
 def cmd_analyze_arbitrage(args) -> int:
     from .analytics import classify_breeding_arbitrage
 
     verdict = classify_breeding_arbitrage(args.capital, args.growth, args.cost)
-    return _emit(
-        {
-            "inputs": {"capital": args.capital, "growth": args.growth, "cost": args.cost},
-            "verdict": verdict.kind.value,
-            "magnitude": verdict.magnitude,
-        }
-    )
+    return _emit(args, {"verdict": verdict.kind.value, "magnitude": verdict.magnitude})
 
 
 # -- demos ---------------------------------------------------------------

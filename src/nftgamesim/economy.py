@@ -4,9 +4,11 @@ Three token classes make up a game economy: unique collectibles priced
 individually, a fungible activity token, and a fungible marketplace token.
 All values are quoted in a single external numeraire (e.g. a stablecoin).
 Bid-offer spreads, order books, and partial liquidity are out of scope;
-every asset has one price. The collectible pool is the engine snapshot's
-exactly rounded sum of the agents' token values; this module values the
-two fungible pools, totals the three and audits ownership and supply.
+every asset has one price. A PriceBoard holds a run's starting prices;
+the run owns the price table and the floor from then on. The collectible
+pool is the engine snapshot's exactly rounded sum of the agents' token
+values; this module values the two fungible pools, totals the three and
+audits ownership, supply and the listed prices.
 """
 from __future__ import annotations
 
@@ -73,50 +75,54 @@ class Holdings:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriceBoard:
-    """Numeraire prices: per-collectible, the two fungible tokens, and the floor.
+    """A run's starting numeraire prices: the two fungible tokens, the floor
+    and the genesis collectibles' listing price (None lists them at the floor).
 
     The floor price is the conservative valuation applied to any freshly
-    minted collectible; it must not exceed any listed price.
+    minted collectible; it must not exceed any listed price. A board is a
+    value: the run keeps its own price table and floor (see
+    check_listed_prices), so no price here changes once the board is built.
     """
 
-    collectible_prices: dict[TokenId, float] = field(default_factory=dict)
     activity_price: float = 1.0
     market_price: float = 1.0
     floor_price: float = 1.0
+    genesis_price: float | None = None
 
     def __post_init__(self) -> None:
-        self.validate()
+        for name in ("activity_price", "market_price", "floor_price"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        # A NaN undercuts nothing, as no comparison holds for it.
+        if self.genesis_price is not None and self.genesis_price < self.floor_price:
+            raise ValueError("genesis_price may not undercut the floor price")
 
-    def validate(self) -> None:
-        if not (
-            0 < self.activity_price < math.inf
-            and 0 < self.market_price < math.inf
-            and 0 < self.floor_price < math.inf
-        ):
-            # The field to name is looked up only on the way to the raise, so
-            # a passing audit pays nothing for it.
-            name = next(
-                name
-                for name in ("activity_price", "market_price", "floor_price")
-                if not 0 < getattr(self, name) < math.inf
-            )
-            raise ValueError(f"{name} must be finite and positive")
-        # min and sum test every price: a zero, negative or -inf price fails
-        # the lowest, a NaN (which min may skip) or +inf the total. The scan
-        # runs only to name the first bad id; it finds none for finite
-        # prices whose total overflows.
-        prices = self.collectible_prices.values()
-        if not prices:
-            return
-        lowest = min(prices)
-        if not (0 < lowest and sum(prices) < math.inf):
-            for tid, p in self.collectible_prices.items():
-                if not 0 < p < math.inf:
-                    raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
-        if self.floor_price > lowest:
-            raise ValueError(f"floor price {self.floor_price} exceeds lowest listed price {lowest}")
+
+def check_listed_prices(prices: dict[TokenId, float], floor_price: float) -> None:
+    """A run's price table and floor: the floor finite and positive, every
+    listed price finite and positive and none below the floor.
+
+    Raises ValueError naming the floor, the first bad id, or the floor and
+    the lowest price.
+    """
+    if not 0 < floor_price < math.inf:
+        raise ValueError("floor_price must be finite and positive")
+    # min and sum test every price: a zero, negative or -inf price fails
+    # the lowest, a NaN (which min may skip) or +inf the total. The scan
+    # runs only to name the first bad id; it finds none for finite
+    # prices whose total overflows.
+    listed = prices.values()
+    if not listed:
+        return
+    lowest = min(listed)
+    if not (0 < lowest and sum(listed) < math.inf):
+        for tid, p in prices.items():
+            if not 0 < p < math.inf:
+                raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
+    if floor_price > lowest:
+        raise ValueError(f"floor price {floor_price} exceeds lowest listed price {lowest}")
 
 
 @dataclass

@@ -6,8 +6,8 @@ silently fall back to a default and change a supposedly reproducible run.
 The config dataclasses are the schema: a section accepts the fields of its
 class, requires those with no default and converts each by its type.
 ``rules`` is GameRules, ``agents[i]`` AgentSpec, ``specs`` the three spec
-fields of SimConfig, ``run.board`` PriceBoard without collectible_prices
-plus genesis_price, and ``run`` the rest of SimConfig.
+fields of SimConfig, ``run`` the rest of SimConfig and ``run.board``
+PriceBoard.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import typing
 from pathlib import Path
 
 from .breeding import GameRules
-from .economy import PriceBoard
 from .simulation import AgentSpec, SimConfig
 
 SCHEMA_VERSION = 2
@@ -110,27 +109,18 @@ def _section(plan: dict, obj, path: str) -> dict:
     return kwargs
 
 
-def _construct(cls, kwargs: dict, path: str):
+def _build(cls, obj, path: str):
+    kwargs = _section(_plan(cls), obj, path)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _build(cls, obj, path: str):
-    return _construct(cls, _section(_plan(cls), obj, path), path)
-
-
 # The two sections that are not one whole dataclass.
 _SIM = _plan(SimConfig)
 _SPECS = {name: _SIM[name] for name in ("adventure", "battle", "lottery")}
-_RUN = {
-    name: entry
-    for name, entry in _SIM.items()
-    if name not in {"rules", "agents", "board", "genesis_price", *_SPECS}
-}
-_BOARD = {name: entry for name, entry in _plan(PriceBoard).items() if name != "collectible_prices"}
-_BOARD["genesis_price"] = _SIM["genesis_price"]
+_RUN = {name: entry for name, entry in _SIM.items() if name not in {"rules", "agents", *_SPECS}}
 
 
 def parse_scenario(data: dict) -> SimConfig:
@@ -150,12 +140,7 @@ def parse_scenario(data: dict) -> SimConfig:
     rules = _build(GameRules, data.get("rules", {}), "rules")
     agents = tuple(_build(AgentSpec, a, f"agents[{i}]") for i, a in enumerate(data["agents"]))
     kwargs = _section(_SPECS, data.get("specs", {}), "specs")
-    run = _require_mapping(data["run"], "run")
-    kwargs.update(_section(_RUN, {k: v for k, v in run.items() if k != "board"}, "run"))
-    board = _section(_BOARD, run.get("board", {}), "run.board")
-    if "genesis_price" in board:
-        kwargs["genesis_price"] = board.pop("genesis_price")
-    kwargs["board"] = _construct(PriceBoard, board, "run.board")
+    kwargs.update(_section(_RUN, data["run"], "run"))
 
     try:
         return SimConfig(rules=rules, agents=agents, **kwargs)

@@ -31,6 +31,7 @@ from .economy import (
     Holdings,
     PriceBoard,
     SupplyCounters,
+    check_listed_prices,
     check_ownership_partition,
     check_supply_sums,
     fungible_pool_values,
@@ -122,7 +123,6 @@ class SimConfig:
     seed: int = 0
     board: PriceBoard = field(default_factory=PriceBoard)
     price_update: str = "frozen"
-    genesis_price: float | None = None
     trait_premiums: tuple[float, ...] | None = None
     adventure: AdventureSpec | None = None
     battle: BattleSpec | None = None
@@ -150,13 +150,6 @@ class SimConfig:
                 f"run.price_update must be one of {', '.join(PRICE_UPDATES)}, "
                 f"got {self.price_update!r}"
             )
-        if self.board.collectible_prices:
-            raise ValueError(
-                "board.collectible_prices must be empty: genesis prices every collectible"
-            )
-        genesis = self.genesis_price if self.genesis_price is not None else self.board.floor_price
-        if genesis < self.board.floor_price:
-            raise ValueError("run.board.genesis_price may not undercut the floor price")
         if self.trait_premiums is not None:
             if len(self.trait_premiums) != self.rules.trait_alphabet:
                 raise ValueError("run.trait_premiums needs one entry per trait value")
@@ -340,7 +333,12 @@ class GameSimulation:
         self.rng = random.Random(config.seed)
         self.population: dict[int, Collectible] = {}
         self.holdings: dict[int, Holdings] = {TREASURY: Holdings(TREASURY)}
-        self.board = replace(config.board, collectible_prices={})
+        # The config's board is a value and holds the fungible prices; the
+        # run owns each collectible's price and the floor, which
+        # forward_drift moves.
+        self.board = config.board
+        self.prices: dict[int, float] = {}
+        self.floor = config.board.floor_price
         self.counters = SupplyCounters()
         # Largest audited (activity, market) supply; see check_supply_sums.
         self._supply_scale = (1.0, 1.0)
@@ -357,8 +355,8 @@ class GameSimulation:
         self._min_activity_cost = min(self.rules.activity_cost_schedule)
         self._min_market_cost = min(self.rules.market_cost_schedule)
         # The cost of a breed by the lead parent's breed count, and its
-        # numeraire total. The engine never writes the fungible prices, so
-        # the table holds for the whole run.
+        # numeraire total. The fungible prices are the board's, a frozen
+        # value, so the table holds for the whole run.
         self._breed_table = tuple(
             breeding.BreedCost.at_index(self.rules, k, self.board)
             for k in range(self.rules.breed_limit)
@@ -417,11 +415,7 @@ class GameSimulation:
     # -- setup ---------------------------------------------------------
 
     def _genesis(self) -> None:
-        genesis_price = (
-            self.config.genesis_price
-            if self.config.genesis_price is not None
-            else self.board.floor_price
-        )
+        genesis_price = self.floor if self.board.genesis_price is None else self.board.genesis_price
         # Each trait is drawn as breeding.mint draws one, by
         # random.Random.randrange's own rule, so a seed gives the traits
         # randrange would.
@@ -447,7 +441,7 @@ class GameSimulation:
                 token = Collectible(next_id, traits, None, 0, 1 - self.rules.maturity_delay)
                 self.population[next_id] = token
                 h.collectibles[next_id] = token
-                self.board.collectible_prices[next_id] = genesis_price
+                self.prices[next_id] = genesis_price
                 self.events.append(Event(0, spec.id, "genesis", (next_id, traits), trait_count))
                 next_id += 1
         # No owner joins after genesis, so the audit walks this tuple.
@@ -543,14 +537,14 @@ class GameSimulation:
 
     def _list_price(self, traits: tuple[int, ...]) -> float:
         if self.config.trait_premiums is None:
-            return self.board.floor_price
+            return self.floor
         # Added left to right, as builtin sum added floats before Python
         # 3.12 (it compensates from then on), so a newborn's price and the
         # outputs do not depend on the interpreter.
         premium = functools.reduce(
             operator.add, map(self.config.trait_premiums.__getitem__, traits), 0
         )
-        return self.board.floor_price + premium
+        return self.floor + premium
 
     # -- wealth --------------------------------------------------------
 
@@ -566,9 +560,7 @@ class GameSimulation:
         h = self.holdings[agent_id]
         tokens = self._token_value.get(agent_id)
         if tokens is None:
-            tokens = self._value_tokens(
-                agent_id, h.collectibles, self.board.collectible_prices.__getitem__
-            )
+            tokens = self._value_tokens(agent_id, h.collectibles, self.prices.__getitem__)
         return (
             tokens
             + h.activity_balance * self.board.activity_price
@@ -592,7 +584,7 @@ class GameSimulation:
         else:
             self.counters.activity_supply -= cost.activity_amount
             self.counters.market_supply -= cost.market_amount
-        self.board.collectible_prices[child.id] = self._list_price(child.traits)
+        self.prices[child.id] = self._list_price(child.traits)
         self._minted[child.id] = agent_id
         return Event(
             step,
@@ -731,7 +723,7 @@ class GameSimulation:
             best, to_beat = "pass", -0.0
         # A breed comes first in the tie order, so it wins when its score is
         # at most to_beat.
-        floor = self.board.floor_price
+        floor = self.floor
         if parents is NOT_SEARCHED:
             parents = None
             for cost in self._distinct_breed_costs:
@@ -784,7 +776,7 @@ class GameSimulation:
         price classes."""
         if self.config.price_update != "forward_drift":
             return
-        prices = self.board.collectible_prices
+        prices = self.prices
         classes = self._price_classes
         # The first update groups every id by its price; later ones add the
         # ids minted since, from the change record.
@@ -809,7 +801,7 @@ class GameSimulation:
         d = self.rules.breed_arity
         # Each price's next value depends on that price alone, so equal
         # prices share one step, and only the distinct ones are stepped.
-        floor = self.board.floor_price
+        floor = self.floor
         stepped = {
             price: breeding.forward_price_step(price, d, cost) for price in {*classes, floor}
         }
@@ -833,7 +825,7 @@ class GameSimulation:
             self._price_classes = merged
             self._rewritten = True
         self._prices_fixed = not moved
-        self.board.floor_price = stepped[floor]
+        self.floor = stepped[floor]
 
     def _check_invariants(self, step: int) -> None:
         """Audit the state after a step, then apply the step's change record
@@ -841,15 +833,17 @@ class GameSimulation:
         prices must be finite, so no NaN or infinity reaches the outputs.
 
         Every step checks each balance, the supply counters and their
-        conservation, the fungible prices and a finite positive floor: any
-        action can change these. The checks that read every token (the
-        ownership partition, each collectible's price, the floor against the
-        lowest price, a price for exactly the minted ids) can only be
-        changed by a mint or a price rewrite, so they run at step 0, after a
-        step whose change record holds either, and whenever an O(agents)
-        check disagrees: the holdings' sizes do not sum to the population,
-        the price table and the population differ in size, or a fungible
-        price or the floor is not finite and positive.
+        conservation, and a finite positive floor: any action can change
+        the first two, and forward_drift moves the floor. The fungible prices
+        are the board's, checked when it was built, and never change. The
+        checks that read every token (the ownership partition, each
+        collectible's price, the floor against the lowest price, a price for
+        exactly the minted ids) can only be changed by a mint or a price
+        rewrite, so they run at step 0, after a step whose change record
+        holds either, and whenever an O(agents) check disagrees: the
+        holdings' sizes do not sum to the population, the price table and
+        the population differ in size, or the floor is not finite and
+        positive.
 
         One pass over the holdings sums their sizes and both balances and
         tests each balance as Holdings.check_balances does; that check runs,
@@ -875,19 +869,11 @@ class GameSimulation:
             market += m
             if not (0 <= a < math.inf and 0 <= m < math.inf):
                 balances_ok = False
-        board = self.board
-        prices = board.collectible_prices
+        prices = self.prices
         minted = len(self.population)
         changed = self._minted or self._rewritten
         read_tokens = (
-            changed
-            or len(prices) != minted
-            or held != minted
-            or not (
-                0 < board.activity_price < math.inf
-                and 0 < board.market_price < math.inf
-                and 0 < board.floor_price < math.inf
-            )
+            changed or len(prices) != minted or held != minted or not 0 < self.floor < math.inf
         )
         try:
             if read_tokens:
@@ -909,7 +895,7 @@ class GameSimulation:
             self.counters.validate()
             check_supply_sums(activity, market, self.counters, scale=self._supply_scale)
             if read_tokens:
-                board.validate()
+                check_listed_prices(prices, self.floor)
                 if prices.keys() != self.population.keys():
                     unpriced = sorted(self.population.keys() - prices.keys())
                     unminted = sorted(prices.keys() - self.population.keys())
@@ -965,7 +951,7 @@ class GameSimulation:
         # total_value refuses.
         activity_price = self.board.activity_price
         market_price = self.board.market_price
-        price = self.board.collectible_prices.__getitem__
+        price = self.prices.__getitem__
         kept = self._token_value
         wealth = {}
         for agent_id, _, h, _, _ in self._turns:

@@ -6,12 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nftgamesim.analytics import (
+    CollateralSpec,
+    MinorityGameSpec,
     RedistributionGame,
     ReturnModel,
     UtilitySpec,
+    collateral_loop,
     envelope_expected_gain,
     expected_utility,
     heterogeneous_lottery_ev,
+    max_population,
     optimal_allocation,
     optimal_fraction_1d,
     pooled_lottery_game,
@@ -19,6 +23,7 @@ from nftgamesim.analytics import (
     pseudo_inverse,
     sharpe_ratio,
 )
+from nftgamesim.breeding import GameRules
 
 # Frozen from direct evaluation of 0.95*ln(1.05) + 0.05*ln(0.9).
 LOG_EU_RISK_AVERSE = 0.041082630178069124
@@ -320,3 +325,53 @@ class TestHeterogeneousLottery:
         game = pooled_lottery_game(UtilitySpec("power", exponent=2.0))
         for _, mults in game.outcomes:
             assert math.fsum(mults) == pytest.approx(len(mults), abs=1e-12)
+
+
+def _collateral(**fields) -> CollateralSpec:
+    return CollateralSpec(**{"ltv": 0.5, "impact": 1.0, "initial_value": 1.0, **fields})
+
+
+# The refusals that only a Python caller reaches: no scenario key or CLI flag
+# leads to them. Each call is the smallest that reaches its refusal.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: UtilitySpec("exp"), "utility kind must be 'log' or 'power'"),
+        (
+            lambda: RedistributionGame(outcomes=(), players=(UtilitySpec(),)),
+            "game needs at least one outcome and one player",
+        ),
+        (
+            lambda: RedistributionGame(
+                outcomes=((-0.5, (1.0,)), (1.5, (1.0,))), players=(UtilitySpec(),)
+            ),
+            "outcome probabilities must be non-negative",
+        ),
+        (
+            lambda: RedistributionGame(outcomes=((1.0, (1.0, 1.0)),), players=(UtilitySpec(),)),
+            "each outcome needs one multiplier per player",
+        ),
+        (lambda: _collateral(ltv=1.0), r"loan-to-value must be in \(0, 1\)"),
+        (lambda: _collateral(impact=-1.0), "price impact must be non-negative"),
+        (lambda: _collateral(initial_value=0.0), "initial value must be positive"),
+        (
+            lambda: _collateral(liquidation_threshold=0.0),
+            r"liquidation threshold must be in \(0, 1\]",
+        ),
+        (lambda: _collateral(shock_step=0), "shock step must be >= 1"),
+        (lambda: _collateral(shock_step=1), r"shock fraction must be in \(0, 1\)"),
+        (lambda: collateral_loop(_collateral(), max_iter=0), "max_iter must be >= 1"),
+        (lambda: MinorityGameSpec(rake_fraction=0.0), r"rake fraction must be in \(0, 1\]"),
+        (lambda: MinorityGameSpec(sponsor_subsidy=-1.0), "sponsor subsidy must be non-negative"),
+        (lambda: max_population(0, GameRules(), 1), "initial population must be positive"),
+        (lambda: max_population(1, GameRules(), -1), "horizon must be non-negative"),
+    ],
+    ids=[
+        "utility-kind", "no-outcomes", "negative-probability", "multiplier-count",
+        "ltv", "impact", "initial-value", "liquidation-threshold", "shock-step",
+        "shock-fraction", "max-iter", "rake", "subsidy", "initial-population", "horizon",
+    ],
+)
+def test_api_only_refusal_names_its_field(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

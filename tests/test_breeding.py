@@ -107,7 +107,7 @@ def genesis_pair(rules: GameRules, traits_a=(0, 1, 2, 3), traits_b=(4, 3, 2, 1))
         1: Collectible(1, tuple(traits_b), None, 0, -rules.maturity_delay),
     }
     owner = Holdings(owner=1, collectibles=dict(pop), activity_balance=100.0, market_balance=100.0)
-    board = PriceBoard(collectible_prices={0: 2.0, 1: 2.0}, floor_price=1.0)
+    board = PriceBoard(floor_price=1.0)
     return pop, owner, board
 
 
@@ -227,7 +227,6 @@ class TestBreed:
         pop, owner, board = genesis_pair(rules)
         pop[2] = Collectible(2, (1, 1, 1, 1), None, 0, -1)
         pop[3] = Collectible(3, (2, 2, 2, 2), None, 0, -1)
-        board.collectible_prices.update({2: 2.0, 3: 2.0})
         owner.collectibles.update({2: pop[2], 3: pop[3]})
         rng = random.Random(0)
         a, _ = breed([0, 1], owner, pop, rules, board, rng, current_step=0)
@@ -272,7 +271,6 @@ class TestBreed:
         pop, owner, board = genesis_pair(rules)
         pop[2] = Collectible(2, (1, 0, 1, 0), None, 0, -1)
         pop[3] = Collectible(3, (0, 2, 0, 2), None, 0, -1)
-        board.collectible_prices.update({2: 2.0, 3: 2.0})
         owner.collectibles.update({2: pop[2], 3: pop[3]})
         rng = random.Random(7)
         for step in range(6):
@@ -284,7 +282,6 @@ class TestBreed:
                     child, _ = breed([x, y], owner, pop, rules, board, rng, current_step=step)
                 except (RestrictionViolated, ImmatureParent):
                     continue
-                board.collectible_prices[child.id] = board.floor_price
                 break
         bred = [c for c in pop.values() if c.parents is not None]
         assert bred, "expected at least one successful breeding"

@@ -9,6 +9,7 @@ from nftgamesim.economy import (
     Holdings,
     PriceBoard,
     SupplyCounters,
+    check_listed_prices,
     check_ownership_partition,
     check_supply_sums,
     fungible_pool_values,
@@ -79,22 +80,39 @@ class TestTotalValue:
 
 
 class TestInvariants:
-    def test_board_rejects_floor_above_lowest_price(self):
+    def test_listed_prices_reject_floor_above_lowest_price(self):
         with pytest.raises(ValueError, match="floor"):
-            PriceBoard(collectible_prices={0: 1.0}, floor_price=2.0)
+            check_listed_prices({0: 1.0}, 2.0)
 
     def test_floor_check_has_no_absolute_slack(self):
         # A floor 10x the lowest price is refused however small both are,
         # and a floor equal to it is accepted.
         with pytest.raises(ValueError, match="floor price 1e-12 exceeds lowest listed price 1e-13"):
-            PriceBoard(collectible_prices={0: 1e-13}, floor_price=1e-12)
-        PriceBoard(collectible_prices={0: 1e-13}, floor_price=1e-13)
+            check_listed_prices({0: 1e-13}, 1e-12)
+        check_listed_prices({0: 1e-13}, 1e-13)
 
-    def test_board_rejects_nonpositive_prices(self):
+    def test_board_and_listed_prices_reject_nonpositive_prices(self):
         with pytest.raises(ValueError):
             PriceBoard(activity_price=0.0)
         with pytest.raises(ValueError):
-            PriceBoard(collectible_prices={0: -1.0}, floor_price=0.5)
+            check_listed_prices({0: -1.0}, 0.5)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(activity_price=0.0), "activity_price must be finite and positive"),
+            (dict(market_price=-1.0), "market_price must be finite and positive"),
+            (dict(floor_price=math.nan), "floor_price must be finite and positive"),
+            (
+                dict(floor_price=2.0, genesis_price=1.0),
+                "genesis_price may not undercut the floor price",
+            ),
+        ],
+        ids=["activity", "market", "floor", "genesis"],
+    )
+    def test_board_constructor_names_the_bad_field(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PriceBoard(**fields)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -131,8 +149,10 @@ class TestInvariants:
             PriceBoard(market_price=bad)
         with pytest.raises(ValueError, match="finite"):
             PriceBoard(floor_price=bad)
+        with pytest.raises(ValueError, match="finite"):
+            check_listed_prices({0: 1.0}, bad)
         with pytest.raises(ValueError, match="collectible 3"):
-            PriceBoard(collectible_prices={0: 1.0, 3: bad}, floor_price=1.0)
+            check_listed_prices({0: 1.0, 3: bad}, 1.0)
 
     def test_partition_check_names_token_and_users(self):
         pop = {0: Collectible(id=0, traits=(1,))}
@@ -190,20 +210,28 @@ def reference_partition(holdings_all, population) -> None:
         raise ValueError(f"minted collectibles with no owner: {orphans[:5]}")
 
 
-def reference_validate(board: PriceBoard) -> None:
-    if not 0 < board.activity_price < math.inf:
+def reference_validate(board: dict, prices: dict) -> None:
+    """Every check of a board's fields and a run's price table, one at a time."""
+    if not 0 < board["activity_price"] < math.inf:
         raise ValueError("activity_price must be finite and positive")
-    if not 0 < board.market_price < math.inf:
+    if not 0 < board["market_price"] < math.inf:
         raise ValueError("market_price must be finite and positive")
-    if not 0 < board.floor_price < math.inf:
+    if not 0 < board["floor_price"] < math.inf:
         raise ValueError("floor_price must be finite and positive")
-    for tid, p in board.collectible_prices.items():
+    for tid, p in prices.items():
         if not 0 < p < math.inf:
             raise ValueError(f"collectible {tid} has non-finite or non-positive price {p}")
-    if board.collectible_prices:
-        lowest = min(board.collectible_prices.values())
-        if board.floor_price > lowest:
-            raise ValueError(f"floor price {board.floor_price} exceeds lowest listed price {lowest}")
+    if prices:
+        lowest, floor = min(prices.values()), board["floor_price"]
+        if floor > lowest:
+            raise ValueError(f"floor price {floor} exceeds lowest listed price {lowest}")
+
+
+def validate(board: dict, prices: dict) -> None:
+    """The engine's split of reference_validate: a PriceBoard built from the
+    fields, then the run's table checked against its floor."""
+    PriceBoard(**board)
+    check_listed_prices(prices, board["floor_price"])
 
 
 def outcome(fn, *args):
@@ -245,19 +273,19 @@ def economies(draw):
     # A few distinct prices shared by many tokens, as in a running economy.
     palette = draw(st.lists(PRICES, min_size=1, max_size=4))
     prices = {tid: draw(st.sampled_from(palette)) for tid in draw(st.sets(IDS))}
-    board = PriceBoard()
-    board.collectible_prices = prices
-    board.floor_price = draw(st.one_of(st.sampled_from(palette), PRICES))
-    board.activity_price = draw(st.sampled_from([1.0, 0.5, 0.0, math.nan]))
-    return holdings, population, board
+    board = dict(
+        activity_price=draw(st.sampled_from([1.0, 0.5, 0.0, math.nan])),
+        market_price=1.0,
+        floor_price=draw(st.one_of(st.sampled_from(palette), PRICES)),
+    )
+    return holdings, population, (board, prices)
 
 
 def priced(prices: list[float]):
-    """An economy of no holdings whose board lists ``prices`` in order, at a
-    floor of 1e-3."""
-    board = PriceBoard(floor_price=1e-3)
-    board.collectible_prices = dict(enumerate(prices))
-    return [], {}, board
+    """An economy of no holdings that lists ``prices`` in order, at a floor
+    of 1e-3."""
+    board = dict(activity_price=1.0, market_price=1.0, floor_price=1e-3)
+    return [], {}, (board, dict(enumerate(prices)))
 
 
 class TestFastChecksMatchReference:
@@ -271,7 +299,7 @@ class TestFastChecksMatchReference:
 
     @settings(max_examples=300, deadline=None)
     @given(economy=economies())
-    # validate tests the lowest price and the total: min skips a NaN after
+    # check_listed_prices tests the lowest price and the total: min skips a NaN after
     # a finite price, which the total catches; finite prices whose total
     # overflows pass; -0.0 and a leading -inf fail the lowest.
     @example(economy=priced([1.0, math.nan]))
@@ -279,8 +307,8 @@ class TestFastChecksMatchReference:
     @example(economy=priced([1.0, -0.0]))
     @example(economy=priced([-math.inf, 1.0]))
     def test_validate(self, economy):
-        _, _, board = economy
-        assert outcome(board.validate) == outcome(reference_validate, board)
+        _, _, (board, prices) = economy
+        assert outcome(validate, board, prices) == outcome(reference_validate, board, prices)
 
     def test_valid_economy_takes_the_fast_paths(self):
         population = {tid: Collectible(id=tid, traits=(0,)) for tid in range(3)}
@@ -288,6 +316,5 @@ class TestFastChecksMatchReference:
             Holdings(owner=1, collectibles={0: population[0], 2: population[2]}),
             Holdings(owner=2, collectibles={1: population[1]}),
         ]
-        board = PriceBoard(collectible_prices={0: 1.5, 1: 2.0, 2: 1.5}, floor_price=1.0)
         assert outcome(check_ownership_partition, holdings, population) == ("ok", None)
-        assert outcome(board.validate) == ("ok", None)
+        assert outcome(check_listed_prices, {0: 1.5, 1: 2.0, 2: 1.5}, 1.0) == ("ok", None)

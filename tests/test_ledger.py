@@ -31,7 +31,7 @@ def replay_snapshots(config: SimConfig, events_jsonl: str) -> bytes:
     """snapshots.csv as the events of ``events_jsonl`` imply it."""
     board, rules = config.board, config.rules
     floor = board.floor_price
-    genesis_price = floor if config.genesis_price is None else config.genesis_price
+    genesis_price = floor if board.genesis_price is None else board.genesis_price
     premiums = config.trait_premiums
     # The forward price drifts toward the numeraire cost of a first breed.
     first_breed_cost = (

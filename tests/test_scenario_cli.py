@@ -91,7 +91,7 @@ class TestScenarioParsing:
         assert config.seed == 5
         assert config.rules.breed_limit == 7
         assert config.price_update == "forward_drift"
-        assert config.genesis_price == 1.5
+        assert config.board.genesis_price == 1.5
         assert config.board.market_price == 2.0
         assert len(config.agents) == 3
         assert config.agents[0].mix.adventure == 1
@@ -417,7 +417,7 @@ class TestSimulateCommand:
             ),
             pytest.param(
                 lambda d: d["run"]["board"].update(genesis_price=0.5),
-                "run.board.genesis_price",
+                "run.board: genesis_price",
                 (),
                 id="genesis_price",
             ),

@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import itertools
@@ -7,7 +8,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,12 @@ from nftgamesim.activities import AdventureSpec, BattleSpec, LotterySpec, Strate
 from nftgamesim.analytics import CollateralSpec, collateral_loop, max_population
 from nftgamesim.breeding import BreedCost, GameRules
 from nftgamesim import simulation
-from nftgamesim.economy import Collectible, PriceBoard, check_ownership_partition
+from nftgamesim.economy import (
+    Collectible,
+    PriceBoard,
+    check_listed_prices,
+    check_ownership_partition,
+)
 from nftgamesim.scenario import parse_scenario
 from nftgamesim.simulation import (
     PRICE_UPDATES,
@@ -111,9 +117,9 @@ def breedless_drift_economies(draw) -> SimConfig:
             activity_price=draw(st.floats(0.1, 2.0)),
             market_price=draw(st.floats(0.1, 2.0)),
             floor_price=floor,
+            genesis_price=floor * draw(st.floats(1.0, 3.0)),
         ),
         price_update="forward_drift",
-        genesis_price=floor * draw(st.floats(1.0, 3.0)),
         adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
         battle=BattleSpec(team_size=2, survival_fraction=0.9),
         lottery=LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0),
@@ -187,16 +193,17 @@ class TestRunSimulation:
             rules=rules,
             agents=(AgentSpec(id=1, strategy="passive", collectibles=1),),
             steps=10,
-            board=PriceBoard(activity_price=0.5, market_price=2.0, floor_price=1.0),
-            genesis_price=2.0,
+            board=PriceBoard(
+                activity_price=0.5, market_price=2.0, floor_price=1.0, genesis_price=2.0
+            ),
             price_update="forward_drift",
         )
         cost = 2 * 0.5 + 0.25 * 2.0
         sim = GameSimulation(config)
-        observed = [sim.board.collectible_prices[0]]
+        observed = [sim.prices[0]]
         for step in range(1, config.steps + 1):
             sim.step(step)
-            observed.append(sim.board.collectible_prices[0])
+            observed.append(sim.prices[0])
         assert observed == iterate_forward_price(2.0, rules.breed_arity, cost, config.steps)
 
     @settings(max_examples=25, deadline=None)
@@ -208,12 +215,12 @@ class TestRunSimulation:
         cost = sim._breed_costs[0]
         assert cost == BreedCost.at_index(config.rules, 0, config.board).numeraire_total
         d = config.rules.breed_arity
-        prices = iterate_forward_price(config.genesis_price, d, cost, config.steps)
+        prices = iterate_forward_price(config.board.genesis_price, d, cost, config.steps)
         floors = iterate_forward_price(config.board.floor_price, d, cost, config.steps)
         for t, (events, _) in enumerate(sim.stream()):
             assert "breed" not in {e.action for e in events}
-            assert set(sim.board.collectible_prices.values()) <= {prices[t]}
-            assert sim.board.floor_price == floors[t]
+            assert set(sim.prices.values()) <= {prices[t]}
+            assert sim.floor == floors[t]
 
     def test_supply_changes_equal_recorded_mints_and_burns(self):
         config = mixed_config(steps=12)
@@ -303,13 +310,13 @@ class TestRunSimulation:
         sim = GameSimulation(config)
         # Agent 1 breeds on a fixed schedule and never values its tokens, so
         # only the audit can notice the lost price.
-        del sim.board.collectible_prices[min(sim.holdings[1].collectibles)]
+        del sim.prices[min(sim.holdings[1].collectibles)]
         with pytest.raises(SimulationInvariantError, match="step 1: priced collectibles"):
             sim.step(1)
 
     def test_price_for_unminted_collectible_caught_by_audit(self):
         sim = GameSimulation(mixed_config(steps=3))
-        sim.board.collectible_prices[999] = 1.0
+        sim.prices[999] = 1.0
         with pytest.raises(SimulationInvariantError, match=r"unminted \[999\]"):
             sim.step(1)
 
@@ -444,7 +451,7 @@ class TestStrategies:
         child_id = outputs["child"]
         traits = outputs["traits"]
         expected = 1.0 + sum((0.0, 0.5, 1.0)[t] for t in traits)
-        assert sim.board.collectible_prices[child_id] == expected
+        assert sim.prices[child_id] == expected
 
     def test_trait_premiums_add_left_to_right_on_every_interpreter(self):
         # Left to right these premiums sum to 0.07, and 0.5 + 0.07 is
@@ -806,7 +813,7 @@ class SearchEveryTurn(GameSimulation):
         if parents is not None:
             lead = self.population[parents[0]]
             cost = BreedCost.at_index(self.rules, lead.breed_count, self.board)
-            candidates.append((self.board.floor_price - cost.numeraire_total, 0, "breed"))
+            candidates.append((self.floor - cost.numeraire_total, 0, "breed"))
         if self._can_battle(spec.id):
             fraction = self.config.battle.survival_fraction
             delta = (fraction - 1.0) * h.activity_balance * self.board.activity_price
@@ -869,9 +876,13 @@ def breeding_economies(draw) -> SimConfig:
         agents=tuple(agents),
         steps=draw(st.integers(1, 25)),
         seed=draw(st.integers(0, 2**32)),
-        board=PriceBoard(activity_price=activity_price, market_price=market_price, floor_price=floor),
+        board=PriceBoard(
+            activity_price=activity_price,
+            market_price=market_price,
+            floor_price=floor,
+            genesis_price=floor * draw(st.sampled_from([1.0, 1.5])),
+        ),
         price_update=draw(st.sampled_from(PRICE_UPDATES)),
-        genesis_price=floor * draw(st.sampled_from([1.0, 1.5])),
         adventure=draw(st.none() | st.just(adventure)),
         battle=draw(st.none() | st.just(battle)),
         lottery=draw(st.none() | st.just(LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=1.0))),
@@ -960,8 +971,7 @@ class TestSearchOnDemand:
                 AgentSpec(id=2, strategy="growth_maximizer", collectibles=4, market_balance=5.0),
             ),
             steps=8,
-            board=PriceBoard(floor_price=2.0),
-            genesis_price=2.0,
+            board=PriceBoard(floor_price=2.0, genesis_price=2.0),
             adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
         )
         sim = GameSimulation(config)
@@ -1166,19 +1176,19 @@ class TestPriceUpdate:
 
     def test_no_writes_at_the_fixed_point(self):
         sim = self.fixed_point_sim()
-        sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
+        sim.prices = prices = CountingPrices(sim.prices)
         sim.step(1)
         assert prices.writes == 0
-        assert prices == dict.fromkeys(range(5), 3.0) and sim.board.floor_price == 3.0
+        assert prices == dict.fromkeys(range(5), 3.0) and sim.floor == 3.0
 
     @pytest.mark.parametrize("moved", ["token", "floor"])
     def test_a_moving_price_rewrites_only_its_class(self, moved):
         sim = self.fixed_point_sim()
         if moved == "token":
-            sim.board.collectible_prices[2] = 6.0
+            sim.prices[2] = 6.0
         else:
-            sim.board.floor_price = 1.5
-        sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
+            sim.floor = 1.5
+        sim.prices = prices = CountingPrices(sim.prices)
         sim.step(1)
         # Only the moved class is written: token 2 alone, or no token when
         # only the floor moves.
@@ -1197,8 +1207,8 @@ class TestPriceUpdate:
         step = functools.partial(breeding.forward_price_step, d=2, step_cost_numeraire=3.0)
         assert step(6.0) == step(above_6) == 5.0 and step(above_3) == 3.0
         sim = self.fixed_point_sim()
-        sim.board.collectible_prices.update({1: above_3, 2: 6.0, 3: above_6})
-        sim.board.collectible_prices = prices = CountingPrices(sim.board.collectible_prices)
+        sim.prices.update({1: above_3, 2: 6.0, 3: above_6})
+        sim.prices = prices = CountingPrices(sim.prices)
         sim.step(1)
         # Each moved class is written once per id; the unmoved class is not.
         assert prices.writes == 3
@@ -1263,7 +1273,7 @@ class TestPriceUpdate:
         sim.step(3)
         assert [e.action for e in sim.events if e.step == 3] == ["breed"]
         assert calls["steps"] == 1 + stepped
-        prices = sim.board.collectible_prices
+        prices = sim.prices
         if premium:
             assert prices == {0: 3.0, 1: 3.0, 2: 3.0, 3: breeding.forward_price_step(6.0, 2, 3.0)}
         else:
@@ -1271,7 +1281,7 @@ class TestPriceUpdate:
 
     def test_snapshot_at_rest_reads_no_price(self):
         sim = self.fixed_point_sim()
-        sim.board.collectible_prices = prices = CountingReads(sim.board.collectible_prices)
+        sim.prices = prices = CountingReads(sim.prices)
         first = sim.snapshot(0)
         # The agent's token value reads every price once; the pool sums the
         # token values.
@@ -1287,7 +1297,7 @@ def check_kept_valuations(config: SimConfig) -> None:
     sim = GameSimulation(config)
     board = sim.board
     for _, snap in sim.stream():
-        prices = board.collectible_prices
+        prices = sim.prices
         tokens = {
             agent_id: math.fsum(prices[t] for t in sim.holdings[agent_id].collectibles)
             for agent_id in snap.agent_wealth
@@ -1309,7 +1319,7 @@ def pool_error_ulps(config: SimConfig) -> float:
     sim = GameSimulation(config)
     worst = 0.0
     for _, snap in sim.stream():
-        prices = Counter(sim.board.collectible_prices.values())
+        prices = Counter(sim.prices.values())
         exact = sum((Fraction(p) * n for p, n in prices.items()), Fraction(0))
         phi = snap.collectible_pool
         worst = max(worst, float(abs(Fraction(phi) - exact) / Fraction(math.ulp(phi))))
@@ -1352,9 +1362,13 @@ def small_configs(draw) -> SimConfig:
         agents=tuple(agents),
         steps=draw(st.integers(1, 30)),
         seed=draw(st.integers(0, 2**32)),
-        board=PriceBoard(activity_price=activity_price, market_price=market_price, floor_price=floor),
+        board=PriceBoard(
+            activity_price=activity_price,
+            market_price=market_price,
+            floor_price=floor,
+            genesis_price=genesis,
+        ),
         price_update=draw(st.sampled_from(PRICE_UPDATES)),
-        genesis_price=genesis,
         trait_premiums=premiums,
         adventure=AdventureSpec(reward_multiplier=1.1, collectibles_required=1),
         battle=BattleSpec(team_size=2, survival_fraction=0.9),
@@ -1534,7 +1548,7 @@ class TestPoolSum:
             board=PriceBoard(floor_price=1e-16),
         )
         sim = GameSimulation(config)
-        sim.board.collectible_prices.update(enumerate(prices))
+        sim.prices.update(enumerate(prices))
         assert math.fsum(prices) != 1.0
         assert sim.snapshot(0).collectible_pool == math.fsum(prices)
 
@@ -1642,8 +1656,8 @@ def reference_audit(sim: GameSimulation) -> None:
         h.check_balances()
     sim.counters.validate()
     check_supply_conservation(holdings, sim.counters, scale=sim._supply_scale)
-    sim.board.validate()
-    prices = sim.board.collectible_prices
+    check_listed_prices(sim.prices, sim.floor)
+    prices = sim.prices
     assert prices.keys() == sim.population.keys()
     if sim._price_classes is not None:
         grouped = {}
@@ -1660,10 +1674,10 @@ def check_reference_audit(config: SimConfig) -> int:
     reference_audit(sim)
     at_rest = 0
     for step in range(1, config.steps + 1):
-        before = dict(sim.board.collectible_prices)
+        before = dict(sim.prices)
         sim.step(step)
         reference_audit(sim)
-        at_rest += sim.board.collectible_prices == before
+        at_rest += sim.prices == before
     return at_rest
 
 
@@ -1710,19 +1724,19 @@ class WalkCounting(dict):
 def count_token_checks(monkeypatch, sim: GameSimulation) -> Counter:
     """Count the audit's per-token checks and every walk over the prices."""
     counts = Counter()
-    partition, validate = simulation.check_ownership_partition, PriceBoard.validate
+    partition, validate = simulation.check_ownership_partition, simulation.check_listed_prices
 
     def counting_partition(*args):
         counts["partition"] += 1
         return partition(*args)
 
-    def counting_validate(board):
+    def counting_validate(*args):
         counts["validate"] += 1
-        return validate(board)
+        return validate(*args)
 
     monkeypatch.setattr(simulation, "check_ownership_partition", counting_partition)
-    monkeypatch.setattr(PriceBoard, "validate", counting_validate)
-    sim.board.collectible_prices = WalkCounting(sim.board.collectible_prices, counts)
+    monkeypatch.setattr(simulation, "check_listed_prices", counting_validate)
+    sim.prices = WalkCounting(sim.prices, counts)
     return counts
 
 
@@ -1739,27 +1753,28 @@ class TestAuditSchedule:
         for step in range(2, 5):
             sim.step(step)
         assert counts == Counter()
-        assert sim.board.collectible_prices == dict.fromkeys(range(5), 3.0)
+        assert sim.prices == dict.fromkeys(range(5), 3.0)
 
     def test_a_mint_step_runs_each_token_check_once(self, monkeypatch):
         sim = GameSimulation(mixed_config(steps=1))
         counts = count_token_checks(monkeypatch, sim)
         sim.step(1)
         assert [e.action for e in sim.events if e.step == 1][0] == "breed"
-        # validate takes the distinct prices once; the id comparison reads keys once.
+        # check_listed_prices takes the distinct prices once; the id comparison
+        # reads keys once.
         assert (counts["partition"], counts["validate"], counts["values"], counts["keys"]) == (
             1, 1, 1, 1,
         )
 
     def test_a_rewrite_step_runs_each_token_check_once(self, monkeypatch):
         sim = at_rest_sim()
-        sim.board.collectible_prices[2] = 6.0  # moves toward 3.0, so its class is rewritten
+        sim.prices[2] = 6.0  # moves toward 3.0, so its class is rewritten
         counts = count_token_checks(monkeypatch, sim)
         sim.step(1)
-        assert 3.0 < sim.board.collectible_prices[2] < 6.0
+        assert 3.0 < sim.prices[2] < 6.0
         # The update walks the items once to group the ids into price
         # classes and writes the moved class without walking the table
-        # again; validate reads the values once.
+        # again; check_listed_prices reads the values once.
         assert (counts["partition"], counts["validate"], counts["values"], counts["keys"]) == (
             1, 1, 1, 1,
         )
@@ -1781,9 +1796,9 @@ class TestAuditSchedule:
         if fault == "second holder":
             sim.holdings[2].collectibles[0] = sim.population[0]
         elif fault == "deleted price":
-            del sim.board.collectible_prices[4]
+            del sim.prices[4]
         elif fault == "unminted price":
-            sim.board.collectible_prices[999] = 3.0
+            sim.prices[999] = 3.0
         else:
             del sim.holdings[2].collectibles[4]
         with pytest.raises(SimulationInvariantError, match=f"step 2: {message}") as caught:
@@ -1917,8 +1932,8 @@ class TestMetamorphic:
                 activity_price=2 * board.activity_price,
                 market_price=2 * board.market_price,
                 floor_price=2 * board.floor_price,
+                genesis_price=2 * board.genesis_price,
             ),
-            genesis_price=2 * config.genesis_price,
             trait_premiums=None if premiums is None else tuple(2 * p for p in premiums),
         ))
         assert serialize(doubled_events) == serialize(events)
@@ -2246,6 +2261,26 @@ class TestSubSeeds:
         assert derive_subseed(1, 0) != derive_subseed(2, 0)
 
 
+class TestConfigIsAValue:
+    @pytest.mark.parametrize("name", [f.name for f in fields(PriceBoard)])
+    def test_a_board_field_cannot_be_assigned(self, name):
+        board = PriceBoard()
+        with pytest.raises(FrozenInstanceError):
+            setattr(board, name, 2.0)
+
+    def test_a_run_leaves_its_config_unchanged(self):
+        # The floor drifts on every step of this case, so the run's floor
+        # ends away from the board's.
+        edit, seed, steps = next(c[1:4] for c in CASES if c[0] == "drifting-floor-3-200")
+        config = baseline_config(edit, seed, steps)
+        before = copy.deepcopy(config)
+        sim = GameSimulation(config)
+        for _ in sim.stream():
+            pass
+        assert config == before
+        assert sim.floor != config.board.floor_price
+
+
 class TestConfigValidation:
     def test_rejects_treasury_agent_id(self):
         with pytest.raises(ValueError, match="treasury"):
@@ -2265,21 +2300,15 @@ class TestConfigValidation:
                 rules=base_rules(),
                 agents=(AgentSpec(id=1),),
                 steps=1,
-                board=PriceBoard(floor_price=2.0),
-                genesis_price=1.0,
+                board=PriceBoard(floor_price=2.0, genesis_price=1.0),
             )
 
     @pytest.mark.parametrize("prices", [{0: 5.0}, {7: 5.0}], ids=["minted-id", "unminted-id"])
     def test_rejects_a_price_table_genesis_would_overwrite(self, prices):
-        # Genesis prices every collectible, so a table in the config would
-        # be dropped (id 0) or fail the step-0 audit (id 7).
-        with pytest.raises(ValueError, match=r"board\.collectible_prices must be empty"):
-            SimConfig(
-                rules=GameRules(),
-                agents=(AgentSpec(id=1, collectibles=2),),
-                steps=2,
-                board=PriceBoard(collectible_prices=prices),
-            )
+        # Genesis prices every collectible and the run owns its price table,
+        # so a board has no field for one.
+        with pytest.raises(TypeError, match="collectible_prices"):
+            PriceBoard(collectible_prices=prices)
 
     def test_fixed_mix_requires_mix(self):
         with pytest.raises(ValueError, match="StrategyMix"):
