@@ -9,7 +9,17 @@ and the minority game lives there too, since no run plays it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def refuse_non_finite(spec, *names: str) -> None:
+    """Refuse a NaN or an infinity in the named fields of ``spec``, naming
+    the first. A scenario file's numbers never reach this: the loader
+    refuses a non-finite one first, by its key."""
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -20,6 +30,7 @@ class AdventureSpec:
     collectibles_required: int = 1
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self, "reward_multiplier")
         if self.reward_multiplier < 1.0:
             raise ValueError("reward_multiplier must be >= 1")
         if self.collectibles_required < 1:
@@ -34,6 +45,7 @@ class BattleSpec:
     survival_fraction: float = 1.0  # n'' < 1 losses, n'' > 1 winnings
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self, "survival_fraction")
         if self.team_size < 2:
             raise ValueError("team_size must be >= 2")
         if self.survival_fraction < 0:
@@ -51,6 +63,7 @@ class LotterySpec:
     win_market_tokens: float = 0.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self, "stake", "win_game_tokens", "win_market_tokens")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss_prob must be a probability in [0, 1]")
         if self.stake <= 0:

@@ -101,6 +101,7 @@ class AgentSpec:
             raise ValueError(f"mix is only read by the fixed_mix strategy, not {self.strategy!r}")
         if self.collectibles < 0:
             raise ValueError("collectibles must be non-negative")
+        activities.refuse_non_finite(self, "activity_balance", "market_balance")
         if self.activity_balance < 0:
             raise ValueError("activity_balance must be non-negative")
         if self.market_balance < 0:
@@ -115,6 +116,8 @@ class SimConfig:
     floor: one non-negative premium per trait value, added once per trait
     position carrying that value. Without it every newborn lists at the
     floor price. A refused config's message names the scenario key at fault.
+    ``agents`` and ``trait_premiums`` are kept as tuples, whatever sequence
+    the caller passes, so a config cannot change once checked and hashes.
     """
 
     rules: GameRules
@@ -129,6 +132,9 @@ class SimConfig:
     lottery: LotterySpec | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "agents", tuple(self.agents))
+        if self.trait_premiums is not None:
+            object.__setattr__(self, "trait_premiums", tuple(self.trait_premiums))
         if self.steps < 1:
             raise ValueError("run.steps must be >= 1")
         if not self.agents:
@@ -153,6 +159,8 @@ class SimConfig:
         if self.trait_premiums is not None:
             if len(self.trait_premiums) != self.rules.trait_alphabet:
                 raise ValueError("run.trait_premiums needs one entry per trait value")
+            if not all(map(math.isfinite, self.trait_premiums)):
+                raise ValueError("run.trait_premiums entries must be finite")
             if any(p < 0 for p in self.trait_premiums):
                 raise ValueError("run.trait_premiums entries must be non-negative")
 

@@ -33,6 +33,36 @@ from nftgamesim.simulation import (
 BOARD = PriceBoard(activity_price=0.5, market_price=1.0)
 
 
+# The non-finite numbers that only a Python caller can pass: the scenario
+# loader refuses a NaN or an infinity first, by its key.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: AdventureSpec(reward_multiplier=v), "reward_multiplier"),
+        (lambda v: BattleSpec(survival_fraction=v), "survival_fraction"),
+        (lambda v: LotterySpec(loss_prob=0.5, stake=v), "stake"),
+        (lambda v: LotterySpec(loss_prob=0.5, stake=1.0, win_game_tokens=v), "win_game_tokens"),
+        (lambda v: LotterySpec(loss_prob=0.5, stake=1.0, win_market_tokens=v), "win_market_tokens"),
+        (lambda v: AgentSpec(id=1, activity_balance=v), "activity_balance"),
+        (lambda v: AgentSpec(id=1, market_balance=v), "market_balance"),
+        (
+            lambda v: SimConfig(
+                rules=GameRules(), agents=(AgentSpec(id=1),), steps=1, trait_premiums=(v,) * 6
+            ),
+            r"run\.trait_premiums entries",
+        ),
+    ],
+    ids=[
+        "reward_multiplier", "survival_fraction", "stake", "win_game_tokens",
+        "win_market_tokens", "activity_balance", "market_balance", "trait_premiums",
+    ],
+)
+def test_api_only_non_finite_refusal_names_its_field(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make(value)
+
+
 def engine_turn(action: str, spec, held: int, before: float):
     """The simulation and its last event after one step of a fixed_mix agent
     that plays ``action`` holding ``held`` collectibles and ``before`` game tokens."""

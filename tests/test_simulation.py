@@ -2280,6 +2280,25 @@ class TestConfigIsAValue:
         assert config == before
         assert sim.floor != config.board.floor_price
 
+    def test_a_callers_lists_cannot_change_a_checked_config(self):
+        # A caller may pass lists; the config keeps tuples, so neither a
+        # second agent with a taken id nor a negative premium gets past the
+        # checks afterwards, and the config hashes like any other value.
+        agents = [AgentSpec(id=1)]
+        premiums = [0.0] * 6
+        config = SimConfig(rules=GameRules(), agents=agents, steps=1, trait_premiums=premiums)
+        with pytest.raises(AttributeError):
+            config.agents.append(AgentSpec(id=1))
+        with pytest.raises(TypeError):
+            config.trait_premiums[0] = -5.0
+        agents.append(AgentSpec(id=2))
+        premiums[0] = -5.0
+        assert config.agents == (AgentSpec(id=1),)
+        assert config.trait_premiums == (0.0,) * 6
+        twin = replace(config, agents=(AgentSpec(id=1),), trait_premiums=(0.0,) * 6)
+        assert config == twin
+        assert hash(config) == hash(twin)
+
 
 class TestConfigValidation:
     def test_rejects_treasury_agent_id(self):

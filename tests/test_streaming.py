@@ -1,7 +1,8 @@
-"""simulate streams its outputs, and neither simulate nor a
-ruin_probability run loads numpy or analytics, and src/ holds nothing
-that only the tests reach."""
+"""simulate streams its outputs, neither simulate nor a ruin_probability
+run loads numpy or analytics, the program entry alone freezes the heap, and
+src/ holds nothing that only the tests reach."""
 import ast
+import gc
 import importlib
 import os
 import subprocess
@@ -54,6 +55,47 @@ def _loaded_after(code: str, modules: tuple[str, ...]) -> str:
         check=True,
     )
     return done.stdout.strip()
+
+
+def _simulate_argv(out: Path) -> list[str]:
+    return ["simulate", "--config", str(BASELINE), "--seed", "1", "--steps", "20", "--out", str(out)]
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(tmp_path, capsys):
+    # Tests and scripts call main as a library; only the program entry
+    # freezes the heap.
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(_simulate_argv(tmp_path / "out")) == 0
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_program_entry_freezes_the_heap_and_writes_the_same_files(tmp_path, capsys):
+    # What `python -m nftgamesim.cli` and the installed script run.
+    assert main(_simulate_argv(tmp_path / "in-process")) == 0
+    capsys.readouterr()
+    code = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['nftgamesim', *{_simulate_argv(tmp_path / 'entry')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('nftgamesim.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(gc.get_freeze_count())"
+    )
+    src = str(Path(nftgamesim.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert int(done.stdout.splitlines()[-1]) > 0
+    for name in ("events.jsonl", "snapshots.csv", "summary.json"):
+        entry = (tmp_path / "entry" / name).read_bytes()
+        assert entry == (tmp_path / "in-process" / name).read_bytes(), name
 
 
 def test_package_and_cli_import_without_numpy():
